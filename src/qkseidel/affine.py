@@ -11,10 +11,10 @@ from typing import Iterable, NamedTuple, Optional
 
 from .rootsys import (
     Coweight,
-    Matrix,
     Root,
     RootSystem,
     WeylElement,
+    _mat_vec,
     longest_element,
     root_is_positive,
     special_nodes,
@@ -85,29 +85,34 @@ class ExtAffineWeylElement:
         return AffineRoot(beta, a.level - self.rs.pairing(self.lam, beta))
 
     def ext_length(self) -> int:
-        """Number of positive affine roots sent negative.
+        """Number of positive affine roots sent negative, in closed form.
 
-        Enumerated over levels up to max |<lam, alpha>| + 1; beyond that bound
-        the level shift cannot flip the sign.  Length-zero (Sigma) parts drop
-        out automatically since they permute the positive affine roots.
+        l(t_lam u) = sum over beta > 0 of |<lam, u(beta)> + chi(u(beta) < 0)|
+        (Iwahori-Matsumoto, "On some Bruhat decomposition and the structure of
+        the Hecke rings of p-adic Chevalley groups", 1965): one root action and
+        one pairing per positive finite root.
         """
         if self._length is None:
             rs = self.rs
-            bound = max(
-                (abs(rs.pairing(self.lam, beta)) for beta in rs.positive_roots),
-                default=0,
-            ) + 1
-            count = 0
+            total = 0
             for beta in rs.positive_roots:
-                neg = tuple(-c for c in beta)
-                for n in range(0, bound + 1):
-                    if not affine_root_is_positive(self.act(AffineRoot(beta, n))):
-                        count += 1
-                for n in range(1, bound + 1):
-                    if not affine_root_is_positive(self.act(AffineRoot(neg, n))):
-                        count += 1
-            self._length = count
+                img = self.u.act_root(beta)
+                total += abs(rs.pairing(self.lam, img) + (not root_is_positive(img)))
+            self._length = total
         return self._length
+
+    def left_ascent(self, i: int) -> bool:
+        """Whether s_i x > x, i.e. x^{-1}(alpha_i) is a positive affine root.
+
+        With x = t_lam u and alpha_i = alpha + n delta, that root has level
+        n + <lam, alpha>, and at level 0 the sign of u^{-1}(alpha), read from
+        u.minv.  A Sigma part needs no case: it permutes the positive roots.
+        """
+        a = affine_simple_root(self.rs, i)
+        level = a.level + self.rs.pairing(self.lam, a.finite)
+        if level:
+            return level > 0
+        return root_is_positive(_mat_vec(self.u.minv, a.finite))
 
     def is_grassmannian(self) -> bool:
         """x(alpha_j) positive for every finite node j."""
@@ -193,18 +198,6 @@ def affine_from_word(rs: RootSystem, word: Iterable[int]) -> ExtAffineWeylElemen
     return x
 
 
-def ext_product(x: ExtAffineWeylElement, y: ExtAffineWeylElement) -> ExtAffineWeylElement:
-    return x * y
-
-
-def ext_inverse(x: ExtAffineWeylElement) -> ExtAffineWeylElement:
-    return x.inverse()
-
-
-def act_on_affine_root(x: ExtAffineWeylElement, a: AffineRoot) -> AffineRoot:
-    return x.act(a)
-
-
 def ext_length(x: ExtAffineWeylElement) -> int:
     return x.ext_length()
 
@@ -224,9 +217,8 @@ def affine_reduced_word(y: ExtAffineWeylElement) -> tuple[int, ...]:
         raise ValueError("element has a nontrivial Sigma part, no word exists")
     word = []
     while not y.is_identity:
-        yinv = y.inverse()
         for i in affine_nodes(rs):
-            if not affine_root_is_positive(yinv.act(affine_simple_root(rs, i))):
+            if not y.left_ascent(i):
                 word.append(i)
                 y = affine_simple_reflection(rs, i) * y
                 break

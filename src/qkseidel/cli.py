@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedProductError,
     VerificationError,
 )
-from .laurent import set_term_budget
+from .laurent import get_term_budget, set_term_budget
 from .qk import minrep_w, parabolic_data, seidel_product_parabolic, verify_pushforward_commutes
 from .rootsys import build_root_system, special_nodes, weyl_from_word
 from .seidel import (
@@ -262,7 +262,9 @@ def cmd_sweep(args, out) -> int:
     if not plan:
         raise ValueError("no sweep units match the requested filters")
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
+        ) as pool:
             results = list(pool.map(run_sweep_unit, plan))
     else:
         results = [run_sweep_unit(unit) for unit in plan]

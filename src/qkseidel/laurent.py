@@ -13,6 +13,7 @@ only rescales by monomials and integer content, which preserves the value.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator
 
 from .errors import SizeLimitError
@@ -183,10 +184,7 @@ class LaurentPoly:
         """Transform every exponent by the given root-coordinate matrix."""
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
-            key = tuple(
-                sum(matrix[r][k] * exps[k] for k in range(self.nvars))
-                for r in range(self.nvars)
-            )
+            key = tuple([sum(map(operator.mul, row, exps)) for row in matrix])
             out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.nvars, out)
 

@@ -7,6 +7,7 @@ star action of affine simple reflections is the two-case recursion
     s_i * (f ell_x) = s_i(f) (e^{alpha_i} ell_x + (1 - e^{alpha_i}) ell_{s_i x})
 
 when s_i x is a longer Grassmannian element, and s_i(f) ell_x otherwise;
+"longer" is the single-root test x^{-1}(alpha_i) > 0 (left_ascent), and
 coefficients always pass through the level-zero action first.  star_D is
 the unique companion operator satisfying
 
@@ -160,7 +161,7 @@ def _delta_poly(rs: RootSystem, i: int, f: LaurentPoly) -> LaurentPoly:
 
 
 def star_s(i: int, z: PetersonElement) -> PetersonElement:
-    """Star action of the affine simple reflection s_i."""
+    """Star action of s_i; "s_i x longer than x" is the single-root test x.left_ascent(i)."""
     rs = z.rs
     if i not in affine_nodes(rs):
         raise ValueError(f"node {i} outside the affine index set")
@@ -180,8 +181,7 @@ def star_s(i: int, z: PetersonElement) -> PetersonElement:
 
     for x, f in z.terms.items():
         sf = f.act_exponents(twist)
-        y = si * x
-        if y.ext_length() > x.ext_length() and y.is_grassmannian():
+        if x.left_ascent(i) and (y := si * x).is_grassmannian():
             bump(x, sf * alpha)
             bump(y, sf * (one - alpha))
         else:
@@ -190,7 +190,10 @@ def star_s(i: int, z: PetersonElement) -> PetersonElement:
 
 
 def star_D(i: int, z: PetersonElement) -> PetersonElement:
-    """The operator with star_s(i, a) = e^{alpha_i} a + (1 - e^{alpha_i}) star_D(i, a)."""
+    """The operator with star_s(i, a) = e^{alpha_i} a + (1 - e^{alpha_i}) star_D(i, a).
+
+    Same cases as star_s; "longer" is the single-root test x.left_ascent(i).
+    """
     rs = z.rs
     if i not in affine_nodes(rs):
         raise ValueError(f"node {i} outside the affine index set")
@@ -210,9 +213,8 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
             out[x] = h
 
     for x, f in z.terms.items():
-        y = si * x
         delta = _delta_poly(rs, i, f)
-        if y.ext_length() > x.ext_length() and y.is_grassmannian():
+        if x.left_ascent(i) and (y := si * x).is_grassmannian():
             bump(x, alpha * delta)
             bump(y, f.act_exponents(twist))
         else:

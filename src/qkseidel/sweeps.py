@@ -18,6 +18,7 @@ from .affine import (
     ext_identity,
     sigma_elements,
 )
+from .errors import UnsupportedProductError, VerificationError
 from .laurent import LaurentPoly
 from .nilhecke import braid_order, demazure, verify_braid_relation
 from .peterson import (
@@ -77,7 +78,7 @@ def grassmannian_ball(rs: RootSystem, max_length: int):
         for x in frontier:
             for i in affine_nodes(rs):
                 y = affine_simple_reflection(rs, i) * x
-                if y not in seen and y.ext_length() == x.ext_length() + 1 and y.is_grassmannian():
+                if x.left_ascent(i) and y not in seen and y.is_grassmannian():
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -250,7 +251,7 @@ def sweep_pushforward(type_label: str, rank: int) -> SweepResult:
                     total += 1
                     try:
                         seidel_product_parabolic(rs, i, w, p, registry)
-                    except Exception as exc:  # noqa: BLE001 - recorded, not raised
+                    except (VerificationError, UnsupportedProductError) as exc:
                         failures.append(f"subset={subset} i={i} w={w.reduced_word()}: {exc}")
     return SweepResult("pushforward", type_label, rank, total, tuple(failures))
 

@@ -26,28 +26,25 @@ from qkseidel.affine import (
     theta_pairings,
     translation,
 )
-from qkseidel.rootsys import build_root_system, root_is_positive, weyl_from_word
+from qkseidel.rootsys import build_root_system, weyl_from_word
 
 
 def ext_length_oracle(x) -> int:
-    """Closed-form inversion count, no level enumeration.
+    """Inversion count by enumeration, level by level.
 
-    For each finite root alpha with c = <lam, u(alpha)>: levels n < c all
-    invert; the boundary n = c inverts iff u(alpha) < 0; the admissible level
-    range starts at 0 for positive alpha and 1 for negative alpha.
+    Levels run up to max |<lam, alpha>| + 1; beyond that bound the level shift
+    cannot flip the sign of an affine root.
     """
     rs = x.rs
-    total = 0
+    bound = max((abs(rs.pairing(x.lam, beta)) for beta in rs.positive_roots), default=0) + 1
+    count = 0
     for beta in rs.positive_roots:
-        for root in (beta, tuple(-c for c in beta)):
-            img = x.u.act_root(root)
-            c = rs.pairing(x.lam, img)
-            neg = not root_is_positive(img)
-            if root is beta:
-                total += max(c, 0) + (1 if neg and c >= 0 else 0)
-            else:
-                total += max(c - 1, 0) + (1 if neg and c >= 1 else 0)
-    return total
+        neg = tuple(-c for c in beta)
+        for n in range(0, bound + 1):
+            count += not affine_root_is_positive(x.act(AffineRoot(beta, n)))
+        for n in range(1, bound + 1):
+            count += not affine_root_is_positive(x.act(AffineRoot(neg, n)))
+    return count
 
 
 def random_ext(rs, rng, nwords: int = 8):
@@ -95,11 +92,29 @@ def test_product_inverse_associativity_random():
 
 def test_ext_length_against_closed_form():
     rng = random.Random(99)
-    for type_label, rank in [("A", 2), ("C", 2), ("B", 3), ("D", 4)]:
+    for type_label, rank in [("A", 2), ("C", 2), ("B", 3), ("D", 4), ("F", 4), ("E", 6)]:
         rs = build_root_system(type_label, rank)
         for _ in range(30):
             x = random_ext(rs, rng)
             assert ext_length(x) == ext_length_oracle(x)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4), ("D", 5)]
+)
+def test_left_ascent_against_enumerated_length(type_label, rank):
+    """s_i x > x by the single-root test iff the enumerated length grows."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(13)
+    group = sigma_elements(rs)
+    sigma_parts = 0
+    for _ in range(30):
+        x = rng.choice(group).element * random_ext(rs, rng)
+        sigma_parts += rs.coweight_to_coroots(x.lam) is None
+        for i in affine_nodes(rs):
+            six = affine_simple_reflection(rs, i) * x
+            assert x.left_ascent(i) == (ext_length_oracle(six) > ext_length_oracle(x)), (x, i)
+    assert sigma_parts > 0 or len(group) == 1
 
 
 def test_translation_length_is_pairing_sum():

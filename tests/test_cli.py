@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from qkseidel import cli
 from qkseidel.cli import canonical_json, main
 from qkseidel.laurent import get_term_budget, set_term_budget
 
@@ -155,6 +158,25 @@ def test_sweep_parallel_matches_serial(capsys):
     code2, out2, _ = run(capsys, "sweep", "--type", "C", "--rank", "2", "--format", "json", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sweep_workers_get_budget_under_spawn(capsys, monkeypatch):
+    """--budget reaches workers that start from a fresh import, not only forked ones."""
+    probes = []
+
+    def spawn_pool(*args, **kwargs):
+        pool = ProcessPoolExecutor(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+        probes.append(pool.submit(get_term_budget))
+        return pool
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    saved = get_term_budget()
+    try:
+        code, _, _ = run(capsys, "sweep", "--type", "A", "--rank", "2", "--jobs", "2", "--budget", "54321")
+    finally:
+        set_term_budget(saved)
+    assert code == 0
+    assert [p.result(timeout=60) for p in probes] == [54321]
 
 
 def test_sweep_no_match_is_an_error(capsys):

@@ -1,10 +1,15 @@
 """Sweep plumbing: result shape, the default plan, randomized sampling."""
 from __future__ import annotations
 
+import pytest
+
+from qkseidel import sweeps
+from qkseidel.errors import VerificationError
 from qkseidel.sweeps import (
     SWEEP_FUNCTIONS,
     default_plan,
     run_sweep_unit,
+    sweep_pushforward,
     sweep_theorem_random,
 )
 
@@ -28,3 +33,23 @@ def test_theorem_random_sampling():
     res = sweep_theorem_random("A", 3, count=40, seed=7)
     assert res.passed and res.total == 40
     assert res.failures == ()
+
+
+def test_pushforward_sweep_records_verification_failures(monkeypatch):
+    def disagree(*args, **kwargs):
+        raise VerificationError("routes disagree")
+
+    monkeypatch.setattr(sweeps, "seidel_product_parabolic", disagree)
+    res = sweep_pushforward("A", 2)
+    # 4 parabolic subsets pass their commutation check; every product fails
+    assert len(res.failures) == res.total - 4 == 26
+    assert all("routes disagree" in f for f in res.failures)
+
+
+def test_pushforward_sweep_lets_programming_errors_crash(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a failed instance")
+
+    monkeypatch.setattr(sweeps, "seidel_product_parabolic", broken)
+    with pytest.raises(TypeError):
+        sweep_pushforward("A", 2)
