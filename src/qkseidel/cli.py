@@ -6,7 +6,8 @@ pushforward commutation check, `element` inspects one Weyl element, and
 `sweep` runs the exhaustive suites.  Output formats: text, canonical JSON
 (sorted keys, two-space indent, byte-stable round trip), and LaTeX tables.
 All configuration is by flags; exit status 0 means every requested check
-passed, 1 a failed verification, 2 invalid input, 3 term-budget exhaustion.
+passed, 1 a failed verification, 2 invalid input, 3 a size limit exceeded
+(the term budget, or a Weyl group too large to enumerate).
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .laurent import get_term_budget, set_term_budget
-from .qk import minrep_w, parabolic_data, seidel_product_parabolic, verify_pushforward_commutes
+from .qk import parabolic_data, q_text, seidel_product_parabolic, verify_pushforward_commutes
 from .rootsys import build_root_system, special_nodes, weyl_from_word
 from .seidel import (
     gamma,
@@ -70,13 +71,8 @@ def _report(
     }
 
 
-def _q_text(d) -> str:
-    parts = [f"Q{j + 1}" + (f"^{c}" if c > 1 else "") for j, c in enumerate(d) if c]
-    return "*".join(parts)
-
-
 def _class_text(d, word) -> str:
-    q = _q_text(d)
+    q = q_text(d)
     o = "O[" + ("*".join(f"s{j}" for j in word) or "e") + "]"
     return f"{q}*{o}" if q else o
 
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
                 return args.func(args, handle)
         return args.func(args, sys.stdout)
     except SizeLimitError as exc:
-        print(f"term budget exhausted: {exc}", file=sys.stderr)
+        print(f"size limit exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, NonReducedWordError, UnsupportedProductError) as exc:
         print(f"error: {exc}", file=sys.stderr)

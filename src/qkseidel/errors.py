@@ -10,7 +10,7 @@ class VerificationError(QKSeidelError):
 
 
 class SizeLimitError(QKSeidelError):
-    """A symbolic computation exceeded the configured term budget."""
+    """A computation exceeded the term budget or the Weyl group enumeration limit."""
 
 
 class NonReducedWordError(QKSeidelError):

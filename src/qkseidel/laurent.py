@@ -5,14 +5,14 @@ lattice: a formal sum of monomials e^beta with beta written in simple root
 coordinates.  Terms are stored sparsely as a dict from integer exponent
 tuples to nonzero integer coefficients.
 
-RationalFunction wraps a numerator/denominator pair for the places where
-genuine denominators appear (divided difference operators).  Equality is by
-cross multiplication, so no polynomial gcd is ever required; normalization
-only rescales by monomials and integer content, which preserves the value.
+Genuine denominators appear only in the nil-Hecke layer, and there every
+one is a product of binomials 1 - e^beta over roots beta (Kostant-Kumar,
+T-equivariant K-theory of generalized flag varieties).  RationalFunction
+therefore keeps its denominator as a multiset of such binomials and never
+multiplies it out; no polynomial gcd is ever required.
 """
 from __future__ import annotations
 
-import math
 import operator
 from typing import Iterator
 
@@ -33,6 +33,16 @@ def set_term_budget(n: int) -> int:
 
 def get_term_budget() -> int:
     return _TERM_BUDGET
+
+
+def accumulate(out: dict, key, value) -> None:
+    """Add value to out[key] in a sparse dict, dropping the key when the sum is zero."""
+    old = out.get(key)
+    new = value if old is None else old + value
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 def _check_budget(n_terms: int) -> None:
@@ -166,20 +176,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers only via RationalFunction")
-        result = LaurentPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
-
     def act_exponents(self, matrix: tuple[tuple[int, ...], ...]) -> "LaurentPoly":
         """Transform every exponent by the given root-coordinate matrix."""
         out: dict[tuple[int, ...], int] = {}
@@ -187,9 +183,6 @@ class LaurentPoly:
             key = tuple([sum(map(operator.mul, row, exps)) for row in matrix])
             out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.nvars, out)
-
-    def content(self) -> int:
-        return math.gcd(*self.terms.values()) if self.terms else 0
 
     def min_exponents(self) -> tuple[int, ...]:
         if not self.terms:
@@ -203,14 +196,6 @@ class LaurentPoly:
             self.nvars,
             {tuple(a + b for a, b in zip(e, vec)): c for e, c in self.terms.items()},
         )
-
-    def scaled(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly.zero(self.nvars)
-        return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def divided_by_content(self, g: int) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: v // g for e, v in self.terms.items()})
 
     def leading(self) -> tuple[tuple[int, ...], int]:
         """Lex-largest exponent and its coefficient."""
@@ -300,51 +285,53 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-class RationalFunction:
-    """Quotient of Laurent polynomials, compared by cross multiplication.
+Factors = dict[tuple[int, ...], int]
 
-    Normalization rescales by a monomial, the integer content, and a sign,
-    and collapses to a polynomial when the denominator divides exactly.
-    None of these change the value, so distinct representatives of the same
-    function still compare equal.
+
+def _binomial(v: tuple[int, ...]) -> LaurentPoly:
+    """1 - e^v."""
+    return LaurentPoly(len(v), {(0,) * len(v): 1, v: -1})
+
+
+class RationalFunction:
+    """num / prod_v (1 - e^v)^{m_v}, a scalar of the K-theoretic nil-Hecke algebra.
+
+    den maps each v to its multiplicity m_v > 0, and every v is stored with
+    its first nonzero coordinate positive: a factor with v < 0 enters as
+    1/(1 - e^v) = -e^{-v} / (1 - e^{-v}), which happens for alpha_0 = -theta
+    at level zero.  Construction divides the numerator by each factor for as
+    long as the division is exact, so the value is a polynomial exactly when
+    no factor is left.
+
+    Sums and equality lift both sides to the larger multiplicity of each
+    factor, multiplying the numerators by the missing binomials, and then
+    add or compare numerators.  This is exact in the integral domain Z[Q].
+    Operands must be RationalFunctions; callers convert other scalars.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.one(num.nvars)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.nvars != den.nvars:
-            raise ValueError("mixed variable counts")
-        if num.is_zero():
-            den = LaurentPoly.one(num.nvars)
-        else:
-            quo = None
-            if not den.is_one() and den.term_count() <= 128:
-                quo = num.divide_exact(den)
-            if quo is not None:
-                num, den = quo, LaurentPoly.one(num.nvars)
-            elif den.is_one():
-                pass
-            else:
-                shift = tuple(-m for m in den.min_exponents())
-                num = num.shifted(shift)
-                den = den.shifted(shift)
-                g = math.gcd(num.content(), den.content())
-                if g > 1:
-                    num = num.divided_by_content(g)
-                    den = den.divided_by_content(g)
-            if den.leading()[1] < 0:
-                num = -num
-                den = -den
+    def __init__(self, num: LaurentPoly, den: Factors | None = None):
+        factors: Factors = {}
+        for v, m in (den or {}).items():
+            if len(v) != num.nvars:
+                raise ValueError("mixed variable counts")
+            if not any(v):
+                raise ZeroDivisionError("zero denominator 1 - e^0")
+            if v < (0,) * len(v):
+                v = tuple(-c for c in v)
+                num = num.shifted(tuple(m * c for c in v))
+                if m % 2:
+                    num = -num
+            factors[v] = factors.get(v, 0) + m
+        self.den: Factors = {}
+        for v, m in factors.items():
+            binomial = _binomial(v)
+            while m and (quo := num.divide_exact(binomial)) is not None:
+                num, m = quo, m - 1
+            if m:
+                self.den[v] = m
         self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalFunction":
-        return cls(p)
 
     @classmethod
     def zero(cls, nvars: int) -> "RationalFunction":
@@ -361,99 +348,69 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num == self.den
-
     def is_polynomial(self) -> bool:
-        return self.den.is_one()
+        return not self.den
 
-    def _coerce(self, other) -> "RationalFunction | None":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RationalFunction(other)
-        if isinstance(other, int):
-            return RationalFunction(LaurentPoly.constant(self.nvars, other))
-        return None
+    def _lift(self, den: Factors) -> LaurentPoly:
+        """The numerator over den, which must contain self.den."""
+        num = self.num
+        for v, m in den.items():
+            for _ in range(m - self.den.get(v, 0)):
+                num = num * _binomial(v)
+        return num
+
+    def _common(self, other: "RationalFunction") -> tuple[LaurentPoly, LaurentPoly, Factors]:
+        den = dict(self.den)
+        for v, m in other.den.items():
+            den[v] = max(m, den.get(v, 0))
+        return self._lift(den), other._lift(den), den
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num * rhs.den == rhs.num * self.den
+        lhs, rhs, _ = self._common(other)
+        return lhs == rhs
 
-    __hash__ = None  # equality is by value; no canonical hashable form
+    __hash__ = None  # equality is by value
 
-    def __add__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
+    def __add__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.den == rhs.den:
-            return RationalFunction(self.num + rhs.num, self.den)
-        # reuse a denominator when one divides the other; keeps iterated
-        # sums from growing multiplicatively
-        if self.den.term_count() <= 128 and rhs.den.term_count() <= 128:
-            q = rhs.den.divide_exact(self.den)
-            if q is not None:
-                return RationalFunction(self.num * q + rhs.num, rhs.den)
-            q = self.den.divide_exact(rhs.den)
-            if q is not None:
-                return RationalFunction(self.num + rhs.num * q, self.den)
-        return RationalFunction(
-            self.num * rhs.den + rhs.num * self.den, self.den * rhs.den
-        )
+        lhs, rhs, den = self._common(other)
+        return RationalFunction(lhs + rhs, den)
 
-    __radd__ = __add__
+    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        lhs, rhs, den = self._common(other)
+        return RationalFunction(lhs - rhs, den)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
 
-    def __sub__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
+    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return RationalFunction(self.num * rhs.num, self.den * rhs.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
-
-    def __truediv__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs * self.inverse()
+        den = dict(self.den)
+        for v, m in other.den.items():
+            den[v] = den.get(v, 0) + m
+        return RationalFunction(self.num * other.num, den)
 
     def act_exponents(self, matrix: tuple[tuple[int, ...], ...]) -> "RationalFunction":
-        return RationalFunction(
-            self.num.act_exponents(matrix), self.den.act_exponents(matrix)
-        )
+        """Transform numerator and factors alike; factors sent negative flip back."""
+        den = {
+            tuple([sum(map(operator.mul, row, v)) for row in matrix]): m
+            for v, m in self.den.items()
+        }
+        return RationalFunction(self.num.act_exponents(matrix), den)
 
     def __str__(self) -> str:
-        if self.den.is_one():
+        if not self.den:
             return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        factors = " * ".join(
+            f"({_binomial(v)})" + (f"^{m}" if m > 1 else "") for v, m in sorted(self.den.items())
+        )
+        return f"({self.num}) / {factors}"
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"

@@ -13,6 +13,11 @@ are the two-term elements
 with e^{alpha_0} = e^{-theta} at level zero.  They satisfy D_i^2 = D_i and
 the braid relations, so D_x is well defined for x with a reduced word, and
 extends to the whole group by D_{sigma x} = [sigma] D_x.
+
+Every coefficient denominator in this algebra is a product of binomials
+1 - e^beta over roots beta (Kostant-Kumar, T-equivariant K-theory of
+generalized flag varieties), so scalars are RationalFunctions with
+root-factored denominators and all identities are decided by exact equality.
 """
 from __future__ import annotations
 
@@ -40,12 +45,8 @@ def level_zero_action(x: ExtAffineWeylElement, f):
     return f.act_exponents(x.u.m)
 
 
-def simple_character(rs: RootSystem, i: int) -> LaurentPoly:
-    """e^{alpha_i} for affine i, evaluated at level zero."""
-    return LaurentPoly.monomial(affine_simple_root(rs, i).finite)
-
-
 def _as_scalar(rs: RootSystem, value) -> Scalar | None:
+    """The one conversion of an int or LaurentPoly into a scalar."""
     if isinstance(value, RationalFunction):
         return value
     if isinstance(value, LaurentPoly):
@@ -177,9 +178,7 @@ def demazure(rs: RootSystem, i: int) -> GroupAlgebraElement:
     if i not in affine_nodes(rs):
         raise ValueError(f"node {i} outside the affine index set")
     one = RationalFunction.one(rs.rank)
-    c = RationalFunction(
-        LaurentPoly.one(rs.rank), LaurentPoly.one(rs.rank) - simple_character(rs, i)
-    )
+    c = RationalFunction(LaurentPoly.one(rs.rank), {affine_simple_root(rs, i).finite: 1})
     si = affine_simple_reflection(rs, i)
     return GroupAlgebraElement(rs, {si: c, ext_identity(rs): one - c})
 

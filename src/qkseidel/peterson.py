@@ -42,7 +42,7 @@ from .affine import (
     translation,
 )
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, accumulate
 from .rootsys import RootSystem, WeylElement, is_antidominant
 from .seidel import gamma, quantum_exponent, seidel_datum
 
@@ -141,22 +141,14 @@ def _delta_poly(rs: RootSystem, i: int, f: LaurentPoly) -> LaurentPoly:
     """(s_i f - f) / (1 - e^{alpha_i}), exactly, one monomial at a time."""
     alpha = affine_simple_root(rs, i).finite
     out: dict[tuple[int, ...], int] = {}
-
-    def bump(exps: tuple[int, ...], c: int) -> None:
-        new = out.get(exps, 0) + c
-        if new:
-            out[exps] = new
-        else:
-            del out[exps]
-
     for beta, c in f.terms.items():
         p = _simple_pairing(rs, i, beta)
         if p >= 0:
             for k in range(1, p + 1):
-                bump(tuple(b - k * a for b, a in zip(beta, alpha)), c)
+                accumulate(out, tuple(b - k * a for b, a in zip(beta, alpha)), c)
         else:
             for k in range(-p):
-                bump(tuple(b + k * a for b, a in zip(beta, alpha)), -c)
+                accumulate(out, tuple(b + k * a for b, a in zip(beta, alpha)), -c)
     return LaurentPoly(rs.rank, out)
 
 
@@ -170,22 +162,13 @@ def star_s(i: int, z: PetersonElement) -> PetersonElement:
     alpha = LaurentPoly.monomial(affine_simple_root(rs, i).finite)
     one = LaurentPoly.one(rs.rank)
     out: dict[ExtAffineWeylElement, LaurentPoly] = {}
-
-    def bump(x: ExtAffineWeylElement, f: LaurentPoly) -> None:
-        g = out.get(x)
-        h = f if g is None else g + f
-        if h.is_zero():
-            out.pop(x, None)
-        else:
-            out[x] = h
-
     for x, f in z.terms.items():
         sf = f.act_exponents(twist)
         if x.left_ascent(i) and (y := si * x).is_grassmannian():
-            bump(x, sf * alpha)
-            bump(y, sf * (one - alpha))
+            accumulate(out, x, sf * alpha)
+            accumulate(out, y, sf * (one - alpha))
         else:
-            bump(x, sf)
+            accumulate(out, x, sf)
     return PetersonElement(rs, out)
 
 
@@ -201,24 +184,13 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
     twist = si.u.m
     alpha = LaurentPoly.monomial(affine_simple_root(rs, i).finite)
     out: dict[ExtAffineWeylElement, LaurentPoly] = {}
-
-    def bump(x: ExtAffineWeylElement, f: LaurentPoly) -> None:
-        if f.is_zero():
-            return
-        g = out.get(x)
-        h = f if g is None else g + f
-        if h.is_zero():
-            out.pop(x, None)
-        else:
-            out[x] = h
-
     for x, f in z.terms.items():
         delta = _delta_poly(rs, i, f)
         if x.left_ascent(i) and (y := si * x).is_grassmannian():
-            bump(x, alpha * delta)
-            bump(y, f.act_exponents(twist))
+            accumulate(out, x, alpha * delta)
+            accumulate(out, y, f.act_exponents(twist))
         else:
-            bump(x, f + delta)
+            accumulate(out, x, f + delta)
     return PetersonElement(rs, out)
 
 
@@ -324,14 +296,6 @@ class LocalizedClass:
     def scale(self, f: LaurentPoly | int) -> "LocalizedClass":
         return LocalizedClass(self.num.scale(f), self.den)
 
-    def times_sigma_monomial(self, m: tuple[int, ...]) -> "LocalizedClass":
-        return LocalizedClass(mult_by_sigma_monomial(self.num, m), self.den)
-
-    def divided_by_sigma_monomial(self, m: tuple[int, ...]) -> "LocalizedClass":
-        if any(c < 0 for c in m):
-            raise ValueError(f"invalid sigma exponent {m}")
-        return LocalizedClass(self.num, tuple(a + b for a, b in zip(self.den, m)))
-
     def __str__(self) -> str:
         if not any(self.den):
             return str(self.num)
@@ -349,10 +313,6 @@ class LocalizedClass:
 def star_s_localized(i: int, c: LocalizedClass) -> LocalizedClass:
     """Star action through the numerator; sigma denominators are W-invariant."""
     return LocalizedClass(star_s(i, c.num), c.den)
-
-
-def star_w_localized(w: WeylElement, c: LocalizedClass) -> LocalizedClass:
-    return LocalizedClass(star_w(w, c.num), c.den)
 
 
 def o_class(rs: RootSystem, w: WeylElement) -> LocalizedClass:

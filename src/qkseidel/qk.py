@@ -8,8 +8,8 @@ closed-form permutation of the basis up to a Q-monomial:
     O^{v_i} . (v_i^L O^w) = Q^{omega_i^vee - w^{-1} omega_i^vee} O^{v_i w}.
 
 Each (i, w) instance is certified in the Peterson engine before the closed
-form is used; a registry caches certificates and exhaustive sweep marks so
-repeated products stay cheap.  The parabolic product is computed twice, via
+form is used; a registry caches certificates so repeated products stay
+cheap.  The parabolic product is computed twice, via
 the pushforward and via the direct formula, and the routes must agree.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, accumulate
 from .peterson import verify_seidel_theorem
 from .rootsys import RootSystem, WeylElement
 from .seidel import quantum_exponent, seidel_element
@@ -73,6 +73,11 @@ def minrep_beta(beta: QExponent, p: ParabolicData) -> QExponent:
     if len(beta) != p.rs.rank:
         raise ValueError(f"exponent {beta} has wrong arity")
     return tuple(0 if j in p.subset else b for j, b in zip(p.rs.nodes, beta))
+
+
+def q_text(d: QExponent) -> str:
+    """The Q-monomial Q^d as text, e.g. Q1*Q3^2; empty for d = 0."""
+    return "*".join(f"Q{j + 1}" + (f"^{c}" if c > 1 else "") for j, c in enumerate(d) if c)
 
 
 class QKElement:
@@ -168,17 +173,12 @@ class QKElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-
-        def qstr(d: QExponent) -> str:
-            parts = [f"Q{j + 1}" + (f"^{c}" if c > 1 else "") for j, c in enumerate(d) if c]
-            return "*".join(parts)
-
         bits = []
         for (d, w), f in sorted(
             self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].length(), kv[0][1].m)
         ):
             word = "*".join(f"s{j}" for j in w.reduced_word()) or "e"
-            mono = qstr(d)
+            mono = q_text(d)
             head = f"{mono}*" if mono else ""
             bits.append(f"({f})*{head}O[{word}]")
         return " + ".join(bits)
@@ -196,23 +196,14 @@ def left_action(i: int, xi: QKElement) -> QKElement:
     alpha = LaurentPoly.monomial(rs.simple_root(i))
     one = LaurentPoly.one(rs.rank)
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
-
-    def bump(key, f: LaurentPoly) -> None:
-        g = out.get(key)
-        h = f if g is None else g + f
-        if h.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = h
-
     for (d, w), f in xi.terms.items():
         sf = f.act_exponents(si.m)
         sw = si * w
         if sw.length() < w.length():
-            bump((d, w), sf * alpha)
-            bump((d, sw), sf * (one - alpha))
+            accumulate(out, (d, w), sf * alpha)
+            accumulate(out, (d, sw), sf * (one - alpha))
         else:
-            bump((d, w), sf)
+            accumulate(out, (d, w), sf)
     return QKElement(rs, out, xi.base)
 
 
@@ -227,7 +218,6 @@ class VerificationRegistry:
 
     def __init__(self):
         self._instances: set[tuple[str, int, int, tuple[int, ...]]] = set()
-        self._swept: set[tuple[str, int]] = set()
 
     def record(self, report) -> None:
         if not report.passed:
@@ -236,12 +226,7 @@ class VerificationRegistry:
             (report.type_label, report.rank, report.node, report.word)
         )
 
-    def mark_swept(self, type_label: str, rank: int) -> None:
-        self._swept.add((type_label, rank))
-
     def covers(self, rs: RootSystem, i: int, w: WeylElement) -> bool:
-        if (rs.type_label, rs.rank) in self._swept:
-            return True
         return (rs.type_label, rs.rank, i, w.reduced_word()) in self._instances
 
 
@@ -276,13 +261,7 @@ def pushforward(xi: QKElement, p: ParabolicData) -> QKElement:
         raise ValueError("negative exponents do not push forward")
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
-        key = (minrep_beta(d, p), minrep_w(w, p))
-        g = out.get(key)
-        h = f if g is None else g + f
-        if h.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = h
+        accumulate(out, (minrep_beta(d, p), minrep_w(w, p)), f)
     return QKElement(xi.rs, out, p.subset)
 
 

@@ -7,13 +7,20 @@ arithmetic is exact.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
+from .errors import SizeLimitError
+
 Root = tuple[int, ...]
 Coweight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
+
+# Largest Weyl group weyl_group() enumerates: W(E6) has 51,840 elements and
+# W(A7) 40,320, while W(D7) (322,560) and W(A8) (362,880) are refused.
+WEYL_GROUP_LIMIT = 100_000
 
 VALID_RANKS = {
     "A": range(1, 100),
@@ -341,9 +348,31 @@ class RootSystem:
         m = self._refl[i]
         return self._weyl(m, m)
 
+    def weyl_order(self) -> int:
+        """|W| as the product of the degrees d = m + 1 over the exponents m.
+
+        The exponents are the partition dual to the root heights (Kostant):
+        exactly r_k - r_{k+1} of them equal k, where r_k counts the positive
+        roots of height k.
+        """
+        heights = Counter(sum(beta) for beta in self.positive_roots)
+        order = 1
+        for k in range(1, max(heights) + 1):
+            order *= (k + 1) ** (heights[k] - heights[k + 1])
+        return order
+
     def weyl_group(self) -> tuple[WeylElement, ...]:
-        """All of W, ordered by (length, reduced word).  Cached."""
+        """All of W, ordered by (length, reduced word).  Cached.
+
+        Raises SizeLimitError before enumerating when |W| exceeds WEYL_GROUP_LIMIT.
+        """
         if self._weyl_group is None:
+            order = self.weyl_order()
+            if order > WEYL_GROUP_LIMIT:
+                raise SizeLimitError(
+                    f"W({self.type_label}{self.rank}) has {order} elements, "
+                    f"more than the enumeration limit {WEYL_GROUP_LIMIT}"
+                )
             seen = {self.identity_weyl()}
             frontier = [self.identity_weyl()]
             while frontier:
@@ -373,18 +402,6 @@ def weyl_from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
             raise ValueError("node %r outside the index set" % (i,))
         w = w * rs.simple_reflection(i)
     return w
-
-
-def length(w: WeylElement) -> int:
-    return w.length()
-
-
-def inversions(w: WeylElement) -> tuple[Root, ...]:
-    return w.inversions()
-
-
-def descent_set(w: WeylElement) -> tuple[int, ...]:
-    return w.descent_set()
 
 
 def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> WeylElement:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -144,6 +145,14 @@ def test_budget_exhaustion_exit_code(capsys):
         set_term_budget(saved)
     assert code == 3
     assert "budget" in err
+
+
+def test_oversized_weyl_group_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "--type", "A", "--rank", "12", "--node", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "6227020800 elements" in err
 
 
 def test_sweep_filtered(capsys):

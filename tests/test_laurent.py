@@ -53,24 +53,15 @@ def test_ring_axioms_random():
         assert a * 0 == LaurentPoly.zero(3)
 
 
-def test_pow_matches_repeated_product():
-    rng = random.Random(8)
-    p = random_poly(rng, 2, 3)
-    acc = LaurentPoly.one(2)
-    for k in range(5):
-        assert p**k == acc
-        acc = acc * p
-    with pytest.raises(ValueError):
-        p ** (-1)
-
-
 def test_geometric_series_identities():
     """(1 - e^{c a}) = (1 - e^a) * (1 + e^a + ... + e^{(c-1)a})."""
     a = x(2, 0)
     one = LaurentPoly.one(2)
+    power, series = one, LaurentPoly.zero(2)
     for c in range(1, 6):
-        series = sum((a**k for k in range(c)), LaurentPoly.zero(2))
-        assert one - a**c == (one - a) * series
+        series = series + power
+        power = power * a
+        assert one - power == (one - a) * series
 
 
 def test_divide_exact():
@@ -127,61 +118,128 @@ def test_str_rendering():
     assert p.serialize() == [[[0, 0], 1], [[1, -2], -1], [[2, 0], 3]]
 
 
-def test_rational_equality_cross_mult():
+def binomial(v: tuple[int, ...]) -> LaurentPoly:
+    return LaurentPoly.one(len(v)) - LaurentPoly.monomial(v)
+
+
+def expanded_den(f: RationalFunction) -> LaurentPoly:
+    """prod_v (1 - e^v)^{m_v}, multiplied out."""
+    den = LaurentPoly.one(f.nvars)
+    for v, m in f.den.items():
+        for _ in range(m):
+            den = den * binomial(v)
+    return den
+
+
+def cross_equal(f: RationalFunction, g: RationalFunction) -> bool:
+    """Oracle: cross-multiply the fully expanded denominators."""
+    return f.num * expanded_den(g) == g.num * expanded_den(f)
+
+
+FACTORS = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, 0), (-1, 0), (0, -1), (-1, -1)]
+
+
+def random_rf(rng: random.Random, n_factors: int = 2) -> RationalFunction:
+    den: dict[tuple[int, ...], int] = {}
+    for _ in range(n_factors):
+        v = rng.choice(FACTORS)
+        den[v] = den.get(v, 0) + 1
+    return RationalFunction(random_poly(rng, 2, 3), den)
+
+
+def test_rational_binomial_denominators():
     one = LaurentPoly.one(1)
     a = x(1, 0)
-    lhs = RationalFunction(one - a * a, one - a)
+    lhs = RationalFunction(one - a * a, {(1,): 1})
     assert lhs == RationalFunction(one + a)
-    assert lhs.is_polynomial()
-    assert RationalFunction(one, one - a) != RationalFunction(one, one + a)
-    assert RationalFunction(LaurentPoly.zero(1), one - a).is_zero()
+    assert lhs.is_polynomial() and lhs.num == one + a
+    assert RationalFunction(one, {(1,): 1}) != RationalFunction(one, {(2,): 1})
+    assert RationalFunction(one + a, {(2,): 1}) == RationalFunction(one, {(1,): 1})
+    assert RationalFunction(LaurentPoly.zero(1), {(1,): 3}).is_zero()
+    assert RationalFunction(LaurentPoly.zero(1), {(1,): 3}).is_polynomial()
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(one, LaurentPoly.zero(1))
+        RationalFunction(one, {(0,): 1})
+
+
+def test_rational_normalization_is_value_preserving():
+    """1/(1 - e^{-v}) = -e^v/(1 - e^v): factors are stored with a positive first coordinate."""
+    one = LaurentPoly.one(2)
+    flipped = RationalFunction(one, {(-1, 1): 1})
+    assert flipped.den == {(1, -1): 1}
+    assert flipped.num == -LaurentPoly.monomial((1, -1))
+    assert flipped == RationalFunction(-LaurentPoly.monomial((1, -1)), {(1, -1): 1})
+    assert flipped.num * binomial((-1, 1)) == expanded_den(flipped)
+    squared = RationalFunction(one, {(0, -1): 2})
+    assert squared.den == {(0, 1): 2} and squared.num == LaurentPoly.monomial((0, 2))
+
+
+def test_rational_cancels_to_polynomial():
+    one = LaurentPoly.one(2)
+    a, b = x(2, 0), x(2, 1)
+    f = RationalFunction(one, {(1, 0): 2, (1, 1): 1})
+    g = RationalFunction((one - a) * (one - a) * (one - a * b) * (b + 3), {})
+    h = f * g
+    assert h.is_polynomial() and h.num == b + 3
+    # a sum whose factors cancel: 1/(1-a) - a/(1-a) = 1
+    total = RationalFunction(one, {(1, 0): 1}) - RationalFunction(a, {(1, 0): 1})
+    assert total.is_polynomial() and total.num == one
+    # only some of the factors cancel
+    part = RationalFunction((one - a) * b, {(1, 0): 2, (0, 1): 1})
+    assert part.den == {(1, 0): 1, (0, 1): 1} and part.num == b
 
 
 def test_rational_field_axioms_random():
     rng = random.Random(10)
-    one = LaurentPoly.one(2)
-
-    def random_rf():
-        num = random_poly(rng, 2, 3)
-        den = random_poly(rng, 2, 2)
-        while den.is_zero():
-            den = random_poly(rng, 2, 2)
-        return RationalFunction(num, den)
-
     for _ in range(25):
-        f, g, h = random_rf(), random_rf(), random_rf()
+        f, g, h = random_rf(rng), random_rf(rng), random_rf(rng)
         assert f + g == g + f
         assert f * g == g * f
         assert (f + g) * h == f * h + g * h
+        assert (f * g) * h == f * (g * h)
         assert f - f == RationalFunction.zero(2)
-        if not f.is_zero():
-            assert f * f.inverse() == RationalFunction.one(2)
-            assert (g / f) * f == g
-        assert f * RationalFunction(one) == f
+        assert -(f - g) == g - f
+        assert f * RationalFunction.one(2) == f
 
 
-def test_rational_normalization_is_value_preserving():
+def test_rational_equality_cross_mult():
+    """Lifted equality agrees with cross-multiplying the expanded denominators.
+
+    1/(1 - e^a) = (1 + e^a)/(1 - e^{2a}) gives equal values over different
+    factors, which construction cannot cancel into one form.
+    """
+    rng = random.Random(12)
     one = LaurentPoly.one(2)
-    a, b = x(2, 0), x(2, 1)
-    den = one - a
-    num = b + one
-    m = LaurentPoly.monomial((-1, 2), 3)
-    scaled = RationalFunction(num * m, den * m)
-    plain = RationalFunction(num, den)
-    assert scaled == plain
-    assert scaled.num == plain.num and scaled.den == plain.den
-    # sign rule: lex-leading denominator coefficient is positive
-    flipped = RationalFunction(-num, -den)
-    assert flipped.den == plain.den
+    for _ in range(40):
+        base = random_rf(rng, rng.randrange(3))
+        f = base * RationalFunction(one, {(1, 0): 1})
+        same = base * RationalFunction(one + x(2, 0), {(2, 0): 1})
+        other = same + RationalFunction(random_poly(rng, 2, 1), {(2, 0): rng.randrange(2)})
+        for g in (same, other, random_rf(rng, rng.randrange(4))):
+            assert (f == g) == (g == f) == cross_equal(f, g)
+        assert f == same
+        total = f + other
+        assert total.num * expanded_den(f) * expanded_den(other) == (
+            f.num * expanded_den(other) + other.num * expanded_den(f)
+        ) * expanded_den(total)
 
 
 def test_rational_weyl_action_is_multiplicative():
     rs = build_root_system("A", 2)
     w = rs.simple_reflection(1) * rs.simple_reflection(2)
     rng = random.Random(11)
-    f = RationalFunction(random_poly(rng, 2, 3), LaurentPoly.one(2) - x(2, 0))
-    g = RationalFunction(random_poly(rng, 2, 3), LaurentPoly.one(2) - x(2, 1))
+    f = RationalFunction(random_poly(rng, 2, 3), {(1, 0): 1})
+    g = RationalFunction(random_poly(rng, 2, 3), {(0, 1): 1, (1, 1): 2})
     assert (f * g).act_exponents(w.m) == f.act_exponents(w.m) * g.act_exponents(w.m)
+    assert (f + g).act_exponents(w.m) == f.act_exponents(w.m) + g.act_exponents(w.m)
     assert f.act_exponents(w.m).act_exponents(w.minv) == f
+    # s_1 sends the factor 1 - e^{a_1} to 1 - e^{-a_1}, which flips back
+    s1 = rs.simple_reflection(1)
+    one = LaurentPoly.one(2)
+    image = RationalFunction(one, {(1, 0): 1}).act_exponents(s1.m)
+    assert image.den == {(1, 0): 1} and image.num == -x(2, 0)
+    assert image.num * binomial((-1, 0)) == expanded_den(image)
+    # 1/(1 - e^{a_1}) + 1/(1 - e^{-a_1}) = 1, and h + s_1(h) is s_1-invariant
+    assert RationalFunction(one, {(1, 0): 1}) + image == RationalFunction.one(2)
+    h = RationalFunction(x(2, 1), {(1, 0): 1})
+    sym = h + h.act_exponents(s1.m)
+    assert sym.act_exponents(s1.m) == sym

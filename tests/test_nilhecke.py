@@ -23,7 +23,6 @@ from qkseidel.nilhecke import (
     demazure_of_ext,
     demazure_of_word,
     level_zero_action,
-    simple_character,
     verify_braid_relation,
 )
 from qkseidel.rootsys import build_root_system, special_nodes

@@ -9,11 +9,12 @@ import random
 
 import pytest
 
+from qkseidel.errors import SizeLimitError
 from qkseidel.rootsys import (
+    VALID_RANKS,
+    WEYL_GROUP_LIMIT,
+    RootSystem,
     build_root_system,
-    descent_set,
-    inversions,
-    length,
     longest_element,
     root_is_positive,
     special_nodes,
@@ -45,6 +46,8 @@ def positive_root_count(type_label: str, rank: int) -> int:
 def weyl_order(type_label: str, rank: int) -> int:
     import math
 
+    if type_label == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[rank]
     return {
         "A": math.factorial(rank + 1),
         "B": 2 ** rank * math.factorial(rank),
@@ -115,6 +118,22 @@ def test_weyl_group_orders():
         assert len(rs.weyl_group()) == weyl_order(type_label, rank)
 
 
+def test_weyl_order_closed_form():
+    for type_label, ranks in VALID_RANKS.items():
+        for rank in ranks:
+            if rank > 9:
+                break
+            rs = build_root_system(type_label, rank)
+            assert rs.weyl_order() == weyl_order(type_label, rank), (type_label, rank)
+
+
+def test_weyl_group_size_guard():
+    rs = RootSystem("A", 12)
+    with pytest.raises(SizeLimitError):
+        rs.weyl_group()
+    assert WEYL_GROUP_LIMIT >= build_root_system("E", 6).weyl_order()
+
+
 def all_reduced_words(w):
     """Every reduced word, by recursion on left descents."""
     if w.is_identity:
@@ -146,9 +165,9 @@ def test_length_equals_inversion_count_random_words(type_label, rank):
     for _ in range(40):
         word = [rng.choice(rs.nodes) for _ in range(rng.randrange(13))]
         w = weyl_from_word(rs, word)
-        assert length(w) == len(inversions(w)) <= len(word)
+        assert w.length() == len(w.inversions()) <= len(word)
         assert weyl_from_word(rs, w.reduced_word()) == w
-        assert length(w.inverse()) == length(w)
+        assert w.inverse().length() == w.length()
 
 
 def test_descents_are_word_final_letters():
@@ -157,14 +176,14 @@ def test_descents_are_word_final_letters():
     for _ in range(30):
         w = weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(10)])
         for k in rs.nodes:
-            shorter = length(w * rs.simple_reflection(k)) < length(w)
-            assert (k in descent_set(w)) == shorter
+            shorter = (w * rs.simple_reflection(k)).length() < w.length()
+            assert (k in w.descent_set()) == shorter
 
 
 def test_longest_elements():
     rs = build_root_system("A", 3)
     w0 = longest_element(rs)
-    assert length(w0) == len(rs.positive_roots)
+    assert w0.length() == len(rs.positive_roots)
     assert w0 * w0 == rs.identity_weyl()
     # parabolic {1,3} in A3 is A1 x A1
     wj = longest_element(rs, [1, 3])
