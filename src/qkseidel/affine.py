@@ -14,7 +14,6 @@ from .rootsys import (
     Root,
     RootSystem,
     WeylElement,
-    _mat_vec,
     longest_element,
     root_is_positive,
     special_nodes,
@@ -28,11 +27,6 @@ class AffineRoot(NamedTuple):
 
 def affine_root_is_positive(a: AffineRoot) -> bool:
     return a.level > 0 or (a.level == 0 and root_is_positive(a.finite))
-
-
-_EXT_INTERN: dict[RootSystem, dict] = {}
-_S_THETA: dict[RootSystem, WeylElement] = {}
-_SIGMA_GROUP: dict[RootSystem, tuple] = {}
 
 
 class ExtAffineWeylElement:
@@ -51,7 +45,7 @@ class ExtAffineWeylElement:
         self.u = u
         self._length: Optional[int] = None
         self._grass: Optional[bool] = None
-        self._hash = hash((lam, u.m))
+        self._hash = hash((lam, u))
 
     def __repr__(self) -> str:
         return "t%r*%r" % (self.lam, self.u)
@@ -106,13 +100,15 @@ class ExtAffineWeylElement:
 
         With x = t_lam u and alpha_i = alpha + n delta, that root has level
         n + <lam, alpha>, and at level 0 the sign of u^{-1}(alpha), read from
-        u.minv.  A Sigma part needs no case: it permutes the positive roots.
+        the inverse permutation.  A Sigma part needs no case: it permutes the
+        positive roots.
         """
-        a = affine_simple_root(self.rs, i)
-        level = a.level + self.rs.pairing(self.lam, a.finite)
+        rs = self.rs
+        a = affine_simple_root(rs, i)
+        level = a.level + rs.pairing(self.lam, a.finite)
         if level:
             return level > 0
-        return root_is_positive(_mat_vec(self.u.minv, a.finite))
+        return self.u.inverse().perm[rs.root_index[a.finite]] < rs.npos
 
     def is_grassmannian(self) -> bool:
         """x(alpha_j) positive for every finite node j."""
@@ -129,8 +125,8 @@ class ExtAffineWeylElement:
 
 
 def _intern(rs: RootSystem, lam: Coweight, u: WeylElement) -> ExtAffineWeylElement:
-    cache = _EXT_INTERN.setdefault(rs, {})
-    key = (lam, u.m)
+    cache = rs._ext_intern
+    key = (lam, u)
     x = cache.get(key)
     if x is None:
         x = ExtAffineWeylElement(rs, lam, u)
@@ -157,18 +153,7 @@ def theta_pairings(rs: RootSystem) -> Coweight:
 
 def s_theta(rs: RootSystem) -> WeylElement:
     """Reflection in the highest root."""
-    w = _S_THETA.get(rs)
-    if w is None:
-        theta = rs.highest_root
-        tp = theta_pairings(rs)
-        n = rs.rank
-        m = tuple(
-            tuple((1 if r == k else 0) - tp[k] * theta[r] for k in range(n))
-            for r in range(n)
-        )
-        w = rs._weyl(m, m)
-        _S_THETA[rs] = w
-    return w
+    return rs.reflection(rs.highest_root)
 
 
 def affine_simple_reflection(rs: RootSystem, i: int) -> ExtAffineWeylElement:
@@ -272,14 +257,12 @@ class SigmaElement:
 
 def sigma_elements(rs: RootSystem) -> tuple[SigmaElement, ...]:
     """All of Sigma: the identity plus one element per special node."""
-    group = _SIGMA_GROUP.get(rs)
-    if group is None:
+    if rs._sigma_group is None:
         members = [SigmaElement(ext_identity(rs), None)]
         for i in special_nodes(rs):
             members.append(SigmaElement(_pi_element(rs, i), i))
-        group = tuple(members)
-        _SIGMA_GROUP[rs] = group
-    return group
+        rs._sigma_group = tuple(members)
+    return rs._sigma_group
 
 
 def _pi_element(rs: RootSystem, i: int) -> ExtAffineWeylElement:

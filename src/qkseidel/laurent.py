@@ -93,12 +93,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
-
-    def term_count(self) -> int:
-        return len(self.terms)
-
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self.terms.items())
 

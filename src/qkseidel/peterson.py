@@ -235,13 +235,10 @@ def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElemen
     rs = z.rs
     u = sigma.element.u
     y = star_w(u.inverse(), z)
-    out: dict[ExtAffineWeylElement, LaurentPoly] = {}
-    for x, f in y.terms.items():
-        key = sigma.element * x
-        g = f.act_exponents(u.m)
-        acc = out.get(key)
-        out[key] = g if acc is None else acc + g
-    return PetersonElement(rs, out)
+    # x -> sigma x is injective, so no two terms meet
+    return PetersonElement(
+        rs, {sigma.element * x: f.act_exponents(u.m) for x, f in y.terms.items()}
+    )
 
 
 class LocalizedClass:

@@ -4,6 +4,10 @@ Roots are integer coordinate tuples in the simple-root basis, coweights are
 integer coordinate tuples in the fundamental-coweight basis.  Both bases are
 indexed by the nodes 1..rank, so coordinate j-1 belongs to node j.  All
 arithmetic is exact.
+
+A Weyl group element is the signed permutation it induces on the finite
+root set (W acts on it faithfully), so products, inverses, lengths and
+descents are index lookups; its action matrices are derived views.
 """
 from __future__ import annotations
 
@@ -67,21 +71,9 @@ def _cartan_matrix(type_label: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
-def _mat_vec(m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
-
-
 def _vec_mat(v: tuple[int, ...], m: Matrix) -> tuple[int, ...]:
     n = len(v)
     return tuple(sum(v[j] * m[j][k] for j in range(n)) for k in range(n))
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ar[j] * bc[j] for j in range(n)) for bc in bt) for ar in a
-    )
 
 
 def root_is_positive(beta: Root) -> bool:
@@ -90,45 +82,69 @@ def root_is_positive(beta: Root) -> bool:
 
 
 class WeylElement:
-    """A Weyl group element, canonically its action matrix on the root lattice.
+    """A Weyl group element, canonically the signed permutation it induces on the roots.
 
-    The matrix of the inverse is carried along so that both the root action
-    (columns of m) and the coweight action (rows of minv) stay cheap.
-    Instances are interned per root system; equality is matrix equality.
+    perm[k] is the index in rs.roots of w(beta_k).  The roots list the
+    positive roots first and then their negatives, so w(beta_k) < 0 exactly
+    when perm[k] >= rs.npos.  W acts faithfully on its roots, so perm
+    determines w, and a product is one composition of index tuples.  The
+    action matrix on the root lattice (columns: the images of the simple
+    roots) and that of the inverse are derived views, computed on first use.
+    Instances are interned per root system; equality is permutation equality.
     """
 
-    __slots__ = ("rs", "m", "minv", "_word", "_length", "_hash")
+    __slots__ = ("rs", "perm", "_inverse", "_m", "_word", "_length", "_hash")
 
-    def __init__(self, rs: "RootSystem", m: Matrix, minv: Matrix):
+    def __init__(self, rs: "RootSystem", perm: tuple[int, ...]):
         self.rs = rs
-        self.m = m
-        self.minv = minv
+        self.perm = perm
+        self._inverse: Optional[WeylElement] = None
+        self._m: Optional[Matrix] = None
         self._word: Optional[tuple[int, ...]] = None
         self._length: Optional[int] = None
-        self._hash = hash(m)
+        self._hash = hash(perm)
 
     def __repr__(self) -> str:
         word = self.reduced_word()
         return "W[%s]" % ("*".join("s%d" % i for i in word) or "e")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.m == other.m and self.rs is other.rs
+        return isinstance(other, WeylElement) and self.perm == other.perm and self.rs is other.rs
 
     def __hash__(self) -> int:
         return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.rs._weyl(_mat_mul(self.m, other.m), _mat_mul(other.minv, self.minv))
+        return self.rs._weyl(tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElement":
-        return self.rs._weyl(self.minv, self.m)
+        if self._inverse is None:
+            perm = self.perm
+            inv = self.rs._weyl(tuple(sorted(range(len(perm)), key=perm.__getitem__)))
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
+
+    @property
+    def m(self) -> Matrix:
+        """Action matrix on the root lattice; column k is w(alpha_{k+1})."""
+        if self._m is None:
+            roots, perm = self.rs.roots, self.perm
+            self._m = tuple(zip(*(roots[perm[k]] for k in self.rs.simple_indices)))
+        return self._m
+
+    @property
+    def minv(self) -> Matrix:
+        """Action matrix of the inverse."""
+        return self.inverse().m
 
     @property
     def is_identity(self) -> bool:
-        return self.m == self.rs.identity_matrix
+        return self is self.rs._identity
 
     def act_root(self, beta: Root) -> Root:
-        return _mat_vec(self.m, beta)
+        rs = self.rs
+        return rs.roots[self.perm[rs.root_index[beta]]]
 
     def act_coweight(self, cw: Coweight) -> Coweight:
         # <w(lam), beta> = <lam, w^{-1}(beta)> forces the row action by minv.
@@ -136,47 +152,40 @@ class WeylElement:
 
     def length(self) -> int:
         if self._length is None:
-            self._length = sum(
-                1 for beta in self.rs.positive_roots if not root_is_positive(self.act_root(beta))
-            )
+            npos = self.rs.npos
+            self._length = sum(j >= npos for j in self.perm[:npos])
         return self._length
 
     def inversions(self) -> tuple[Root, ...]:
         """Positive roots sent negative, sorted."""
-        return tuple(
-            sorted(
-                beta
-                for beta in self.rs.positive_roots
-                if not root_is_positive(self.act_root(beta))
-            )
-        )
+        npos = self.rs.npos
+        return tuple(beta for beta, j in zip(self.rs.positive_roots, self.perm) if j >= npos)
 
     def descent_set(self) -> tuple[int, ...]:
         """Right descents: nodes k with w(alpha_k) < 0."""
-        return tuple(
-            k for k in self.rs.nodes if not root_is_positive(self.act_root(self.rs.simple_root(k)))
-        )
+        rs, perm = self.rs, self.perm
+        return tuple(i for i, k in zip(rs.nodes, rs.simple_indices) if perm[k] >= rs.npos)
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word.
 
         Greedy: strip the smallest left descent (smallest i with w^{-1}(alpha_i)
-        negative); a reduced word can start with i exactly when i is a left
-        descent, so the smallest feasible first letter is chosen at each step.
+        negative, i.e. the smallest descent of w^{-1}); a reduced word can
+        start with i exactly when i is a left descent, so the smallest feasible
+        first letter is chosen at each step.  Every element met on the way,
+        s_i w, keeps its own word.
         """
-        if self._word is None:
-            word = []
-            cur = self
-            while not cur.is_identity:
-                for i in cur.rs.nodes:
-                    if all(row[i - 1] <= 0 for row in cur.minv):
-                        word.append(i)
-                        cur = cur.rs.simple_reflection(i) * cur
-                        break
-                else:  # pragma: no cover - matrices outside W cannot be built
-                    raise AssertionError("no left descent found")
-            self._word = tuple(word)
-        return self._word
+        chain = []
+        cur = self
+        while cur._word is None:
+            i = cur.inverse().descent_set()[0]
+            chain.append((cur, i))
+            cur = self.rs.simple_reflection(i) * cur
+        word = cur._word
+        for elem, i in reversed(chain):
+            word = (i,) + word
+            elem._word = word
+        return word
 
 
 class RootSystem:
@@ -196,34 +205,42 @@ class RootSystem:
         self.rank = rank
         self.nodes = tuple(range(1, rank + 1))
         self.cartan = _cartan_matrix(type_label, rank)
-        self.identity_matrix: Matrix = tuple(
-            tuple(1 if j == k else 0 for k in range(rank)) for j in range(rank)
-        )
-        self._weyl_cache: dict[Matrix, WeylElement] = {}
-        self._refl = {i: self._simple_reflection_matrix(i) for i in self.nodes}
+        # e_j is alpha_j in root coordinates and omega_j^vee in coweight coordinates
+        self._unit = {
+            j: tuple(1 if k == j - 1 else 0 for k in range(rank)) for j in self.nodes
+        }
         self.positive_roots = self._close_positive_roots()
         self.coroot_table = self._coroot_orbit()
         self.highest_root = self._find_highest_root()
         self.highest_root_coroot = self.coroot_table[self.highest_root]
         self._cartan_inv = self._invert_cartan()
+        # Weyl elements permute these indices: the positive roots, then their negatives.
+        self.npos = len(self.positive_roots)
+        self.roots = self.positive_roots + tuple(
+            tuple(-c for c in beta) for beta in self.positive_roots
+        )
+        self.root_index = {beta: k for k, beta in enumerate(self.roots)}
+        self.simple_indices = tuple(self.root_index[self._unit[j]] for j in self.nodes)
+        self._weyl_cache: dict[tuple[int, ...], WeylElement] = {}
+        self._identity = self._weyl(tuple(range(len(self.roots))))
+        self._identity._word = ()
+        self._reflections: dict[Root, WeylElement] = {}
+        self._simple_reflections = {j: self.reflection(self._unit[j]) for j in self.nodes}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._weyl_group: Optional[tuple[WeylElement, ...]] = None
+        # Caches of the affine and seidel layers, so that they die with the system.
+        self._ext_intern: dict = {}
+        self._sigma_group: Optional[tuple] = None
+        self._datum_cache: dict = {}
 
     def __repr__(self) -> str:
         return "RootSystem(%s, %d)" % (self.type_label, self.rank)
 
     # -- construction ---------------------------------------------------
 
-    def _simple_reflection_matrix(self, i: int) -> Matrix:
-        n = self.rank
-        m = [[1 if j == k else 0 for k in range(n)] for j in range(n)]
-        for k in range(n):
-            m[i - 1][k] = (1 if k == i - 1 else 0) - self.cartan[i - 1][k]
-        return tuple(tuple(row) for row in m)
-
     def _close_positive_roots(self) -> tuple[Root, ...]:
         n = self.rank
-        simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+        simple = list(self._unit.values())
         found = set(simple)
         level = list(simple)
         ordered = list(simple)
@@ -254,17 +271,14 @@ class RootSystem:
         through the transposed Cartan pairing.
         """
         n = self.rank
-        table: dict[Root, Root] = {}
-        queue = []
-        for j in range(n):
-            root = tuple(1 if k == j else 0 for k in range(n))
-            table[root] = root
-            queue.append(root)
+        table = {root: root for root in self._unit.values()}
+        queue = list(table)
         while queue:
             beta = queue.pop()
             covec = table[beta]
             for i in self.nodes:
-                img = _mat_vec(self._refl[i], beta)
+                p = self.pair_coroot_root(i, beta)
+                img = tuple(b - p if k == i - 1 else b for k, b in enumerate(beta))
                 if img in table or not root_is_positive(img):
                     continue
                 c = sum(covec[k] * self.cartan[k][i - 1] for k in range(n))
@@ -300,10 +314,10 @@ class RootSystem:
     # -- basic queries ---------------------------------------------------
 
     def simple_root(self, i: int) -> Root:
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
+        return self._unit[i]
 
     def fundamental_coweight(self, i: int) -> Coweight:
-        return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
+        return self._unit[i]
 
     def pair_coroot_root(self, j: int, beta: Root) -> int:
         """<alpha_j^vee, beta> for a root (or root-lattice element) beta."""
@@ -334,19 +348,31 @@ class RootSystem:
 
     # -- Weyl group -------------------------------------------------------
 
-    def _weyl(self, m: Matrix, minv: Matrix) -> WeylElement:
-        w = self._weyl_cache.get(m)
+    def _weyl(self, perm: tuple[int, ...]) -> WeylElement:
+        w = self._weyl_cache.get(perm)
         if w is None:
-            w = WeylElement(self, m, minv)
-            self._weyl_cache[m] = w
+            w = WeylElement(self, perm)
+            self._weyl_cache[perm] = w
         return w
 
     def identity_weyl(self) -> WeylElement:
-        return self._weyl(self.identity_matrix, self.identity_matrix)
+        return self._identity
 
     def simple_reflection(self, i: int) -> WeylElement:
-        m = self._refl[i]
-        return self._weyl(m, m)
+        return self._simple_reflections[i]
+
+    def reflection(self, beta: Root) -> WeylElement:
+        """The reflection s_beta(gamma) = gamma - <beta^vee, gamma> beta in a root.  Cached."""
+        w = self._reflections.get(beta)
+        if w is None:
+            covec = self.coroots_to_coweight(self.coroot(beta))
+            w = self._weyl(tuple(
+                self.root_index[tuple(g - self.pairing(covec, gamma) * b
+                                      for g, b in zip(gamma, beta))]
+                for gamma in self.roots
+            ))
+            self._reflections[beta] = w
+        return w
 
     def weyl_order(self) -> int:
         """|W| as the product of the degrees d = m + 1 over the exponents m.

@@ -40,9 +40,6 @@ __all__ = [
     "verify_key_lemma",
 ]
 
-_DATUM_CACHE: dict[tuple[int, int], "SeidelDatum"] = {}
-
-
 def seidel_element(rs: RootSystem, i: int) -> WeylElement:
     """v[i] = w_o * w_{P_i} for a special node i."""
     if i not in special_nodes(rs):
@@ -84,9 +81,8 @@ class SeidelDatum:
 
 def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
     """Builds the datum for node i and certifies its defining identities."""
-    key = (id(rs), i)
-    if key in _DATUM_CACHE:
-        return _DATUM_CACHE[key]
+    if i in rs._datum_cache:
+        return rs._datum_cache[i]
     v = seidel_element(rs, i)
     p = pi(rs, i)
     minus_omega = tuple(-c for c in rs.fundamental_coweight(i))
@@ -106,7 +102,7 @@ def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
         raise VerificationError("Inv(v[%d]) is not the omega-pairing-1 set" % i)
 
     datum = SeidelDatum(i, v, p, kappa)
-    _DATUM_CACHE[key] = datum
+    rs._datum_cache[i] = datum
     return datum
 
 
@@ -147,7 +143,7 @@ def one_line(w: WeylElement) -> tuple[int, ...]:
 
     Type A on rank+1 letters; B/C/D on rank letters with sign flips.  Entry j
     is the signed image of e_j.  Display only: the canonical form stays the
-    root-lattice matrix.
+    signed permutation of the roots.
     """
     rs = w.rs
     n = rs.rank

@@ -58,15 +58,37 @@ def weyl_order(type_label: str, rank: int) -> int:
     }[type_label]
 
 
+def mat_mul(a, b):
+    n = len(a)
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(ar[j] * bc[j] for j in range(n)) for bc in bt) for ar in a
+    )
+
+
+def mat_vec(m, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+
+
+def reflection_matrix(rs, i):
+    """s_i on the root lattice from the Cartan matrix: alpha_k -> alpha_k - a[i][k] alpha_i."""
+    n = rs.rank
+    return tuple(
+        tuple((1 if r == k else 0) - (rs.cartan[i - 1][k] if r == i - 1 else 0) for k in range(n))
+        for r in range(n)
+    )
+
+
 def orbit_roots(rs) -> set:
     """Oracle: the root set as the reflection orbit of the simple roots."""
+    refl = {i: reflection_matrix(rs, i) for i in rs.nodes}
     frontier = [rs.simple_root(i) for i in rs.nodes]
     seen = set(frontier)
     while frontier:
         nxt = []
         for beta in frontier:
             for i in rs.nodes:
-                img = rs.simple_reflection(i).act_root(beta)
+                img = mat_vec(refl[i], beta)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -113,7 +135,9 @@ def test_invalid_type_rank_rejected():
 
 
 def test_weyl_group_orders():
-    for type_label, rank in [("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2)]:
+    for type_label, rank in [
+        ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G", 2), ("F", 4), ("E", 6)
+    ]:
         rs = build_root_system(type_label, rank)
         assert len(rs.weyl_group()) == weyl_order(type_label, rank)
 
@@ -284,3 +308,81 @@ def test_special_iff_theta_coefficient_one(type_label, rank):
     rs = build_root_system(type_label, rank)
     for i in rs.nodes:
         assert (i in special_nodes(rs)) == (rs.highest_root[i - 1] == 1)
+
+
+# -- matrix oracle for the signed-permutation representation -----------------
+
+
+def matrix_inversions(rs, m):
+    return tuple(sorted(b for b in rs.positive_roots if not root_is_positive(mat_vec(m, b))))
+
+
+@pytest.mark.parametrize("type_label,rank", DESK_TYPES + [("E", 6)])
+def test_permutation_products_against_matrices(type_label, rank):
+    rng = random.Random(20261018)
+    rs = build_root_system(type_label, rank)
+    refl = {i: reflection_matrix(rs, i) for i in rs.nodes}
+    for i in rs.nodes:
+        assert rs.simple_reflection(i).m == refl[i] == rs.simple_reflection(i).minv
+
+    def random_element():
+        word = [rng.choice(rs.nodes) for _ in range(rng.randrange(2 * rank + 12))]
+        m = tuple(tuple(1 if r == k else 0 for k in range(rank)) for r in range(rank))
+        for i in word:
+            m = mat_mul(m, refl[i])
+        w = weyl_from_word(rs, word)
+        assert w.m == m
+        return w
+
+    for _ in range(30):
+        u, v = random_element(), random_element()
+        uv = u * v
+        assert uv.m == mat_mul(u.m, v.m)
+        assert uv.minv == mat_mul(v.minv, u.minv)
+        assert u.inverse().m == u.minv
+        assert mat_mul(u.m, u.minv) == rs.identity_weyl().m
+        for beta in rs.roots:
+            assert u.act_root(beta) == mat_vec(u.m, beta)
+        inv = matrix_inversions(rs, u.m)
+        assert u.inversions() == inv
+        assert u.length() == len(inv)
+        assert u.descent_set() == tuple(
+            k for k in rs.nodes if not root_is_positive(mat_vec(u.m, rs.simple_root(k)))
+        )
+
+
+def matrix_reduced_word(rs, m, minv, refl):
+    """Old matrix algorithm: strip the smallest i with column i of minv negative."""
+    word = []
+    while matrix_inversions(rs, m):
+        i = next(i for i in rs.nodes if all(row[i - 1] <= 0 for row in minv))
+        word.append(i)
+        m, minv = mat_mul(refl[i], m), mat_mul(minv, refl[i])
+    return tuple(word)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
+def test_weyl_group_is_matrix_closure(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    refl = {i: reflection_matrix(rs, i) for i in rs.nodes}
+    one = tuple(tuple(1 if r == k else 0 for k in range(rank)) for r in range(rank))
+    closure = {one: one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in rs.nodes:
+                img = mat_mul(m, refl[i])
+                if img not in closure:
+                    closure[img] = mat_mul(refl[i], closure[m])
+                    nxt.append(img)
+        frontier = nxt
+    ordered = sorted(
+        closure,
+        key=lambda m: (len(matrix_inversions(rs, m)), matrix_reduced_word(rs, m, closure[m], refl)),
+    )
+    group = rs.weyl_group()
+    assert [w.m for w in group] == ordered
+    assert [w.minv for w in group] == [closure[m] for m in ordered]

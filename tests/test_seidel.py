@@ -1,10 +1,20 @@
 """Seidel element combinatorics tests."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from qkseidel.affine import from_finite, is_grassmannian, pi, translation
-from qkseidel.rootsys import build_root_system, longest_element, special_nodes, weyl_from_word
+from qkseidel.peterson import verify_seidel_theorem
+from qkseidel.rootsys import (
+    RootSystem,
+    build_root_system,
+    longest_element,
+    special_nodes,
+    weyl_from_word,
+)
 from qkseidel.seidel import (
     gamma,
     one_line,
@@ -175,3 +185,17 @@ def test_w_times_gamma_translation_is_grassmannian():
         for w in rs.weyl_group():
             x = from_finite(w) * translation(rs, gamma(rs, w))
             assert is_grassmannian(x)
+
+
+def test_caches_die_with_their_root_system():
+    """Affine and Seidel caches live on the root system, not at module level."""
+
+    def use_and_drop():
+        rs = RootSystem("C", 3)
+        assert seidel_datum(rs, 3).node == 3
+        assert verify_seidel_theorem(rs, 3, longest_element(rs)).passed
+        return weakref.ref(rs)
+
+    ref = use_and_drop()
+    gc.collect()
+    assert ref() is None
