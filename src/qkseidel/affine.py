@@ -183,14 +183,6 @@ def affine_from_word(rs: RootSystem, word: Iterable[int]) -> ExtAffineWeylElemen
     return x
 
 
-def ext_length(x: ExtAffineWeylElement) -> int:
-    return x.ext_length()
-
-
-def is_grassmannian(x: ExtAffineWeylElement) -> bool:
-    return x.is_grassmannian()
-
-
 def affine_reduced_word(y: ExtAffineWeylElement) -> tuple[int, ...]:
     """Lexicographically least reduced word of a Sigma-free element.
 

@@ -48,10 +48,6 @@ def _parse_word(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse word {text!r}; expected comma-separated integers")
 
 
-def _parse_subset(text: str) -> tuple[int, ...]:
-    return _parse_word(text)
-
-
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -98,14 +94,15 @@ def cmd_table(args, out) -> int:
         raise ValueError("table requires --node")
     i = args.node
     if args.parabolic is not None:
-        p = parabolic_data(rs, _parse_subset(args.parabolic))
+        p = parabolic_data(rs, _parse_word(args.parabolic))
         index_set = p.minimal_reps
     else:
         p = None
         index_set = rs.weyl_group()
 
     rows = []
-    for w in sorted(index_set, key=lambda x: (x.length(), x.reduced_word())):
+    # both index sets are already in (length, reduced word) order
+    for w in index_set:
         if p is None:
             d = quantum_exponent(rs, i, w)
             rep = verify_seidel_theorem(rs, i, w)
@@ -147,7 +144,7 @@ def cmd_table(args, out) -> int:
 def cmd_verify(args, out) -> int:
     rs = build_root_system(args.type, args.rank)
     if args.parabolic is not None:
-        p = parabolic_data(rs, _parse_subset(args.parabolic))
+        p = parabolic_data(rs, _parse_word(args.parabolic))
         ok = verify_pushforward_commutes(p)
         report = _report(
             rs,

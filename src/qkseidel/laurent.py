@@ -9,7 +9,10 @@ Genuine denominators appear only in the nil-Hecke layer, and there every
 one is a product of binomials 1 - e^beta over roots beta (Kostant-Kumar,
 T-equivariant K-theory of generalized flag varieties).  RationalFunction
 therefore keeps its denominator as a multiset of such binomials and never
-multiplies it out; no polynomial gcd is ever required.
+multiplies it out; no polynomial gcd is ever required.  The only division
+in the package is LaurentPoly.divide_exact(v), exact division by one
+binomial 1 - e^v, decided by summing coefficients along lines e + Zv; it
+serves RationalFunction and the Peterson divided difference alike.
 """
 from __future__ import annotations
 
@@ -178,12 +181,6 @@ class LaurentPoly:
             out[key] = out.get(key, 0) + coeff
         return LaurentPoly(self.nvars, out)
 
-    def min_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.nvars
-        cols = zip(*self.terms.keys())
-        return tuple(min(col) for col in cols)
-
     def shifted(self, vec: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial e^vec."""
         return LaurentPoly(
@@ -191,62 +188,36 @@ class LaurentPoly:
             {tuple(a + b for a, b in zip(e, vec)): c for e, c in self.terms.items()},
         )
 
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        """Lex-largest exponent and its coefficient."""
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+    def divide_exact(self, v: tuple[int, ...]) -> "LaurentPoly | None":
+        """Return self / (1 - e^v) when the quotient is a Laurent polynomial, else None.
 
-    def max_exponents(self) -> tuple[int, ...]:
-        if not self.terms:
-            return (0,) * self.nvars
-        cols = zip(*self.terms.keys())
-        return tuple(max(col) for col in cols)
-
-    def divide_exact(self, divisor: "LaurentPoly") -> "LaurentPoly | None":
-        """Return self / divisor when the division is exact, else None.
-
-        Single-divisor long division under lex order.  When the division is
-        exact every quotient exponent sits in the box bounded componentwise
-        by min/max exponents of self minus those of divisor (extreme terms
-        of a product never cancel under a monomial order), so stepping
-        outside the box proves inexactness and guarantees termination.
+        The exponents fall into lines e + Zv.  Write each as base + t*v, with t
+        read off the first nonzero coordinate p of v.  On every line
+        (1 - e^v) q = f says f_t = q_t - q_{t-1}, so q_t is the running sum of
+        f along the line, and the division is exact exactly when every line
+        sums to zero.  That is decided for all lines before any term is built.
         """
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero(self.nvars)
-        if divisor.nvars != self.nvars:
+        if len(v) != self.nvars:
             raise ValueError("mixed variable counts")
-        lead_e, lead_c = divisor.leading()
-        box_lo = tuple(
-            a - b for a, b in zip(self.min_exponents(), divisor.min_exponents())
-        )
-        box_hi = tuple(
-            a - b for a, b in zip(self.max_exponents(), divisor.max_exponents())
-        )
-        rem = dict(self.terms)
+        p = next((k for k, c in enumerate(v) if c), None)
+        if p is None:
+            raise ZeroDivisionError("division by 1 - e^0")
+        lines: dict[tuple[int, ...], dict[int, int]] = {}
+        for e, c in self.terms.items():
+            t = e[p] // v[p]
+            lines.setdefault(tuple(a - t * b for a, b in zip(e, v)), {})[t] = c
+        if any(sum(line.values()) for line in lines.values()):
+            return None
         quo: dict[tuple[int, ...], int] = {}
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > _TERM_BUDGET:
-                raise SizeLimitError("division step budget exhausted")
-            top = max(rem)
-            coeff = rem[top]
-            if coeff % lead_c != 0:
-                return None
-            q_e = tuple(a - b for a, b in zip(top, lead_e))
-            if any(q < lo or q > hi for q, lo, hi in zip(q_e, box_lo, box_hi)):
-                return None
-            q_c = coeff // lead_c
-            quo[q_e] = q_c
-            for e, c in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(e, q_e))
-                new = rem.get(key, 0) - q_c * c
-                if new:
-                    rem[key] = new
-                else:
-                    rem.pop(key, None)
+        for base, line in lines.items():
+            ts = sorted(line)
+            run = 0
+            for t, t_next in zip(ts, ts[1:]):
+                run += line[t]
+                if run:
+                    _check_budget(len(quo) + t_next - t)
+                    for s in range(t, t_next):
+                        quo[tuple(a + s * b for a, b in zip(base, v))] = run
         return LaurentPoly(self.nvars, quo)
 
     def serialize(self) -> list[list]:
@@ -293,9 +264,9 @@ class RationalFunction:
     den maps each v to its multiplicity m_v > 0, and every v is stored with
     its first nonzero coordinate positive: a factor with v < 0 enters as
     1/(1 - e^v) = -e^{-v} / (1 - e^{-v}), which happens for alpha_0 = -theta
-    at level zero.  Construction divides the numerator by each factor for as
-    long as the division is exact, so the value is a polynomial exactly when
-    no factor is left.
+    at level zero.  Construction divides the numerator by each factor with
+    num.divide_exact(v) for as long as the division is exact, so the value
+    is a polynomial exactly when no factor is left.
 
     Sums and equality lift both sides to the larger multiplicity of each
     factor, multiplying the numerators by the missing binomials, and then
@@ -320,8 +291,7 @@ class RationalFunction:
             factors[v] = factors.get(v, 0) + m
         self.den: Factors = {}
         for v, m in factors.items():
-            binomial = _binomial(v)
-            while m and (quo := num.divide_exact(binomial)) is not None:
+            while m and (quo := num.divide_exact(v)) is not None:
                 num, m = quo, m - 1
             if m:
                 self.den[v] = m

@@ -99,11 +99,7 @@ class GroupAlgebraElement:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        if self.rs is not other.rs:
-            return False
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(f == other.coeffs[x] for x, f in self.coeffs.items())
+        return self.rs is other.rs and self.coeffs == other.coeffs
 
     __hash__ = None
 

@@ -13,8 +13,9 @@ the unique companion operator satisfying
 
     star_s(i, a) = e^{alpha_i} a + (1 - e^{alpha_i}) star_D(i, a),
 
-which stays polynomial because the divided difference of a monomial is a
-finite geometric sum.
+which stays polynomial because s_i f - f is divisible by 1 - e^{alpha_i}:
+its divided difference is the one exact binomial division
+LaurentPoly.divide_exact.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
@@ -38,7 +39,6 @@ from .affine import (
     ext_identity,
     from_finite,
     pi,
-    theta_pairings,
     translation,
 )
 from .errors import UnsupportedProductError, VerificationError
@@ -129,29 +129,6 @@ def ell(x: ExtAffineWeylElement) -> PetersonElement:
     return PetersonElement(x.rs, {x: LaurentPoly.one(x.rs.rank)})
 
 
-def _simple_pairing(rs: RootSystem, i: int, beta: tuple[int, ...]) -> int:
-    """<alpha_i^vee, beta> at level zero, for affine i and beta in root coords."""
-    if i == 0:
-        tp = theta_pairings(rs)
-        return -sum(b * t for b, t in zip(beta, tp))
-    return rs.pair_coroot_root(i, beta)
-
-
-def _delta_poly(rs: RootSystem, i: int, f: LaurentPoly) -> LaurentPoly:
-    """(s_i f - f) / (1 - e^{alpha_i}), exactly, one monomial at a time."""
-    alpha = affine_simple_root(rs, i).finite
-    out: dict[tuple[int, ...], int] = {}
-    for beta, c in f.terms.items():
-        p = _simple_pairing(rs, i, beta)
-        if p >= 0:
-            for k in range(1, p + 1):
-                accumulate(out, tuple(b - k * a for b, a in zip(beta, alpha)), c)
-        else:
-            for k in range(-p):
-                accumulate(out, tuple(b + k * a for b, a in zip(beta, alpha)), -c)
-    return LaurentPoly(rs.rank, out)
-
-
 def star_s(i: int, z: PetersonElement) -> PetersonElement:
     """Star action of s_i; "s_i x longer than x" is the single-root test x.left_ascent(i)."""
     rs = z.rs
@@ -182,13 +159,17 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
         raise ValueError(f"node {i} outside the affine index set")
     si = affine_simple_reflection(rs, i)
     twist = si.u.m
-    alpha = LaurentPoly.monomial(affine_simple_root(rs, i).finite)
+    root = affine_simple_root(rs, i).finite
+    alpha = LaurentPoly.monomial(root)
     out: dict[ExtAffineWeylElement, LaurentPoly] = {}
     for x, f in z.terms.items():
-        delta = _delta_poly(rs, i, f)
+        sf = f.act_exponents(twist)
+        delta = (sf - f).divide_exact(root)
+        if delta is None:
+            raise ArithmeticError(f"s_{i} f - f is not divisible by 1 - e^{root} for f = {f}")
         if x.left_ascent(i) and (y := si * x).is_grassmannian():
             accumulate(out, x, alpha * delta)
-            accumulate(out, y, f.act_exponents(twist))
+            accumulate(out, y, sf)
         else:
             accumulate(out, x, f + delta)
     return PetersonElement(rs, out)

@@ -11,6 +11,8 @@ descents are index lookups; its action matrices are derived views.
 """
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -93,7 +95,7 @@ class WeylElement:
     Instances are interned per root system; equality is permutation equality.
     """
 
-    __slots__ = ("rs", "perm", "_inverse", "_m", "_word", "_length", "_hash")
+    __slots__ = ("rs", "perm", "_inverse", "_m", "_word", "_length", "_descents", "_hash")
 
     def __init__(self, rs: "RootSystem", perm: tuple[int, ...]):
         self.rs = rs
@@ -102,6 +104,7 @@ class WeylElement:
         self._m: Optional[Matrix] = None
         self._word: Optional[tuple[int, ...]] = None
         self._length: Optional[int] = None
+        self._descents: Optional[tuple[int, ...]] = None
         self._hash = hash(perm)
 
     def __repr__(self) -> str:
@@ -163,8 +166,12 @@ class WeylElement:
 
     def descent_set(self) -> tuple[int, ...]:
         """Right descents: nodes k with w(alpha_k) < 0."""
-        rs, perm = self.rs, self.perm
-        return tuple(i for i, k in zip(rs.nodes, rs.simple_indices) if perm[k] >= rs.npos)
+        if self._descents is None:
+            rs, perm = self.rs, self.perm
+            self._descents = tuple(
+                i for i, k in zip(rs.nodes, rs.simple_indices) if perm[k] >= rs.npos
+            )
+        return self._descents
 
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically least reduced word.
@@ -213,7 +220,7 @@ class RootSystem:
         self.coroot_table = self._coroot_orbit()
         self.highest_root = self._find_highest_root()
         self.highest_root_coroot = self.coroot_table[self.highest_root]
-        self._cartan_inv = self._invert_cartan()
+        self._cartan_inv_den, self._cartan_inv_cols = self._invert_cartan()
         # Weyl elements permute these indices: the positive roots, then their negatives.
         self.npos = len(self.positive_roots)
         self.roots = self.positive_roots + tuple(
@@ -296,7 +303,8 @@ class RootSystem:
         assert all(all(b <= t for b, t in zip(beta, best)) for beta in self.positive_roots)
         return best
 
-    def _invert_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _invert_cartan(self) -> tuple[int, Matrix]:
+        """The least den with den * C^{-1} integral, and the columns of den * C^{-1}."""
         n = self.rank
         aug = [[Fraction(self.cartan[j][k]) for k in range(n)]
                + [Fraction(1 if k == j else 0) for k in range(n)] for j in range(n)]
@@ -309,7 +317,9 @@ class RootSystem:
                 if r != col and aug[r][col] != 0:
                     f = aug[r][col]
                     aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
+        inv = [row[n:] for row in aug]
+        den = math.lcm(*(x.denominator for row in inv for x in row))
+        return den, tuple(tuple(int(inv[j][k] * den) for j in range(n)) for k in range(n))
 
     # -- basic queries ---------------------------------------------------
 
@@ -340,11 +350,11 @@ class RootSystem:
 
     def coweight_to_coroots(self, cw: Coweight) -> Optional[tuple[int, ...]]:
         """Simple-coroot coordinates of a coweight, or None outside the coroot lattice."""
-        n = self.rank
-        m = [sum(Fraction(cw[j]) * self._cartan_inv[j][k] for j in range(n)) for k in range(n)]
-        if all(x.denominator == 1 for x in m):
-            return tuple(int(x) for x in m)
-        return None
+        den = self._cartan_inv_den
+        m = [sum(map(operator.mul, cw, col)) for col in self._cartan_inv_cols]
+        if any(x % den for x in m):
+            return None
+        return tuple(x // den for x in m)
 
     # -- Weyl group -------------------------------------------------------
 

@@ -14,7 +14,6 @@ from .affine import (
     ExtAffineWeylElement,
     SigmaElement,
     from_finite,
-    is_grassmannian,
     pi,
     translation,
 )
@@ -89,7 +88,7 @@ def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
     t_min = translation(rs, minus_omega)
     kappa = p.element * t_min
 
-    if rs.coweight_to_coroots(kappa.lam) is None or not is_grassmannian(kappa):
+    if rs.coweight_to_coroots(kappa.lam) is None or not kappa.is_grassmannian():
         raise VerificationError("kappa for node %d is not affine Grassmannian" % i)
     if from_finite(v) * t_min != p.inverse().element:
         raise VerificationError("v[%d] t_{-omega^vee} differs from pi^{-1}" % i)

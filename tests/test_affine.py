@@ -14,9 +14,7 @@ from qkseidel.affine import (
     affine_simple_reflection,
     affine_simple_root,
     ext_identity,
-    ext_length,
     from_finite,
-    is_grassmannian,
     pi,
     s_theta,
     sigma_decompose,
@@ -62,7 +60,7 @@ def test_s0_involution_and_action():
         a0 = affine_simple_root(rs, 0)
         img = s0.act(a0)
         assert img == AffineRoot(rs.highest_root, -1)  # s_0(alpha_0) = -alpha_0
-        assert ext_length(s0) == 1
+        assert s0.ext_length() == 1
         assert s_theta(rs).act_root(rs.highest_root) == tuple(-c for c in rs.highest_root)
 
 
@@ -87,7 +85,7 @@ def test_product_inverse_associativity_random():
             assert (x * y) * z == x * (y * z)
             assert x * x.inverse() == e
             assert x.inverse().inverse() == x
-            assert ext_length(x.inverse()) == ext_length(x)
+            assert x.inverse().ext_length() == x.ext_length()
 
 
 def test_ext_length_against_closed_form():
@@ -96,7 +94,7 @@ def test_ext_length_against_closed_form():
         rs = build_root_system(type_label, rank)
         for _ in range(30):
             x = random_ext(rs, rng)
-            assert ext_length(x) == ext_length_oracle(x)
+            assert x.ext_length() == ext_length_oracle(x)
 
 
 @pytest.mark.parametrize(
@@ -124,7 +122,7 @@ def test_translation_length_is_pairing_sum():
         for _ in range(15):
             lam = tuple(rng.randrange(-2, 3) for _ in rs.nodes)
             expect = sum(abs(rs.pairing(lam, beta)) for beta in rs.positive_roots)
-            assert ext_length(translation(rs, lam)) == expect
+            assert translation(rs, lam).ext_length() == expect
 
 
 def test_simple_reflection_changes_length_by_one():
@@ -134,16 +132,16 @@ def test_simple_reflection_changes_length_by_one():
         x = random_ext(rs, rng)
         for i in affine_nodes(rs):
             y = affine_simple_reflection(rs, i) * x
-            assert abs(ext_length(y) - ext_length(x)) == 1
+            assert abs(y.ext_length() - x.ext_length()) == 1
 
 
 def test_antidominant_translation_examples():
     rs = build_root_system("A", 2)
     t1 = translation(rs, (-1, 0))
-    assert is_grassmannian(t1)
-    assert ext_length(t1) == 2
+    assert t1.is_grassmannian()
+    assert t1.ext_length() == 2
     rs5 = build_root_system("D", 5)
-    assert ext_length(translation(rs5, (0, 0, 0, -1, 0))) == 10
+    assert translation(rs5, (0, 0, 0, -1, 0)).ext_length() == 10
 
 
 def test_grassmannian_stable_under_antidominant_translation():
@@ -152,10 +150,10 @@ def test_grassmannian_stable_under_antidominant_translation():
     for type_label, rank in [("A", 2), ("C", 2), ("B", 3)]:
         rs = build_root_system(type_label, rank)
         for x in affine_elements_up_to(rs, 6):
-            if not is_grassmannian(x):
+            if not x.is_grassmannian():
                 continue
             gamma = tuple(-rng.randrange(0, 3) for _ in rs.nodes)
-            assert is_grassmannian(x * translation(rs, gamma))
+            assert (x * translation(rs, gamma)).is_grassmannian()
 
 
 def affine_elements_up_to(rs, max_length: int):
@@ -167,11 +165,11 @@ def affine_elements_up_to(rs, max_length: int):
         for x in frontier:
             for i in affine_nodes(rs):
                 y = x * affine_simple_reflection(rs, i)
-                if y not in seen and ext_length(y) == ext_length(x) + 1:
+                if y not in seen and y.ext_length() == x.ext_length() + 1:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda x: (ext_length(x), x.lam, x.u.m))
+    return sorted(seen, key=lambda x: (x.ext_length(), x.lam, x.u.m))
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2)])
@@ -180,12 +178,12 @@ def test_grassmannian_ascent_dichotomy(type_label, rank):
     s_i x is longer and Grassmannian  <=>  s_i w is shorter than w."""
     rs = build_root_system(type_label, rank)
     for x in affine_elements_up_to(rs, 8):
-        if not is_grassmannian(x):
+        if not x.is_grassmannian():
             continue
         w, _ = x.finite_translation_split()
         for i in rs.nodes:
             six = affine_simple_reflection(rs, i) * x
-            lhs = ext_length(six) > ext_length(x) and is_grassmannian(six)
+            lhs = six.ext_length() > x.ext_length() and six.is_grassmannian()
             rhs = (rs.simple_reflection(i) * w).length() < w.length()
             assert lhs == rhs, (x, i)
 
@@ -198,7 +196,7 @@ def test_affine_reduced_word_roundtrip():
             word = [rng.choice(affine_nodes(rs)) for _ in range(rng.randrange(10))]
             x = affine_from_word(rs, word)
             red = affine_reduced_word(x)
-            assert len(red) == ext_length(x)
+            assert len(red) == x.ext_length()
             assert affine_from_word(rs, red) == x
 
 
@@ -226,8 +224,8 @@ def test_sigma_elements_have_length_zero_and_compose():
         rs = build_root_system(type_label, rank)
         group = sigma_elements(rs)
         for s in group:
-            assert ext_length(s.element) == 0
-            assert is_grassmannian(s.element)
+            assert s.element.ext_length() == 0
+            assert s.element.is_grassmannian()
             assert s.inverse() in group
             for t in group:
                 assert s * t in group  # closure, via lookup
@@ -289,8 +287,8 @@ def test_d5_minuscule_translation_factors_through_pi4():
     """t_{-omega_4^vee} = pi_4^{-1} * kappa_4 with kappa_4 of length 10."""
     rs = build_root_system("D", 5)
     kappa4 = affine_from_word(rs, [1, 2, 3, 5, 0, 2, 3, 1, 2, 0])
-    assert ext_length(kappa4) == 10
-    assert is_grassmannian(kappa4)
+    assert kappa4.ext_length() == 10
+    assert kappa4.is_grassmannian()
     lhs = pi(rs, 4).inverse().element * kappa4
     assert lhs == translation(rs, (0, 0, 0, -1, 0))
 
@@ -303,7 +301,7 @@ def test_sigma_decompose_roundtrip():
             x = random_ext(rs, rng, nwords=5)
             sigma, word = sigma_decompose(x)
             assert sigma.element * affine_from_word(rs, word) == x
-            assert len(word) == ext_length(x)
+            assert len(word) == x.ext_length()
         gamma, u = sigma_finite_part(pi(rs, max(s.node for s in sigma_elements(rs) if s.node)))
         assert translation(rs, gamma) * from_finite(u) == pi(
             rs, max(s.node for s in sigma_elements(rs) if s.node)
@@ -317,7 +315,7 @@ def test_length_invariant_under_sigma():
         for _ in range(15):
             y = random_ext(rs, rng)
             for s in sigma_elements(rs):
-                assert ext_length(s.element * y) == ext_length(y)
+                assert (s.element * y).ext_length() == y.ext_length()
 
 
 def test_affine_simple_roots_positive():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -65,27 +66,51 @@ def test_geometric_series_identities():
 
 
 def test_divide_exact():
+    """divide_exact(v) is division by the binomial 1 - e^v."""
     one = LaurentPoly.one(2)
     a, b = x(2, 0), x(2, 1)
-    assert (one - a * a).divide_exact(one - a) == one + a
-    assert (one - a * a + b).divide_exact(one - a) is None
-    assert one.divide_exact(one - a) is None
-    # Laurent shifts divide out exactly
-    p = (one + a * b) * LaurentPoly.monomial((-2, 1))
-    assert p.divide_exact(LaurentPoly.monomial((-2, 1))) == one + a * b
-    assert LaurentPoly.zero(2).divide_exact(one - a) == LaurentPoly.zero(2)
+    assert (one - a * a).divide_exact((1, 0)) == one + a
+    assert (one - a * a + b).divide_exact((1, 0)) is None
+    assert one.divide_exact((1, 0)) is None
+    # lex-negative v: (1 - e^{-a}) (e^{-a} + e^b) divided by 1 - e^{-a}
+    p = (one - x(2, 0, -1)) * (x(2, 0, -1) + b)
+    assert p.divide_exact((-1, 0)) == x(2, 0, -1) + b
+    # non-primitive v: 1 - e^a is not divisible by 1 - e^{2a}
+    assert (one - a).divide_exact((2, 0)) is None
+    assert (one - a * a).divide_exact((2, 0)) == one
+    assert LaurentPoly.zero(2).divide_exact((1, 0)) == LaurentPoly.zero(2)
     with pytest.raises(ZeroDivisionError):
-        one.divide_exact(LaurentPoly.zero(2))
+        one.divide_exact((0, 0))
+    with pytest.raises(ValueError):
+        one.divide_exact((1,))
 
 
 def test_divide_exact_random_roundtrip():
+    """(f (1 - e^v)) / (1 - e^v) == f, and one stray monomial makes it inexact."""
     rng = random.Random(9)
-    for _ in range(30):
-        f = random_poly(rng, 2, 3)
-        g = random_poly(rng, 2, 3)
-        if g.is_zero():
-            continue
-        assert (f * g).divide_exact(g) == f
+    vs = [(1, 0), (0, 1), (1, 1), (1, -2), (-1, 0), (-2, 3), (0, -1), (2, 0), (3, -3)]
+    for trial in range(200):
+        v = vs[trial % len(vs)] if trial % 2 else (0, 0)
+        while not any(v):
+            v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        f = random_poly(rng, 2, rng.randint(0, 5))
+        prod = f * LaurentPoly(2, {(0, 0): 1, v: -1})
+        assert prod.divide_exact(v) == f
+        stray = LaurentPoly.monomial((rng.randint(-6, 6), rng.randint(-6, 6)), rng.choice((-2, -1, 1, 3)))
+        assert (prod + stray).divide_exact(v) is None
+
+
+def test_divide_exact_long_gaps_fail_fast():
+    """1 - e^{nv} over 1 - e^v exceeds the term budget and raises before filling
+    the gap; 1 + e^{nv} is not divisible and is refused before building anything."""
+    n = 10**9
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        LaurentPoly(2, {(0, 0): 1, (n, -n): -1}).divide_exact((1, -1))
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    assert LaurentPoly(2, {(0, 0): 1, (n, -n): 1}).divide_exact((1, -1)) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_act_exponents_via_weyl():

@@ -149,6 +149,54 @@ def test_star_D_defining_relation_and_examples():
     assert star_D(0, ell(ext_identity(rs))) == ell(affine_from_word(rs, (0,)))
 
 
+def geometric_divided_difference(rs, i: int, f: LaurentPoly) -> LaurentPoly:
+    """(s_i f - f) / (1 - e^{alpha_i}), one monomial at a time.
+
+    With p = <alpha_i^vee, beta> at level zero, s_i e^beta = e^{beta - p alpha_i},
+    and the quotient is the finite geometric sum of e^{beta - k alpha_i} over
+    1 <= k <= p, or minus that of e^{beta + k alpha_i} over 0 <= k < -p.
+    """
+    from qkseidel.affine import affine_simple_root, theta_pairings
+
+    alpha = affine_simple_root(rs, i).finite
+    out = LaurentPoly.zero(rs.rank)
+    for beta, c in f.terms.items():
+        if i == 0:
+            p = -sum(b * t for b, t in zip(beta, theta_pairings(rs)))
+        else:
+            p = rs.pair_coroot_root(i, beta)
+        ks = range(1, p + 1) if p >= 0 else range(0, p, -1)
+        for k in ks:
+            mono = LaurentPoly.monomial(tuple(b - k * a for b, a in zip(beta, alpha)), c)
+            out = out + mono if p >= 0 else out - mono
+    return out
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("G", 2)])
+def test_star_D_divided_difference_against_geometric_sums(type_label, rank):
+    """star_D's divided difference agrees with the per-monomial geometric sum."""
+    from qkseidel.affine import affine_simple_root
+
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(23)
+    pool = grassmannian_up_to(rs, 4)
+    for _ in range(4):
+        z = random_peterson(rs, rng, pool)
+        for i in affine_nodes(rs):
+            si = affine_simple_reflection(rs, i)
+            alpha = LaurentPoly.monomial(affine_simple_root(rs, i).finite)
+            expect = PetersonElement.zero(rs)
+            for x, f in z.terms.items():
+                delta = geometric_divided_difference(rs, i, f)
+                y = si * x
+                if y.ext_length() > x.ext_length() and y.is_grassmannian():
+                    expect = expect + PetersonElement(rs, {x: alpha * delta})
+                    expect = expect + PetersonElement(rs, {y: f.act_exponents(si.u.m)})
+                else:
+                    expect = expect + PetersonElement(rs, {x: f + delta})
+            assert star_D(i, z) == expect, (i, z)
+
+
 def test_peterson_element_rejects_non_grassmannian():
     rs = build_root_system("A", 2)
     x = from_finite(weyl_from_word(rs, (1,)))

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from qkseidel.affine import from_finite, is_grassmannian, pi, translation
+from qkseidel.affine import from_finite, pi, translation
 from qkseidel.peterson import verify_seidel_theorem
 from qkseidel.rootsys import (
     RootSystem,
@@ -184,7 +184,7 @@ def test_w_times_gamma_translation_is_grassmannian():
         rs = build_root_system(type_label, rank)
         for w in rs.weyl_group():
             x = from_finite(w) * translation(rs, gamma(rs, w))
-            assert is_grassmannian(x)
+            assert x.is_grassmannian()
 
 
 def test_caches_die_with_their_root_system():
