@@ -14,12 +14,7 @@ Entry points:
     seidel_product_parabolic              the pushed-forward product on G/P
     sweeps                                exhaustive verification batteries
 """
-from .errors import (
-    NonReducedWordError,
-    SizeLimitError,
-    UnsupportedProductError,
-    VerificationError,
-)
+from .errors import SizeLimitError, UnsupportedProductError, VerificationError
 from .peterson import (
     LocalizedClass,
     PetersonElement,
@@ -54,7 +49,6 @@ from .seidel import (
 
 __all__ = [
     "LocalizedClass",
-    "NonReducedWordError",
     "PetersonElement",
     "QKElement",
     "SizeLimitError",

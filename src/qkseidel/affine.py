@@ -119,10 +119,6 @@ class ExtAffineWeylElement:
             )
         return self._grass
 
-    def finite_translation_split(self) -> tuple[WeylElement, Coweight]:
-        """Write x = w * t_beta; returns (w, beta) with beta = u^{-1}(lambda)."""
-        return self.u, self.u.inverse().act_coweight(self.lam)
-
 
 def _intern(rs: RootSystem, lam: Coweight, u: WeylElement) -> ExtAffineWeylElement:
     cache = rs._ext_intern
@@ -281,10 +277,6 @@ def pi(rs: RootSystem, i: int) -> SigmaElement:
     raise AssertionError  # pragma: no cover
 
 
-def sigma_identity(rs: RootSystem) -> SigmaElement:
-    return sigma_elements(rs)[0]
-
-
 def coweight_class_rep(rs: RootSystem, lam: Coweight) -> Coweight:
     """Representative (zero or minuscule) of lambda mod the coroot lattice."""
     zero = (0,) * rs.rank
@@ -305,8 +297,3 @@ def sigma_decompose(x: ExtAffineWeylElement) -> tuple[SigmaElement, tuple[int, .
     )
     y = sigma.element.inverse() * x
     return sigma, affine_reduced_word(y)
-
-
-def sigma_finite_part(sigma: SigmaElement) -> tuple[Coweight, WeylElement]:
-    """The (gamma_sigma, u_sigma) of sigma = t_{gamma_sigma} u_sigma."""
-    return sigma.element.lam, sigma.element.u

@@ -17,15 +17,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .affine import sigma_decompose
-from .errors import (
-    NonReducedWordError,
-    SizeLimitError,
-    UnsupportedProductError,
-    VerificationError,
-)
+from .errors import SizeLimitError, UnsupportedProductError, VerificationError
 from .laurent import get_term_budget, set_term_budget
 from .qk import parabolic_data, q_text, seidel_product_parabolic, verify_pushforward_commutes
-from .rootsys import build_root_system, special_nodes, weyl_from_word
+from .rootsys import build_root_system, weyl_from_word
 from .seidel import (
     gamma,
     one_line,
@@ -352,7 +347,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, NonReducedWordError, UnsupportedProductError) as exc:
+    except (ValueError, UnsupportedProductError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

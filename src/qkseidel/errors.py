@@ -13,9 +13,5 @@ class SizeLimitError(QKSeidelError):
     """A computation exceeded the term budget or the Weyl group enumeration limit."""
 
 
-class NonReducedWordError(QKSeidelError):
-    """A word claimed to be reduced is not."""
-
-
 class UnsupportedProductError(QKSeidelError):
     """A product outside the partial multiplication calculus was requested."""

@@ -17,7 +17,6 @@ serves RationalFunction and the Peterson divided difference alike.
 from __future__ import annotations
 
 import operator
-from typing import Iterator
 
 from .errors import SizeLimitError
 
@@ -96,9 +95,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self.terms.items())
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -146,12 +142,6 @@ class LaurentPoly:
         if rhs is None:
             return NotImplemented
         return self + (-rhs)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
 
     def __mul__(self, other) -> "LaurentPoly":
         rhs = self._coerce(other)
@@ -298,10 +288,6 @@ class RationalFunction:
         self.num = num
 
     @classmethod
-    def zero(cls, nvars: int) -> "RationalFunction":
-        return cls(LaurentPoly.zero(nvars))
-
-    @classmethod
     def one(cls, nvars: int) -> "RationalFunction":
         return cls(LaurentPoly.one(nvars))
 
@@ -311,9 +297,6 @@ class RationalFunction:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return not self.den
 
     def _lift(self, den: Factors) -> LaurentPoly:
         """The numerator over den, which must contain self.den."""

@@ -11,8 +11,7 @@ are the two-term elements
     D_i = (1 - e^{alpha_i})^{-1} [s_i] + (1 - (1 - e^{alpha_i})^{-1}) [e],
 
 with e^{alpha_0} = e^{-theta} at level zero.  They satisfy D_i^2 = D_i and
-the braid relations, so D_x is well defined for x with a reduced word, and
-extends to the whole group by D_{sigma x} = [sigma] D_x.
+the braid relations, so D_x is well defined for x with a reduced word.
 
 Every coefficient denominator in this algebra is a product of binomials
 1 - e^beta over roots beta (Kostant-Kumar, T-equivariant K-theory of
@@ -21,19 +20,14 @@ root-factored denominators and all identities are decided by exact equality.
 """
 from __future__ import annotations
 
-from typing import Iterable
-
 from .affine import (
     ExtAffineWeylElement,
-    affine_from_word,
     affine_nodes,
     affine_simple_reflection,
     affine_simple_root,
     ext_identity,
-    sigma_decompose,
     theta_pairings,
 )
-from .errors import NonReducedWordError
 from .laurent import LaurentPoly, RationalFunction
 from .rootsys import RootSystem
 
@@ -75,10 +69,6 @@ class GroupAlgebraElement:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls, rs: RootSystem) -> "GroupAlgebraElement":
-        return cls(rs)
-
-    @classmethod
     def basis(cls, x: ExtAffineWeylElement, coeff=1) -> "GroupAlgebraElement":
         f = _as_scalar(x.rs, coeff)
         return cls(x.rs, {x: f})
@@ -87,38 +77,12 @@ class GroupAlgebraElement:
     def one(cls, rs: RootSystem) -> "GroupAlgebraElement":
         return cls.basis(ext_identity(rs))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support(self) -> tuple[ExtAffineWeylElement, ...]:
-        return tuple(self.coeffs)
-
-    def coefficient(self, x: ExtAffineWeylElement) -> Scalar:
-        return self.coeffs.get(x, RationalFunction.zero(self.rs.rank))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         return self.rs is other.rs and self.coeffs == other.coeffs
 
     __hash__ = None
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for x, f in other.coeffs.items():
-            g = out.get(x)
-            out[x] = f if g is None else g + f
-        return GroupAlgebraElement(self.rs, out)
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(self.rs, {x: -f for x, f in self.coeffs.items()})
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> "GroupAlgebraElement":
         scalar = _as_scalar(self.rs, other)
@@ -147,16 +111,6 @@ class GroupAlgebraElement:
             self.rs, {x: scalar * f for x, f in self.coeffs.items()}
         )
 
-    def act_on(self, scalar) -> Scalar:
-        """Apply as an operator on scalars: sum of f_x * x(g)."""
-        g = _as_scalar(self.rs, scalar)
-        if g is None:
-            raise TypeError(f"cannot act on {scalar!r}")
-        out = RationalFunction.zero(self.rs.rank)
-        for x, f in self.coeffs.items():
-            out = out + f * level_zero_action(x, g)
-        return out
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -177,24 +131,6 @@ def demazure(rs: RootSystem, i: int) -> GroupAlgebraElement:
     c = RationalFunction(LaurentPoly.one(rs.rank), {affine_simple_root(rs, i).finite: 1})
     si = affine_simple_reflection(rs, i)
     return GroupAlgebraElement(rs, {si: c, ext_identity(rs): one - c})
-
-
-def demazure_of_word(rs: RootSystem, word: Iterable[int]) -> GroupAlgebraElement:
-    """Product D_{i_1} ... D_{i_k}; the word must be reduced."""
-    word = tuple(word)
-    if affine_from_word(rs, word).ext_length() != len(word):
-        raise NonReducedWordError(f"word {word} is not reduced")
-    out = GroupAlgebraElement.one(rs)
-    for i in word:
-        out = out * demazure(rs, i)
-    return out
-
-
-def demazure_of_ext(x: ExtAffineWeylElement) -> GroupAlgebraElement:
-    """D_x for any extended element, via x = sigma * (reduced word part)."""
-    sigma, word = sigma_decompose(x)
-    head = GroupAlgebraElement.basis(sigma.element)
-    return head * demazure_of_word(x.rs, word)
 
 
 def braid_order(rs: RootSystem, i: int, j: int) -> int:

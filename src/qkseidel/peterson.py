@@ -36,7 +36,6 @@ from .affine import (
     affine_nodes,
     affine_simple_reflection,
     affine_simple_root,
-    ext_identity,
     from_finite,
     pi,
     translation,
@@ -68,22 +67,11 @@ class PetersonElement:
                 clean[x] = f
         self.terms = clean
 
-    @classmethod
-    def zero(cls, rs: RootSystem) -> "PetersonElement":
-        return cls(rs)
-
-    @classmethod
-    def unit(cls, rs: RootSystem) -> "PetersonElement":
-        return ell(ext_identity(rs))
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def support(self) -> tuple[ExtAffineWeylElement, ...]:
         return tuple(self.terms)
-
-    def coefficient(self, x: ExtAffineWeylElement) -> LaurentPoly:
-        return self.terms.get(x, LaurentPoly.zero(self.rs.rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PetersonElement):
@@ -101,17 +89,7 @@ class PetersonElement:
             out[x] = f if g is None else g + f
         return PetersonElement(self.rs, out)
 
-    def __neg__(self) -> "PetersonElement":
-        return PetersonElement(self.rs, {x: -f for x, f in self.terms.items()})
-
-    def __sub__(self, other: "PetersonElement") -> "PetersonElement":
-        if not isinstance(other, PetersonElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, f: LaurentPoly | int) -> "PetersonElement":
-        if isinstance(f, int):
-            f = LaurentPoly.constant(self.rs.rank, f)
+    def scale(self, f: LaurentPoly) -> "PetersonElement":
         return PetersonElement(self.rs, {x: f * g for x, g in self.terms.items()})
 
     def __str__(self) -> str:
@@ -136,14 +114,14 @@ def star_s(i: int, z: PetersonElement) -> PetersonElement:
         raise ValueError(f"node {i} outside the affine index set")
     si = affine_simple_reflection(rs, i)
     twist = si.u.m
-    alpha = LaurentPoly.monomial(affine_simple_root(rs, i).finite)
-    one = LaurentPoly.one(rs.rank)
+    root = affine_simple_root(rs, i).finite
     out: dict[ExtAffineWeylElement, LaurentPoly] = {}
     for x, f in z.terms.items():
         sf = f.act_exponents(twist)
         if x.left_ascent(i) and (y := si * x).is_grassmannian():
-            accumulate(out, x, sf * alpha)
-            accumulate(out, y, sf * (one - alpha))
+            up = sf.shifted(root)
+            accumulate(out, x, up)
+            accumulate(out, y, sf - up)
         else:
             accumulate(out, x, sf)
     return PetersonElement(rs, out)
@@ -160,7 +138,6 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
     si = affine_simple_reflection(rs, i)
     twist = si.u.m
     root = affine_simple_root(rs, i).finite
-    alpha = LaurentPoly.monomial(root)
     out: dict[ExtAffineWeylElement, LaurentPoly] = {}
     for x, f in z.terms.items():
         sf = f.act_exponents(twist)
@@ -168,7 +145,7 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
         if delta is None:
             raise ArithmeticError(f"s_{i} f - f is not divisible by 1 - e^{root} for f = {f}")
         if x.left_ascent(i) and (y := si * x).is_grassmannian():
-            accumulate(out, x, alpha * delta)
+            accumulate(out, x, delta.shifted(root))
             accumulate(out, y, sf)
         else:
             accumulate(out, x, f + delta)
@@ -238,18 +215,6 @@ class LocalizedClass:
         self.num = num
         self.den = tuple(den)
 
-    @property
-    def rs(self) -> RootSystem:
-        return self.num.rs
-
-    @classmethod
-    def from_element(cls, z: PetersonElement) -> "LocalizedClass":
-        return cls(z, (0,) * z.rs.rank)
-
-    @classmethod
-    def one(cls, rs: RootSystem) -> "LocalizedClass":
-        return cls.from_element(PetersonElement.unit(rs))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalizedClass):
             return NotImplemented
@@ -271,7 +236,7 @@ class LocalizedClass:
             den,
         )
 
-    def scale(self, f: LaurentPoly | int) -> "LocalizedClass":
+    def scale(self, f: LaurentPoly) -> "LocalizedClass":
         return LocalizedClass(self.num.scale(f), self.den)
 
     def __str__(self) -> str:
@@ -286,11 +251,6 @@ class LocalizedClass:
 
     def __repr__(self) -> str:
         return f"LocalizedClass({self})"
-
-
-def star_s_localized(i: int, c: LocalizedClass) -> LocalizedClass:
-    """Star action through the numerator; sigma denominators are W-invariant."""
-    return LocalizedClass(star_s(i, c.num), c.den)
 
 
 def o_class(rs: RootSystem, w: WeylElement) -> LocalizedClass:
@@ -405,12 +365,14 @@ def verify_phi_compatibility(rs: RootSystem, i: int, w: WeylElement) -> bool:
     """star of s_i on O^w matches the flag-side left action formula."""
     if i not in rs.nodes:
         raise ValueError(f"node {i} outside the finite index set")
-    lhs = star_s_localized(i, o_class(rs, w))
+    o_w = o_class(rs, w)
+    # the star action passes through the numerator: sigma denominators are W-invariant
+    lhs = LocalizedClass(star_s(i, o_w.num), o_w.den)
     siw = rs.simple_reflection(i) * w
     if siw.length() < w.length():
         alpha = LaurentPoly.monomial(rs.simple_root(i))
         one = LaurentPoly.one(rs.rank)
-        rhs = o_class(rs, w).scale(alpha) + o_class(rs, siw).scale(one - alpha)
+        rhs = o_w.scale(alpha) + o_class(rs, siw).scale(one - alpha)
     else:
-        rhs = o_class(rs, w)
+        rhs = o_w
     return lhs == rhs

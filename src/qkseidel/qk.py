@@ -113,14 +113,8 @@ class QKElement:
     ) -> "QKElement":
         return cls(rs, {((0,) * rs.rank, w): LaurentPoly.one(rs.rank)}, base)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def support(self) -> tuple[tuple[QExponent, WeylElement], ...]:
         return tuple(self.terms)
-
-    def coefficient(self, d: QExponent, w: WeylElement) -> LaurentPoly:
-        return self.terms.get((tuple(d), w), LaurentPoly.zero(self.rs.rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QKElement):
@@ -128,30 +122,6 @@ class QKElement:
         return self.rs is other.rs and self.base == other.base and self.terms == other.terms
 
     __hash__ = None
-
-    def __add__(self, other: "QKElement") -> "QKElement":
-        if not isinstance(other, QKElement):
-            return NotImplemented
-        if self.base != other.base:
-            raise ValueError("cannot add classes over different bases")
-        out = dict(self.terms)
-        for key, f in other.terms.items():
-            g = out.get(key)
-            out[key] = f if g is None else g + f
-        return QKElement(self.rs, out, self.base)
-
-    def __neg__(self) -> "QKElement":
-        return QKElement(self.rs, {k: -f for k, f in self.terms.items()}, self.base)
-
-    def __sub__(self, other: "QKElement") -> "QKElement":
-        if not isinstance(other, QKElement):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, f: LaurentPoly | int) -> "QKElement":
-        if isinstance(f, int):
-            f = LaurentPoly.constant(self.rs.rank, f)
-        return QKElement(self.rs, {k: f * g for k, g in self.terms.items()}, self.base)
 
     def shift_q(self, d: QExponent) -> "QKElement":
         """Multiply by the Q-monomial Q^d."""
@@ -193,24 +163,18 @@ def left_action(i: int, xi: QKElement) -> QKElement:
     if i not in rs.nodes:
         raise ValueError(f"node {i} outside the finite index set")
     si = rs.simple_reflection(i)
-    alpha = LaurentPoly.monomial(rs.simple_root(i))
-    one = LaurentPoly.one(rs.rank)
+    root = rs.simple_root(i)
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
         sf = f.act_exponents(si.m)
         sw = si * w
         if sw.length() < w.length():
-            accumulate(out, (d, w), sf * alpha)
-            accumulate(out, (d, sw), sf * (one - alpha))
+            up = sf.shifted(root)
+            accumulate(out, (d, w), up)
+            accumulate(out, (d, sw), sf - up)
         else:
             accumulate(out, (d, w), sf)
     return QKElement(rs, out, xi.base)
-
-
-def left_action_w(u: WeylElement, xi: QKElement) -> QKElement:
-    for i in reversed(u.reduced_word()):
-        xi = left_action(i, xi)
-    return xi
 
 
 class VerificationRegistry:

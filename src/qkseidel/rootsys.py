@@ -235,7 +235,8 @@ class RootSystem:
         self._simple_reflections = {j: self.reflection(self._unit[j]) for j in self.nodes}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._weyl_group: Optional[tuple[WeylElement, ...]] = None
-        # Caches of the affine and seidel layers, so that they die with the system.
+        # Caches of the affine and seidel layers.  They live as long as the system,
+        # which for a system from build_root_system is the whole process.
         self._ext_intern: dict = {}
         self._sigma_group: Optional[tuple] = None
         self._datum_cache: dict = {}
@@ -426,7 +427,14 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(type_label: str, rank: int) -> RootSystem:
-    """Shared instance per (type, rank); rejects invalid combinations."""
+    """Shared instance per (type, rank); rejects invalid combinations.
+
+    The cache keeps every system it builds, and the caches held on it, for
+    the life of the process.  It must not be bounded: WeylElement,
+    PetersonElement, QKElement and GroupAlgebraElement compare their systems
+    with `rs is other.rs`, so a rebuilt system would make equal elements
+    unequal.
+    """
     return RootSystem(type_label, rank)
 
 

@@ -20,7 +20,6 @@ from .affine import (
 from .errors import VerificationError
 from .rootsys import (
     Coweight,
-    Root,
     RootSystem,
     WeylElement,
     longest_element,

@@ -18,7 +18,7 @@ from .affine import (
     ext_identity,
     sigma_elements,
 )
-from .errors import UnsupportedProductError, VerificationError
+from .errors import VerificationError
 from .laurent import LaurentPoly
 from .nilhecke import braid_order, demazure, verify_braid_relation
 from .peterson import (
@@ -251,7 +251,7 @@ def sweep_pushforward(type_label: str, rank: int) -> SweepResult:
                     total += 1
                     try:
                         seidel_product_parabolic(rs, i, w, p, registry)
-                    except (VerificationError, UnsupportedProductError) as exc:
+                    except VerificationError as exc:
                         failures.append(f"subset={subset} i={i} w={w.reduced_word()}: {exc}")
     return SweepResult("pushforward", type_label, rank, total, tuple(failures))
 

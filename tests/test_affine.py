@@ -19,8 +19,6 @@ from qkseidel.affine import (
     s_theta,
     sigma_decompose,
     sigma_elements,
-    sigma_finite_part,
-    sigma_identity,
     theta_pairings,
     translation,
 )
@@ -180,7 +178,7 @@ def test_grassmannian_ascent_dichotomy(type_label, rank):
     for x in affine_elements_up_to(rs, 8):
         if not x.is_grassmannian():
             continue
-        w, _ = x.finite_translation_split()
+        w = x.u  # x = t_lam u = u t_{u^{-1} lam}
         for i in rs.nodes:
             six = affine_simple_reflection(rs, i) * x
             lhs = six.ext_length() > x.ext_length() and six.is_grassmannian()
@@ -271,7 +269,7 @@ def test_a2_pi1_action_and_order():
     assert p1.action == (1, 2, 0)  # 0->1, 1->2, 2->0
     p2 = pi(rs, 2)
     assert p1 * p1 == p2
-    assert p1 * p2 == sigma_identity(rs)
+    assert (p1 * p2).is_identity
 
 
 def test_d5_sigma_structure():
@@ -280,7 +278,7 @@ def test_d5_sigma_structure():
     assert p4.action == (4, 5, 3, 2, 1, 0)  # 0->4, 1->5, 2->3, 3->2, 4->1, 5->0
     assert p4 * p4 == pi(rs, 1)
     assert pi(rs, 5) == p4.inverse()
-    assert p4 * p4 * p4 * p4 == sigma_identity(rs)
+    assert (p4 * p4 * p4 * p4).is_identity
 
 
 def test_d5_minuscule_translation_factors_through_pi4():
@@ -302,10 +300,8 @@ def test_sigma_decompose_roundtrip():
             sigma, word = sigma_decompose(x)
             assert sigma.element * affine_from_word(rs, word) == x
             assert len(word) == x.ext_length()
-        gamma, u = sigma_finite_part(pi(rs, max(s.node for s in sigma_elements(rs) if s.node)))
-        assert translation(rs, gamma) * from_finite(u) == pi(
-            rs, max(s.node for s in sigma_elements(rs) if s.node)
-        ).element
+        top = pi(rs, max(s.node for s in sigma_elements(rs) if s.node)).element
+        assert translation(rs, top.lam) * from_finite(top.u) == top
 
 
 def test_length_invariant_under_sigma():

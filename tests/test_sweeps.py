@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from qkseidel import sweeps
-from qkseidel.errors import VerificationError
+from qkseidel.errors import UnsupportedProductError, VerificationError
 from qkseidel.sweeps import (
     SWEEP_FUNCTIONS,
     default_plan,
@@ -47,9 +47,12 @@ def test_pushforward_sweep_records_verification_failures(monkeypatch):
 
 
 def test_pushforward_sweep_lets_programming_errors_crash(monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("a bug, not a failed instance")
+    # every product on this path passes an antidominant translation, so a
+    # refused product is a bug too, not a failed instance
+    for exc_type in (TypeError, UnsupportedProductError):
+        def broken(*args, **kwargs):
+            raise exc_type("a bug, not a failed instance")
 
-    monkeypatch.setattr(sweeps, "seidel_product_parabolic", broken)
-    with pytest.raises(TypeError):
-        sweep_pushforward("A", 2)
+        monkeypatch.setattr(sweeps, "seidel_product_parabolic", broken)
+        with pytest.raises(exc_type):
+            sweep_pushforward("A", 2)
