@@ -77,6 +77,16 @@ class LaurentPoly:
         self._hash: int | None = None
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
+        """Wrap a dict this class built: nonzero coefficients, exponents of arity nvars."""
+        _check_budget(len(terms))
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        poly._hash = None
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> "LaurentPoly":
         return cls(nvars)
 
@@ -119,29 +129,30 @@ class LaurentPoly:
             return LaurentPoly.constant(self.nvars, other)
         return None
 
-    def __add__(self, other) -> "LaurentPoly":
+    def _plus(self, other, sign: int) -> "LaurentPoly":
+        """self + sign * other in one pass over other's terms."""
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in rhs.terms.items():
-            new = out.get(exps, 0) + coeff
+            new = out.get(exps, 0) + sign * coeff
             if new:
                 out[exps] = new
             else:
-                out.pop(exps, None)
-        return LaurentPoly(self.nvars, out)
+                del out[exps]
+        return LaurentPoly._trusted(self.nvars, out)
+
+    def __add__(self, other) -> "LaurentPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
     def __sub__(self, other) -> "LaurentPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "LaurentPoly":
         rhs = self._coerce(other)
@@ -159,23 +170,29 @@ class LaurentPoly:
                 else:
                     del out[key]
             _check_budget(len(out))
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     __rmul__ = __mul__
 
     def act_exponents(self, matrix: tuple[tuple[int, ...], ...]) -> "LaurentPoly":
-        """Transform every exponent by the given root-coordinate matrix."""
+        """Transform every exponent by a root-coordinate matrix; colliding terms add."""
+        if len(matrix) != self.nvars:
+            raise ValueError("mixed variable counts")
         out: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms.items():
             key = tuple([sum(map(operator.mul, row, exps)) for row in matrix])
             out[key] = out.get(key, 0) + coeff
-        return LaurentPoly(self.nvars, out)
+        if len(out) < len(self.terms):
+            out = {e: c for e, c in out.items() if c}
+        return LaurentPoly._trusted(self.nvars, out)
 
     def shifted(self, vec: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial e^vec."""
-        return LaurentPoly(
+        if len(vec) != self.nvars:
+            raise ValueError("mixed variable counts")
+        return LaurentPoly._trusted(
             self.nvars,
-            {tuple(a + b for a, b in zip(e, vec)): c for e, c in self.terms.items()},
+            {tuple(map(operator.add, e, vec)): c for e, c in self.terms.items()},
         )
 
     def divide_exact(self, v: tuple[int, ...]) -> "LaurentPoly | None":
@@ -208,7 +225,7 @@ class LaurentPoly:
                     _check_budget(len(quo) + t_next - t)
                     for s in range(t, t_next):
                         quo[tuple(a + s * b for a, b in zip(base, v))] = run
-        return LaurentPoly(self.nvars, quo)
+        return LaurentPoly._trusted(self.nvars, quo)
 
     def serialize(self) -> list[list]:
         """Stable JSON-friendly form: sorted [[exponents...], coeff] rows."""

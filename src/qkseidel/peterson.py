@@ -17,6 +17,14 @@ which stays polynomial because s_i f - f is divisible by 1 - e^{alpha_i}:
 its divided difference is the one exact binomial division
 LaurentPoly.divide_exact.
 
+Words run in a frame, a finite Weyl element: a coefficient g stands for
+frame(g), letter i sets frame <- s_i frame and multiplies by e^beta and
+1 - e^beta with beta = frame^{-1}(alpha_i), an inversion root of the word,
+and the frame is applied once at the end instead of a twist per letter
+(K-theoretic Billey formula: Billey, "Kostant polynomials and the cohomology
+ring for G/B", Duke 1999; Graham, "Equivariant K-theory and Schubert
+varieties", 2002).
+
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
 right) and by a length-zero class ell_sigma (star-twist then relabel).
@@ -29,6 +37,7 @@ and Q^beta, and to verify the Seidel product identity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .affine import (
     ExtAffineWeylElement,
@@ -66,12 +75,6 @@ class PetersonElement:
                     raise ValueError(f"basis index {x!r} is not Grassmannian")
                 clean[x] = f
         self.terms = clean
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self) -> tuple[ExtAffineWeylElement, ...]:
-        return tuple(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PetersonElement):
@@ -152,11 +155,33 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
     return PetersonElement(rs, out)
 
 
+def _star_word(word: Iterable[int], terms: dict, frame: WeylElement) -> tuple[dict, WeylElement]:
+    """star_s along word, on coefficients g that stand for frame(g); returns (terms, frame).
+
+    Keys and tests are star_s's; s_i(f) e^{alpha_i} = frame(g e^beta) with
+    beta = frame^{-1}(alpha_i) for the new frame, so nothing is twisted.
+    """
+    rs = frame.rs
+    for i in word:
+        si = affine_simple_reflection(rs, i)
+        frame = si.u * frame
+        beta = frame.inverse().act_root(affine_simple_root(rs, i).finite)
+        out: dict[ExtAffineWeylElement, LaurentPoly] = {}
+        for x, g in terms.items():
+            if x.left_ascent(i) and (y := si * x).is_grassmannian():
+                up = g.shifted(beta)
+                accumulate(out, x, up)
+                accumulate(out, y, g - up)
+            else:
+                accumulate(out, x, g)
+        terms = out
+    return terms, frame
+
+
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
-    """Star action of a finite Weyl element, via any reduced word."""
-    for i in reversed(w.reduced_word()):
-        z = star_s(i, z)
-    return z
+    """Star action of a finite Weyl element: its reduced word in a frame that ends at w."""
+    terms, frame = _star_word(reversed(w.reduced_word()), z.terms, z.rs.identity_weyl())
+    return PetersonElement(z.rs, {x: g.act_exponents(frame.m) for x, g in terms.items()})
 
 
 def mult_by_translation(z: PetersonElement, lam: tuple[int, ...]) -> PetersonElement:
@@ -188,15 +213,12 @@ def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElemen
 
     Writing z = u_sigma * y and using ell_{sigma x} = ell_sigma (u_sigma * ell_x):
     star-act by u_sigma^{-1}, then relabel keys by sigma and twist the
-    coefficients by u_sigma.
+    coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
-    rs = z.rs
     u = sigma.element.u
-    y = star_w(u.inverse(), z)
+    terms, _ = _star_word(reversed(u.inverse().reduced_word()), z.terms, z.rs.identity_weyl())
     # x -> sigma x is injective, so no two terms meet
-    return PetersonElement(
-        rs, {sigma.element * x: f.act_exponents(u.m) for x, f in y.terms.items()}
-    )
+    return PetersonElement(z.rs, {sigma.element * x: g for x, g in terms.items()})
 
 
 class LocalizedClass:
@@ -312,10 +334,16 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
 
     g_w = gamma(rs, w)
     x = from_finite(w) * translation(rs, g_w)
-    z = star_w(v, ell(x))
-    check_support = all(y.is_grassmannian() for y in z.support()) and not z.is_zero()
+    # v * ell_x, then mult_by_ell_sigma(sig_inv, .) in the same frame: one twist, by v
+    terms, frame = _star_word(reversed(v.reduced_word()), ell(x).terms, rs.identity_weyl())
+    check_support = bool(terms) and all(y.is_grassmannian() for y in terms)
 
-    collapsed = mult_by_ell_sigma(sig_inv, z)
+    u = sig_inv.element.u
+    terms, frame = _star_word(reversed(u.inverse().reduced_word()), terms, frame)
+    twist = (u * frame).m  # frame = u^{-1} v
+    collapsed = PetersonElement(
+        rs, {sig_inv.element * y: g.act_exponents(twist) for y, g in terms.items()}
+    )
     target = sig_inv.element * x
     check_collapse = collapsed == ell(target)
 
@@ -355,7 +383,7 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
 
 def _translation_part(c: LocalizedClass) -> tuple[int, ...]:
     """The sigma exponent of a pure translation-class numerator."""
-    (key,) = c.num.support()
+    (key,) = c.num.terms
     if not key.u.is_identity:
         raise VerificationError(f"numerator {key!r} is not a translation class")
     return tuple(-a for a in key.lam)

@@ -136,6 +136,46 @@ def test_term_budget_enforced():
         set_term_budget(0)
 
 
+def test_internal_results_keep_the_term_budget():
+    """Results the class builds itself still raise past the budget."""
+    five = LaurentPoly(2, {(k, 0): 1 for k in range(5)})
+    other = LaurentPoly(2, {(0, k): 1 for k in range(1, 5)})
+    swap = ((0, 1), (1, 0))
+    old = get_term_budget()
+    try:
+        set_term_budget(4)
+        with pytest.raises(SizeLimitError):
+            five.shifted((1, 1))
+        with pytest.raises(SizeLimitError):
+            five.act_exponents(swap)
+        with pytest.raises(SizeLimitError):
+            other + other.shifted((1, 0))
+        with pytest.raises(SizeLimitError):
+            other - other.shifted((1, 0))
+        assert len((other - other.shifted((0, 0))).terms) == 0
+    finally:
+        set_term_budget(old)
+
+
+def test_internal_results_are_normalized():
+    """Public input is checked; internal results drop zeros like it does."""
+    with pytest.raises(ValueError):
+        LaurentPoly(2, {(1,): 1})
+    rng = random.Random(23)
+    for _ in range(20):
+        f = random_poly(rng, 2, n_terms=6)
+        diff = f - f
+        assert diff.is_zero() and not diff.terms
+        assert diff == LaurentPoly.zero(2)
+        assert hash(diff) == hash(LaurentPoly.zero(2))
+        g = random_poly(rng, 2)
+        assert f - g == f + (-g)
+        assert 0 not in (f - g).terms.values()
+    # a singular matrix makes exponents collide; the colliding terms add
+    p = LaurentPoly(2, {(1, 0): 1, (0, 1): -1, (2, 0): 3})
+    assert p.act_exponents(((1, 1), (0, 0))) == LaurentPoly(2, {(2, 0): 3})
+
+
 def test_str_rendering():
     p = LaurentPoly(2, {(0, 0): 1, (1, -2): -1, (2, 0): 3})
     assert str(LaurentPoly.zero(2)) == "0"

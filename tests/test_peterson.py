@@ -81,7 +81,7 @@ def test_star_involution_and_grassmannian_closure(type_label, rank):
         z = random_peterson(rs, rng, pool)
         for i in affine_nodes(rs):
             once = star_s(i, z)
-            assert all(y.is_grassmannian() for y in once.support())
+            assert all(y.is_grassmannian() for y in once.terms)
             assert star_s(i, once) == z
 
 
@@ -128,6 +128,28 @@ def test_star_w_word_independence():
     via_121 = star_s(1, star_s(2, star_s(1, z)))
     via_212 = star_s(2, star_s(1, star_s(2, z)))
     assert via_121 == via_212 == star_w(w, z)
+
+
+def star_w_by_letters(w, z):
+    """The letter-by-letter oracle: star_s along the reversed reduced word of w."""
+    for i in reversed(w.reduced_word()):
+        z = star_s(i, z)
+    return z
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
+)
+def test_star_w_frame_against_letter_oracle(type_label, rank):
+    """The framed star_w equals star_s composed along the word, term by term."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(29)
+    pool = grassmannian_up_to(rs, 3)
+    group = rs.weyl_group()
+    for w in [longest_element(rs)] + rng.sample(group, k=min(8, len(group))):
+        z = random_peterson(rs, rng, pool)
+        assert len(z.terms) > 1
+        assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
 
 
 def test_star_D_defining_relation_and_examples():
@@ -232,6 +254,46 @@ def test_length_zero_products_match_group_law():
             for t in sigma_elements(rs):
                 twisted = star_w(s.element.u, ell(t.element))
                 assert mult_by_ell_sigma(s, twisted) == ell((s * t).element)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("D", 4)])
+def test_mult_by_ell_sigma_against_twist_formula(type_label, rank):
+    """The framed product equals star_w by u^{-1}, a twist by u and a relabel by sigma."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(31)
+    pool = grassmannian_up_to(rs, 3)
+    for s in sigma_elements(rs):
+        u = s.element.u
+        for _ in range(3):
+            z = random_peterson(rs, rng, pool)
+            y = star_w(u.inverse(), z)
+            expected = PetersonElement(
+                rs, {s.element * x: f.act_exponents(u.m) for x, f in y.terms.items()}
+            )
+            assert mult_by_ell_sigma(s, z) == expected
+
+
+def test_framed_paths_twist_once(monkeypatch):
+    """mult_by_ell_sigma twists nothing; verify_seidel_theorem twists only the collapsed term."""
+    rs = build_root_system("D", 4)
+    calls = []
+    original = LaurentPoly.act_exponents
+
+    def counting(self, matrix):
+        calls.append(matrix)
+        return original(self, matrix)
+
+    monkeypatch.setattr(LaurentPoly, "act_exponents", counting)
+    pool = grassmannian_up_to(rs, 3)
+    z = PetersonElement(rs, {x: LaurentPoly.monomial((1, 0, -1, 0)) for x in pool[:6]})
+    for s in sigma_elements(rs):
+        mult_by_ell_sigma(s, z)
+    assert calls == []
+    w = weyl_from_word(rs, (1, 2, 3, 4, 2))
+    for i in special_nodes(rs):
+        calls.clear()
+        assert verify_seidel_theorem(rs, i, w).passed
+        assert calls == [seidel_element(rs, i).m]
 
 
 def test_mult_by_ell_sigma_on_unit():
@@ -342,7 +404,7 @@ def test_q_class_is_multiplicative():
 
 
 def _lam_of_translation(z):
-    (key,) = z.support()
+    (key,) = z.terms
     assert key.u.is_identity
     return key.lam
 
