@@ -110,6 +110,28 @@ class ExtAffineWeylElement:
             return level > 0
         return self.u.inverse().perm[rs.root_index[a.finite]] < rs.npos
 
+    def grassmannian_ascent(self, i: int) -> Optional["ExtAffineWeylElement"]:
+        """For Grassmannian x: s_i x if it is longer and Grassmannian, else None.
+
+        The root r = x^{-1}(alpha_i) decides both: s_i x > x iff r > 0, and as
+        (s_i x)(alpha_j) = s_i(x(alpha_j)) with s_i sending only alpha_i negative,
+        s_i x is Grassmannian iff x(alpha_j) != alpha_i for all j, i.e. iff r is
+        not a finite simple root.  For alpha_i = beta + n delta, s_i x is
+        t_{lam - <lam, beta> beta^vee (+ theta^vee for node 0)} (s_beta u).
+        """
+        rs = self.rs
+        shift, refl, beta, index, level, cobeta = _ascent_letter(rs, i)
+        p = rs.pairing(self.lam, beta)
+        level += p
+        if level < 0:
+            return None
+        if level == 0:
+            k = self.u.inverse().perm[index]
+            if k >= rs.npos or k in rs.simple_indices:
+                return None
+        lam = tuple(a - p * c + s for a, c, s in zip(self.lam, cobeta, shift))
+        return _intern(rs, lam, refl * self.u)
+
     def is_grassmannian(self) -> bool:
         """x(alpha_j) positive for every finite node j."""
         if self._grass is None:
@@ -128,6 +150,16 @@ def _intern(rs: RootSystem, lam: Coweight, u: WeylElement) -> ExtAffineWeylEleme
         x = ExtAffineWeylElement(rs, lam, u)
         cache[key] = x
     return x
+
+
+def _ascent_letter(rs: RootSystem, i: int) -> tuple:
+    """(s_i.lam, s_i.u, beta, root index of beta, n, beta^vee) for alpha_i = beta + n delta."""
+    letter = rs._ascent_letters.get(i)
+    if letter is None:
+        si, (beta, level) = affine_simple_reflection(rs, i), affine_simple_root(rs, i)
+        cobeta = rs.coroots_to_coweight(rs.coroot(beta))
+        letter = rs._ascent_letters[i] = (si.lam, si.u, beta, rs.root_index[beta], level, cobeta)
+    return letter
 
 
 def ext_identity(rs: RootSystem) -> ExtAffineWeylElement:

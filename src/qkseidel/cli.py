@@ -241,6 +241,8 @@ def cmd_element(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     plan = [
         unit
         for unit in default_plan()
@@ -249,9 +251,11 @@ def cmd_sweep(args, out) -> int:
     ]
     if not plan:
         raise ValueError("no sweep units match the requested filters")
-    if args.jobs > 1:
+    # a fork pool starts all its workers at once, so never more than there are units
+    jobs = min(args.jobs, len(plan))
+    if jobs > 1:
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
+            max_workers=jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
         ) as pool:
             results = list(pool.map(run_sweep_unit, plan))
     else:

@@ -7,8 +7,11 @@ star action of affine simple reflections is the two-case recursion
     s_i * (f ell_x) = s_i(f) (e^{alpha_i} ell_x + (1 - e^{alpha_i}) ell_{s_i x})
 
 when s_i x is a longer Grassmannian element, and s_i(f) ell_x otherwise;
-"longer" is the single-root test x^{-1}(alpha_i) > 0 (left_ascent), and
-coefficients always pass through the level-zero action first.  star_D is
+coefficients always pass through the level-zero action first.  The single
+root r = x^{-1}(alpha_i) decides the case: s_i x is longer iff r > 0, and
+then Grassmannian iff r is not a finite simple root (grassmannian_ascent,
+which words use; star_s and star_D keep left_ascent, the general product
+and is_grassmannian, and so serve as its oracle).  star_D is
 the unique companion operator satisfying
 
     star_s(i, a) = e^{alpha_i} a + (1 - e^{alpha_i}) star_D(i, a),
@@ -158,17 +161,17 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
 def _star_word(word: Iterable[int], terms: dict, frame: WeylElement) -> tuple[dict, WeylElement]:
     """star_s along word, on coefficients g that stand for frame(g); returns (terms, frame).
 
-    Keys and tests are star_s's; s_i(f) e^{alpha_i} = frame(g e^beta) with
-    beta = frame^{-1}(alpha_i) for the new frame, so nothing is twisted.
+    Keys are star_s's, but one root x^{-1}(alpha_i) decides each case and
+    builds s_i x (grassmannian_ascent); s_i(f) e^{alpha_i} = frame(g e^beta)
+    with beta = frame^{-1}(alpha_i) for the new frame, so nothing is twisted.
     """
     rs = frame.rs
     for i in word:
-        si = affine_simple_reflection(rs, i)
-        frame = si.u * frame
+        frame = affine_simple_reflection(rs, i).u * frame
         beta = frame.inverse().act_root(affine_simple_root(rs, i).finite)
         out: dict[ExtAffineWeylElement, LaurentPoly] = {}
         for x, g in terms.items():
-            if x.left_ascent(i) and (y := si * x).is_grassmannian():
+            if (y := x.grassmannian_ascent(i)) is not None:
                 up = g.shifted(beta)
                 accumulate(out, x, up)
                 accumulate(out, y, g - up)

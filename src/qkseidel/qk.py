@@ -14,7 +14,7 @@ the pushforward and via the direct formula, and the routes must agree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UnsupportedProductError, VerificationError
 from .laurent import LaurentPoly, accumulate
@@ -33,6 +33,8 @@ class ParabolicData:
     subset: frozenset[int]
     minimal_reps: tuple[WeylElement, ...]
     subgroup_order: int
+    # w -> the minimal representative of w W_P; the fields above determine it
+    minrep_table: dict[WeylElement, WeylElement] = field(compare=False, repr=False)
 
     def __contains__(self, w: WeylElement) -> bool:
         return all(j not in self.subset for j in w.descent_set())
@@ -45,13 +47,15 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
     group = rs.weyl_group()
     reps = tuple(w for w in group if all(j not in nodes for j in w.descent_set()))
     # W_P by the mirror filter: all descents inside the subset span
-    order = sum(1 for w in group if set(_support(w)) <= nodes)
-    if order * len(reps) != len(group):
+    sub = [u for u in group if set(_support(u)) <= nodes]
+    # W = W^P x W_P: the products m u must hit every element of W exactly once
+    table = {m * u: m for m in reps for u in sub}
+    if len(reps) * len(sub) != len(group) or table.keys() != set(group):
         raise VerificationError(
-            f"coset count mismatch for subset {sorted(nodes)}: "
-            f"{order} * {len(reps)} != {len(group)}"
+            f"coset decomposition fails for subset {sorted(nodes)}: "
+            f"{len(reps)} * {len(sub)} products hit {len(table)} of {len(group)} elements"
         )
-    return ParabolicData(rs, nodes, reps, order)
+    return ParabolicData(rs, nodes, reps, len(sub), table)
 
 
 def _support(w: WeylElement) -> tuple[int, ...]:
@@ -59,13 +63,8 @@ def _support(w: WeylElement) -> tuple[int, ...]:
 
 
 def minrep_w(w: WeylElement, p: ParabolicData) -> WeylElement:
-    """The minimal-length representative of w W_P, by stripping right descents in I_P."""
-    rs = p.rs
-    while True:
-        des = [j for j in w.descent_set() if j in p.subset]
-        if not des:
-            return w
-        w = w * rs.simple_reflection(des[0])
+    """The minimal-length representative of w W_P, read from the coset table."""
+    return p.minrep_table[w]
 
 
 def minrep_beta(beta: QExponent, p: ParabolicData) -> QExponent:

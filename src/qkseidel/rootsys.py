@@ -220,6 +220,9 @@ class RootSystem:
         self.coroot_table = self._coroot_orbit()
         self.highest_root = self._find_highest_root()
         self.highest_root_coroot = self.coroot_table[self.highest_root]
+        self._special_nodes = tuple(
+            i for i in self.nodes if all(beta[i - 1] in (0, 1) for beta in self.positive_roots)
+        )
         self._cartan_inv_den, self._cartan_inv_cols = self._invert_cartan()
         # Weyl elements permute these indices: the positive roots, then their negatives.
         self.npos = len(self.positive_roots)
@@ -238,6 +241,7 @@ class RootSystem:
         # Caches of the affine and seidel layers.  They live as long as the system,
         # which for a system from build_root_system is the whole process.
         self._ext_intern: dict = {}
+        self._ascent_letters: dict = {}
         self._sigma_group: Optional[tuple] = None
         self._datum_cache: dict = {}
 
@@ -477,9 +481,5 @@ def is_antidominant(cw: Coweight) -> bool:
 
 
 def special_nodes(rs: RootSystem) -> tuple[int, ...]:
-    """Nodes i with <omega_i^vee, alpha> in {0, 1} for every positive root alpha."""
-    out = []
-    for i in rs.nodes:
-        if all(beta[i - 1] in (0, 1) for beta in rs.positive_roots):
-            out.append(i)
-    return tuple(out)
+    """Nodes i with <omega_i^vee, alpha> in {0, 1} for every alpha > 0; found when rs is built."""
+    return rs._special_nodes

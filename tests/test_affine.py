@@ -23,6 +23,7 @@ from qkseidel.affine import (
     translation,
 )
 from qkseidel.rootsys import build_root_system, weyl_from_word
+from qkseidel.sweeps import grassmannian_ball
 
 
 def ext_length_oracle(x) -> int:
@@ -184,6 +185,22 @@ def test_grassmannian_ascent_dichotomy(type_label, rank):
             lhs = six.ext_length() > x.ext_length() and six.is_grassmannian()
             rhs = (rs.simple_reflection(i) * w).length() < w.length()
             assert lhs == rhs, (x, i)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
+)
+def test_grassmannian_ascent_against_oracle(type_label, rank):
+    """The single-root ascent equals the general product, length test and Grassmannian test."""
+    rs = build_root_system(type_label, rank)
+    ascents = 0
+    for x in grassmannian_ball(rs, 6):
+        for i in affine_nodes(rs):
+            six = affine_simple_reflection(rs, i) * x
+            expect = six if x.left_ascent(i) and six.is_grassmannian() else None
+            assert x.grassmannian_ascent(i) is expect, (x, i)
+            ascents += expect is not None
+    assert ascents > 0
 
 
 def test_affine_reduced_word_roundtrip():

@@ -188,6 +188,44 @@ def test_sweep_workers_get_budget_under_spawn(capsys, monkeypatch):
     assert [p.result(timeout=60) for p in probes] == [54321]
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps the units in-process."""
+
+    def __init__(self, sizes, max_workers, initializer=None, initargs=()):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units):
+        return map(fn, units)
+
+
+def test_sweep_pool_never_exceeds_the_plan(capsys, monkeypatch):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: RecordingPool(sizes, **kw))
+    _, serial, _ = run(capsys, "sweep", "--type", "C", "--rank", "2")
+    code, out, _ = run(capsys, "sweep", "--type", "C", "--rank", "2", "--jobs", "64")
+    assert code == 0 and out == serial
+    assert sizes == [out.count("\n") - 1]  # one line per unit, then the verdict
+    code, _, _ = run(capsys, "sweep", "--type", "A", "--jobs", "2")
+    assert code == 0 and sizes[-1] == 2
+    code, out, _ = run(capsys, "sweep", "--type", "G", "--jobs", "8")
+    assert code == 0 and "(1 units)" in out and len(sizes) == 2  # one unit runs in-process
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(capsys, monkeypatch, jobs):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: RecordingPool(sizes, **kw))
+    code, out, err = run(capsys, "sweep", "--type", "A", "--rank", "2", "--jobs", jobs)
+    assert code == 2 and out == "" and "--jobs" in err
+    assert sizes == []
+
+
 def test_sweep_no_match_is_an_error(capsys):
     code, _, err = run(capsys, "sweep", "--type", "E", "--rank", "8")
     assert code == 2 and "no sweep units" in err

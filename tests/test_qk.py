@@ -1,6 +1,7 @@
 """Quantum K-model tests: left action, closed-form products, pushforward."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -47,19 +48,43 @@ def test_parabolic_counts_and_positivity():
     assert sizes[(1, 2)] == 4  # projective space P^3
 
 
-def test_minrep_w_examples_and_idempotence():
-    rs = build_root_system("A", 3)
-    for sub in all_subsets(rs):
-        p = parabolic_data(rs, sub)
-        for w in rs.weyl_group():
-            m = minrep_w(w, p)
-            assert m in p
-            assert minrep_w(m, p) == m
-            # same coset: m^{-1} w lies in the subgroup
-            rest = m.inverse() * w
-            assert set(rest.reduced_word()) <= set(p.subset)
-        for w in p.minimal_reps:
-            assert minrep_w(w, p) == w
+def strip_right_descents(w, subset):
+    """Oracle: multiply by s_j for a right descent j in the subset until none is left."""
+    while True:
+        des = [j for j in w.descent_set() if j in subset]
+        if not des:
+            return w
+        w = w * w.rs.simple_reflection(des[0])
+
+
+MINREP_CASES = [
+    (type_label, rank, sub)
+    for type_label, rank in [("A", 3), ("B", 3), ("G", 2), ("D", 4)]
+    for sub in all_subsets(build_root_system(type_label, rank))
+]
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,sub",
+    MINREP_CASES,
+    ids=[f"{t}{r}-{''.join(map(str, sub)) or 'e'}" for t, r, sub in MINREP_CASES],
+)
+def test_minrep_w_examples_and_idempotence(type_label, rank, sub):
+    rs = build_root_system(type_label, rank)
+    p = parabolic_data(rs, sub)
+    for w in rs.weyl_group():
+        m = minrep_w(w, p)
+        assert m == strip_right_descents(w, p.subset)
+        assert m in p
+        assert minrep_w(m, p) == m
+        # same coset: m^{-1} w lies in the subgroup
+        rest = m.inverse() * w
+        assert set(rest.reduced_word()) <= set(p.subset)
+    for w in p.minimal_reps:
+        assert minrep_w(w, p) == w
+    # the coset table is derived data: equality and hash ignore it
+    twin = dataclasses.replace(p, minrep_table={})
+    assert twin == p and hash(twin) == hash(p)
 
 
 def test_minrep_beta_deletes_coordinates():
