@@ -25,19 +25,15 @@ class AffineRoot(NamedTuple):
     level: int
 
 
-def affine_root_is_positive(a: AffineRoot) -> bool:
-    return a.level > 0 or (a.level == 0 and root_is_positive(a.finite))
-
-
 class ExtAffineWeylElement:
     """Element t_lambda * u of the extended affine Weyl group.
 
-    Interned per root system, so equal elements share length and Grassmannian
-    caches.  The Sigma part is implicit: it is trivial exactly when lambda lies
-    in the coroot lattice.
+    Interned per root system, so equal elements share length, Grassmannian
+    and ascent caches.  The Sigma part is implicit: it is trivial exactly when
+    lambda lies in the coroot lattice.
     """
 
-    __slots__ = ("rs", "lam", "u", "_length", "_grass", "_hash")
+    __slots__ = ("rs", "lam", "u", "_length", "_grass", "_ascents", "_hash")
 
     def __init__(self, rs: RootSystem, lam: Coweight, u: WeylElement):
         self.rs = rs
@@ -45,6 +41,7 @@ class ExtAffineWeylElement:
         self.u = u
         self._length: Optional[int] = None
         self._grass: Optional[bool] = None
+        self._ascents: Optional[list] = None  # grassmannian_ascent per node, False until asked
         self._hash = hash((lam, u))
 
     def __repr__(self) -> str:
@@ -118,7 +115,16 @@ class ExtAffineWeylElement:
         s_i x is Grassmannian iff x(alpha_j) != alpha_i for all j, i.e. iff r is
         not a finite simple root.  For alpha_i = beta + n delta, s_i x is
         t_{lam - <lam, beta> beta^vee (+ theta^vee for node 0)} (s_beta u).
+        Remembered per node; it never fills is_grassmannian(), an independent check.
         """
+        memo = self._ascents
+        if memo is None:
+            memo = self._ascents = [False] * (self.rs.rank + 1)
+        if memo[i] is False:
+            memo[i] = self._single_root_ascent(i)
+        return memo[i]
+
+    def _single_root_ascent(self, i: int) -> Optional["ExtAffineWeylElement"]:
         rs = self.rs
         shift, refl, beta, index, level, cobeta = _ascent_letter(rs, i)
         p = rs.pairing(self.lam, beta)
@@ -133,11 +139,13 @@ class ExtAffineWeylElement:
         return _intern(rs, lam, refl * self.u)
 
     def is_grassmannian(self) -> bool:
-        """x(alpha_j) positive for every finite node j."""
+        """x(alpha_j) > 0 for all finite j: x(alpha_j) is u(alpha_j) at level -<lam, u(alpha_j)>,
+        so positive iff that pairing is < 0, or 0 with u(alpha_j) > 0 (index below npos)."""
         if self._grass is None:
+            rs, lam = self.rs, self.lam
             self._grass = all(
-                affine_root_is_positive(self.act(AffineRoot(self.rs.simple_root(j), 0)))
-                for j in self.rs.nodes
+                (p := rs.pairing(lam, rs.roots[k])) < 0 or (p == 0 and k < rs.npos)
+                for k in map(self.u.perm.__getitem__, rs.simple_indices)
             )
         return self._grass
 

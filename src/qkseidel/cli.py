@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from .affine import sigma_decompose
 from .errors import SizeLimitError, UnsupportedProductError, VerificationError
@@ -106,7 +108,7 @@ def cmd_table(args, out) -> int:
             details = {"checks": dict(rep.checks)}
         else:
             out_elt = seidel_product_parabolic(rs, i, w, p)
-            ((d, x),) = out_elt.support()
+            ((d, x),) = out_elt.terms
             product = x.reduced_word()
             verified = True
             details = {"parabolic": sorted(p.subset), "routes_agree": True}
@@ -240,6 +242,11 @@ def cmd_element(args, out) -> int:
     return 0
 
 
+def _timed_unit(unit: tuple[str, str, int]):
+    start = time.perf_counter()
+    return run_sweep_unit(unit), time.perf_counter() - start
+
+
 def cmd_sweep(args, out) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
@@ -253,13 +260,15 @@ def cmd_sweep(args, out) -> int:
         raise ValueError("no sweep units match the requested filters")
     # a fork pool starts all its workers at once, so never more than there are units
     jobs = min(args.jobs, len(plan))
-    if jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
-        ) as pool:
-            results = list(pool.map(run_sweep_unit, plan))
-    else:
-        results = [run_sweep_unit(unit) for unit in plan]
+    pool = ProcessPoolExecutor(
+        max_workers=jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
+    ) if jobs > 1 else None
+    results = []
+    with pool or nullcontext():
+        for k, (res, seconds) in enumerate((pool.map if pool else map)(_timed_unit, plan), 1):
+            sys.stderr.write(f"[{k}/{len(plan)}] {res.name} {res.type_label}{res.rank}"
+                             f" {seconds:.3f}s\n")
+            results.append(res)
 
     ok = all(res.passed for res in results)
     if args.format == "json":

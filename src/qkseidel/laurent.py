@@ -186,6 +186,15 @@ class LaurentPoly:
             out = {e: c for e, c in out.items() if c}
         return LaurentPoly._trusted(self.nvars, out)
 
+    def simple_reflected(self, k: int, row: tuple[int, ...]) -> "LaurentPoly":
+        """s_{k+1}(e^g) = e^{g - <row, g> e_k}, row the Cartan row of node k + 1; no collisions."""
+        out = {}
+        for exps, coeff in self.terms.items():
+            key = list(exps)
+            key[k] -= sum(map(operator.mul, row, exps))
+            out[tuple(key)] = coeff
+        return LaurentPoly._trusted(self.nvars, out)
+
     def shifted(self, vec: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by the monomial e^vec."""
         if len(vec) != self.nvars:

@@ -11,6 +11,8 @@ Each (i, w) instance is certified in the Peterson engine before the closed
 form is used; a registry caches certificates so repeated products stay
 cheap.  The parabolic product is computed twice, via
 the pushforward and via the direct formula, and the routes must agree.
+The public QKElement constructor checks every term; left_action, pushforward
+and shift_q build valid terms from valid ones and skip it (QKElement._trusted).
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
     group = rs.weyl_group()
     reps = tuple(w for w in group if all(j not in nodes for j in w.descent_set()))
     # W_P by the mirror filter: all descents inside the subset span
-    sub = [u for u in group if set(_support(u)) <= nodes]
+    sub = [u for u in group if set(u.reduced_word()) <= nodes]
     # W = W^P x W_P: the products m u must hit every element of W exactly once
     table = {m * u: m for m in reps for u in sub}
     if len(reps) * len(sub) != len(group) or table.keys() != set(group):
@@ -56,10 +58,6 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
             f"{len(reps)} * {len(sub)} products hit {len(table)} of {len(group)} elements"
         )
     return ParabolicData(rs, nodes, reps, len(sub), table)
-
-
-def _support(w: WeylElement) -> tuple[int, ...]:
-    return tuple(sorted(set(w.reduced_word())))
 
 
 def minrep_w(w: WeylElement, p: ParabolicData) -> WeylElement:
@@ -107,13 +105,17 @@ class QKElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, rs: RootSystem, terms: dict, base: frozenset[int]) -> "QKElement":
+        """Wrap terms built here: exponents >= 0 of arity rank, minimal indices, no zeros."""
+        xi = object.__new__(cls)
+        xi.rs, xi.terms, xi.base = rs, terms, base
+        return xi
+
+    @classmethod
     def schubert(
         cls, rs: RootSystem, w: WeylElement, base: frozenset[int] = frozenset()
     ) -> "QKElement":
         return cls(rs, {((0,) * rs.rank, w): LaurentPoly.one(rs.rank)}, base)
-
-    def support(self) -> tuple[tuple[QExponent, WeylElement], ...]:
-        return tuple(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QKElement):
@@ -126,7 +128,8 @@ class QKElement:
         """Multiply by the Q-monomial Q^d."""
         if len(d) != self.rs.rank or any(c < 0 for c in d):
             raise ValueError(f"invalid exponent {d}")
-        return QKElement(
+        # adding a checked d >= 0 keeps exponents valid and distinct
+        return QKElement._trusted(
             self.rs,
             {(tuple(a + b for a, b in zip(q, d)), w): f for (q, w), f in self.terms.items()},
             self.base,
@@ -157,23 +160,27 @@ class QKElement:
 
 
 def left_action(i: int, xi: QKElement) -> QKElement:
-    """The W-action generator s_i^L; Q-monomials are untouched."""
+    """The W-action generator s_i^L; Q-monomials are untouched.
+
+    Coefficients twist by the reflection e^g -> e^{g - <alpha_i^vee, g> alpha_i}, one
+    Cartan-row pairing per term; s_i w < w iff w^{-1}(alpha_i) < 0, read from w^{-1}.
+    """
     rs = xi.rs
     if i not in rs.nodes:
         raise ValueError(f"node {i} outside the finite index set")
-    si = rs.simple_reflection(i)
-    root = rs.simple_root(i)
+    root, row = rs.simple_root(i), rs.cartan[i - 1]
+    k = rs.simple_indices[i - 1]
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
-        sf = f.act_exponents(si.m)
-        sw = si * w
-        if sw.length() < w.length():
+        sf = f.simple_reflected(i - 1, row)
+        if w.inverse().perm[k] >= rs.npos:
             up = sf.shifted(root)
             accumulate(out, (d, w), up)
-            accumulate(out, (d, sw), sf - up)
+            accumulate(out, (d, rs.simple_reflection(i) * w), sf - up)
         else:
             accumulate(out, (d, w), sf)
-    return QKElement(rs, out, xi.base)
+    # keys are xi's or (d, s_i w) with s_i w < w, which stays minimal; accumulate drops zeros
+    return QKElement._trusted(rs, out, xi.base)
 
 
 class VerificationRegistry:
@@ -225,7 +232,8 @@ def pushforward(xi: QKElement, p: ParabolicData) -> QKElement:
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
         accumulate(out, (minrep_beta(d, p), minrep_w(w, p)), f)
-    return QKElement(xi.rs, out, p.subset)
+    # minrep_beta keeps d >= 0 and its arity, minrep_w lands in W^P; accumulate drops zeros
+    return QKElement._trusted(xi.rs, out, p.subset)
 
 
 def seidel_product_parabolic(

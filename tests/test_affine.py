@@ -10,7 +10,6 @@ from qkseidel.affine import (
     affine_from_word,
     affine_nodes,
     affine_reduced_word,
-    affine_root_is_positive,
     affine_simple_reflection,
     affine_simple_root,
     ext_identity,
@@ -22,8 +21,12 @@ from qkseidel.affine import (
     theta_pairings,
     translation,
 )
-from qkseidel.rootsys import build_root_system, weyl_from_word
+from qkseidel.rootsys import RootSystem, build_root_system, root_is_positive, weyl_from_word
 from qkseidel.sweeps import grassmannian_ball
+
+
+def affine_root_is_positive(a: AffineRoot) -> bool:
+    return a.level > 0 or (a.level == 0 and root_is_positive(a.finite))
 
 
 def ext_length_oracle(x) -> int:
@@ -191,16 +194,52 @@ def test_grassmannian_ascent_dichotomy(type_label, rank):
     "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
 )
 def test_grassmannian_ascent_against_oracle(type_label, rank):
-    """The single-root ascent equals the general product, length test and Grassmannian test."""
-    rs = build_root_system(type_label, rank)
+    """The single-root ascent equals the general product, length test and Grassmannian test.
+
+    It is asked once on a fresh system, before anything else has run on x, and
+    again after left_ascent and is_grassmannian have; both answers must be the
+    oracle's interned element (or None), and asking must not fill the
+    is_grassmannian() cache.
+    """
+    ball = grassmannian_ball(build_root_system(type_label, rank), 6)
+    rs = RootSystem(type_label, rank)  # its elements have answered nothing yet
+    xs = [translation(rs, x.lam) * from_finite(weyl_from_word(rs, x.u.reduced_word()))
+          for x in ball]
+    first = [{i: x.grassmannian_ascent(i) for i in affine_nodes(rs)} for x in xs]
+    assert all(x._grass is None for x in xs)
     ascents = 0
-    for x in grassmannian_ball(rs, 6):
+    for x, before in zip(xs, first):
+        assert x.is_grassmannian()
         for i in affine_nodes(rs):
             six = affine_simple_reflection(rs, i) * x
             expect = six if x.left_ascent(i) and six.is_grassmannian() else None
+            assert before[i] is expect, (x, i)
             assert x.grassmannian_ascent(i) is expect, (x, i)
             ascents += expect is not None
     assert ascents > 0
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
+)
+def test_is_grassmannian_against_affine_root_oracle(type_label, rank):
+    """The one-pass test equals x(alpha_j) > 0 computed as an affine root action, for all j.
+
+    Inputs: the Grassmannian ball, every s_i x of its elements (most are not
+    Grassmannian) and the length-zero elements.
+    """
+    rs = build_root_system(type_label, rank)
+    ball = grassmannian_ball(rs, 5)
+    xs = set(ball) | {affine_simple_reflection(rs, i) * x for x in ball for i in affine_nodes(rs)}
+    xs |= {s.element for s in sigma_elements(rs)} | {s.element.inverse() for s in sigma_elements(rs)}
+    verdicts = set()
+    for x in xs:
+        expect = all(
+            affine_root_is_positive(x.act(AffineRoot(rs.simple_root(j), 0))) for j in rs.nodes
+        )
+        assert x.is_grassmannian() == expect, x
+        verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 def test_affine_reduced_word_roundtrip():

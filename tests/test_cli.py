@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +169,21 @@ def test_sweep_parallel_matches_serial(capsys):
     code2, out2, _ = run(capsys, "sweep", "--type", "C", "--rank", "2", "--format", "json", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_progress_goes_to_stderr(capsys, jobs):
+    """One `[k/N] name typerank seconds` line per finished unit; stdout is the default report."""
+    default = (Path(__file__).parent / "sweep_default.txt").read_text().splitlines()
+    units = [line for line in default if " C2: " in line]
+    code, out, err = run(capsys, "sweep", "--type", "C", "--rank", "2", "--jobs", jobs)
+    assert code == 0
+    assert out == "\n".join(units) + f"\nall sweeps passed ({len(units)} units)\n"
+    lines = err.splitlines()
+    assert len(lines) == len(units)
+    for k, (line, unit) in enumerate(zip(lines, units), 1):
+        name = re.escape(unit.split(" C2: ")[0])
+        assert re.fullmatch(rf"\[{k}/{len(units)}\] {name} C2 \d+\.\d{{3}}s", line), line
 
 
 def test_sweep_workers_get_budget_under_spawn(capsys, monkeypatch):
