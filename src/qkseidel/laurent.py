@@ -54,6 +54,22 @@ def _check_budget(n_terms: int) -> None:
         )
 
 
+def _pack_width(bound: int) -> int:
+    return bound.bit_length() + 1  # the least k with 2^(k-1) > bound
+
+
+def _pack(exps: tuple[int, ...], k: int) -> int:
+    """sum_j e_j 2^(kj), an exponent vector as one int; sums stay exact while |e_j| < 2^(k-1)."""
+    return sum(e << (k * j) for j, e in enumerate(exps))
+
+
+def _unpack(p: int, k: int, nvars: int) -> tuple[int, ...]:
+    """Inverse of _pack: adding 2^(k-1) to every digit makes them all nonnegative."""
+    half = 1 << (k - 1)
+    p += _pack((half,) * nvars, k)
+    return tuple(((p >> (k * j)) & (2 * half - 1)) - half for j in range(nvars))
+
+
 class LaurentPoly:
     """Sparse Laurent polynomial with integer coefficients.
 

@@ -26,7 +26,12 @@ frame(g), letter i sets frame <- s_i frame and multiplies by e^beta and
 and the frame is applied once at the end instead of a twist per letter
 (K-theoretic Billey formula: Billey, "Kostant polynomials and the cohomology
 ring for G/B", Duke 1999; Graham, "Equivariant K-theory and Schubert
-varieties", 2002).
+varieties", 2002).  While words run, an exponent vector is one int of signed
+base-2^k digits (Kronecker substitution), so e^beta is one integer add per
+term.  Roots are bounded coordinatewise by the highest root theta, so after
+L letters |e_j| <= max |e_j| at the start + L max(theta), and k is the least
+width with 2^(k-1) above that; terms are packed before the words and
+unpacked after them.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
@@ -40,7 +45,6 @@ and Q^beta, and to verify the Seidel product identity
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .affine import (
     ExtAffineWeylElement,
@@ -53,7 +57,7 @@ from .affine import (
     translation,
 )
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly, accumulate
+from .laurent import LaurentPoly, _check_budget, _pack, _pack_width, _unpack, accumulate
 from .rootsys import RootSystem, WeylElement, is_antidominant
 from .seidel import gamma, quantum_exponent, seidel_datum
 
@@ -158,32 +162,55 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
     return PetersonElement(rs, out)
 
 
-def _star_word(word: Iterable[int], terms: dict, frame: WeylElement) -> tuple[dict, WeylElement]:
-    """star_s along word, on coefficients g that stand for frame(g); returns (terms, frame).
+def _add(h: dict, g: dict, sign: int) -> None:
+    """h += sign * g on packed exponents, in place."""
+    for e, c in g.items():
+        if new := h.get(e, 0) + sign * c:
+            h[e] = new
+        else:
+            del h[e]
 
-    Keys are star_s's, but one root x^{-1}(alpha_i) decides each case and
-    builds s_i x (grassmannian_ascent); s_i(f) e^{alpha_i} = frame(g e^beta)
-    with beta = frame^{-1}(alpha_i) for the new frame, so nothing is twisted.
+
+def _star_words(z: PetersonElement, *words: tuple[int, ...]) -> tuple[dict, WeylElement, list]:
+    """star_s by each word in turn (its last letter first), in one frame and one packing.
+
+    Returns the terms, whose coefficients g stand for frame(g), the frame, and
+    the keys after each word.  Keys are star_s's, but one root x^{-1}(alpha_i)
+    decides each case and builds s_i x (grassmannian_ascent); s_i(f) e^{alpha_i}
+    = frame(g e^beta) with beta = frame^{-1}(alpha_i) for the new frame, so
+    nothing is twisted.  Exponents are packed as the module docstring says;
+    every polynomial meets the term budget after every letter.
     """
-    rs = frame.rs
-    for i in word:
-        frame = affine_simple_reflection(rs, i).u * frame
-        beta = frame.inverse().act_root(affine_simple_root(rs, i).finite)
-        out: dict[ExtAffineWeylElement, LaurentPoly] = {}
-        for x, g in terms.items():
-            if (y := x.grassmannian_ascent(i)) is not None:
-                up = g.shifted(beta)
-                accumulate(out, x, up)
-                accumulate(out, y, g - up)
-            else:
-                accumulate(out, x, g)
-        terms = out
-    return terms, frame
+    rs = z.rs
+    start = max((abs(a) for f in z.terms.values() for e in f.terms for a in e), default=0)
+    k = _pack_width(start + sum(map(len, words)) * max(rs.highest_root))
+    terms = {x: {_pack(e, k): c for e, c in f.terms.items()} for x, f in z.terms.items()}
+    frame, keys = rs.identity_weyl(), []
+    for word in words:
+        for i in reversed(word):
+            frame = affine_simple_reflection(rs, i).u * frame
+            beta = _pack(frame.inverse().act_root(affine_simple_root(rs, i).finite), k)
+            out: dict[ExtAffineWeylElement, dict[int, int]] = {}
+            for x, g in terms.items():  # each g is consumed
+                if (y := x.grassmannian_ascent(i)) is not None:
+                    # no other key reaches x: s_i x' = x would make s_i x = x' shorter
+                    out[x] = up = {e + beta: c for e, c in g.items()}
+                    _add(g, up, -1)
+                    x = y  # g - up goes to s_i x
+                if (h := out.setdefault(x, g)) is not g:
+                    _add(h, g, 1)
+            terms = {x: g for x, g in out.items() if g}
+            for g in terms.values():
+                _check_budget(len(g))
+        keys.append(list(terms))
+    n = rs.rank
+    unpacked = {x: {_unpack(e, k, n): c for e, c in g.items()} for x, g in terms.items()}
+    return {x: LaurentPoly._trusted(n, g) for x, g in unpacked.items()}, frame, keys
 
 
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
     """Star action of a finite Weyl element: its reduced word in a frame that ends at w."""
-    terms, frame = _star_word(reversed(w.reduced_word()), z.terms, z.rs.identity_weyl())
+    terms, frame, _ = _star_words(z, w.reduced_word())
     return PetersonElement(z.rs, {x: g.act_exponents(frame.m) for x, g in terms.items()})
 
 
@@ -218,8 +245,7 @@ def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElemen
     star-act by u_sigma^{-1}, then relabel keys by sigma and twist the
     coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
-    u = sigma.element.u
-    terms, _ = _star_word(reversed(u.inverse().reduced_word()), z.terms, z.rs.identity_weyl())
+    terms, _, _ = _star_words(z, sigma.element.u.inverse().reduced_word())
     # x -> sigma x is injective, so no two terms meet
     return PetersonElement(z.rs, {sigma.element * x: g for x, g in terms.items()})
 
@@ -338,11 +364,10 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     g_w = gamma(rs, w)
     x = from_finite(w) * translation(rs, g_w)
     # v * ell_x, then mult_by_ell_sigma(sig_inv, .) in the same frame: one twist, by v
-    terms, frame = _star_word(reversed(v.reduced_word()), ell(x).terms, rs.identity_weyl())
-    check_support = bool(terms) and all(y.is_grassmannian() for y in terms)
-
     u = sig_inv.element.u
-    terms, frame = _star_word(reversed(u.inverse().reduced_word()), terms, frame)
+    terms, frame, (support, _) = _star_words(ell(x), v.reduced_word(), u.inverse().reduced_word())
+    check_support = bool(support) and all(y.is_grassmannian() for y in support)
+
     twist = (u * frame).m  # frame = u^{-1} v
     collapsed = PetersonElement(
         rs, {sig_inv.element * y: g.act_exponents(twist) for y, g in terms.items()}

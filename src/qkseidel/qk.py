@@ -227,8 +227,6 @@ def pushforward(xi: QKElement, p: ParabolicData) -> QKElement:
     """Project a class over G/B to G/P term by term; coefficients pass through."""
     if xi.base:
         raise ValueError("pushforward starts from the full flag variety base")
-    if any(c < 0 for (d, _w) in xi.terms for c in d):
-        raise ValueError("negative exponents do not push forward")
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
         accumulate(out, (minrep_beta(d, p), minrep_w(w, p)), f)

@@ -10,6 +10,9 @@ from qkseidel.errors import SizeLimitError
 from qkseidel.laurent import (
     LaurentPoly,
     RationalFunction,
+    _pack,
+    _pack_width,
+    _unpack,
     get_term_budget,
     set_term_budget,
 )
@@ -174,6 +177,33 @@ def test_internal_results_are_normalized():
     # a singular matrix makes exponents collide; the colliding terms add
     p = LaurentPoly(2, {(1, 0): 1, (0, 1): -1, (2, 0): 3})
     assert p.act_exponents(((1, 1), (0, 0))) == LaurentPoly(2, {(2, 0): 3})
+
+
+@pytest.mark.parametrize(
+    "type_label,rank",
+    [("A", 1), ("G", 2), ("B", 3), ("F", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)],
+)
+def test_packed_exponent_codec(type_label, rank):
+    """Signed base-2^k digits: exact at the edge of the field, and sums add digitwise.
+
+    The widths cover two reduced words of the longest length from exponents
+    in [-2, 2], every letter adding at most max(highest root) to a coordinate.
+    """
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(37 + rank)
+    widest = 2 + 2 * len(rs.positive_roots) * max(rs.highest_root)
+    for bound in (0, 1, 2, 7, 8, max(rs.highest_root), widest):
+        k = _pack_width(bound)
+        top = 2 ** (k - 1) - 1
+        assert 2 ** (k - 1) > bound and (bound == 0 or 2 ** (k - 2) <= bound)
+        for edge in ((top,) * rank, (-top,) * rank, tuple((-1) ** j * top for j in range(rank))):
+            assert _unpack(_pack(edge, k), k, rank) == edge
+        for _ in range(40):
+            a = tuple(rng.randint(-top, top) for _ in range(rank))
+            b = tuple(rng.randint(-top - min(c, 0), top - max(c, 0)) for c in a)
+            total = tuple(c + d for c, d in zip(a, b))
+            assert _pack(a, k) + _pack(b, k) == _pack(total, k)
+            assert _unpack(_pack(a, k) + _pack(b, k), k, rank) == total
 
 
 def test_str_rendering():

@@ -15,8 +15,8 @@ from qkseidel.affine import (
     translation,
     from_finite,
 )
-from qkseidel.errors import UnsupportedProductError
-from qkseidel.laurent import LaurentPoly
+from qkseidel.errors import SizeLimitError, UnsupportedProductError
+from qkseidel.laurent import LaurentPoly, get_term_budget, set_term_budget
 from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
@@ -502,3 +502,54 @@ def test_report_payload_shape():
         "localized_product",
     )
     assert bool(rep) is rep.passed is True
+
+
+@pytest.mark.parametrize(
+    "type_label,rank,length", [("G", 2, 6), ("F", 4, 10), ("E", 6, 10), ("E", 8, 8)]
+)
+def test_packed_star_w_against_letter_oracle_on_wide_fields(type_label, rank, length):
+    """Highest-root coefficients up to 6 and exponents in [-2, 2] at the start.
+
+    w is a product of random simple reflections, so no Weyl group is
+    enumerated; z holds every Grassmannian element of length <= 2, so words
+    meet pairs x, s_i x that are both keys.
+    """
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(41)
+    pool = grassmannian_up_to(rs, 2)
+    for _ in range(3):
+        w = weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(length)])
+        z = PetersonElement(rs, {
+            x: LaurentPoly(rank, {
+                tuple(rng.randint(-2, 2) for _ in range(rank)): rng.choice((-2, -1, 1, 2))
+                for _ in range(3)
+            })
+            for x in pool
+        })
+        assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
+
+
+def test_e7_node7_instances():
+    """Node 7 of E7: the widest packed field among types with a special node."""
+    rs = build_root_system("E", 7)
+    rng = random.Random(43)
+    words = [(1, 3, 4, 2, 5, 4, 6, 7)]
+    words += [[rng.choice(rs.nodes) for _ in range(24)] for _ in range(3)]
+    for word in words:
+        rep = verify_seidel_theorem(rs, 7, weyl_from_word(rs, word))
+        assert rep.passed, (word, rep.checks)
+
+
+def test_term_budget_stops_the_packed_star_words():
+    """The budget is checked on every polynomial after every letter, inside the kernel."""
+    rs = build_root_system("D", 5)
+    w = weyl_from_word(rs, (2, 4, 3, 5, 3, 1, 2))
+    saved = set_term_budget(8)
+    try:
+        with pytest.raises(SizeLimitError, match="exceeds budget 8") as excinfo:
+            verify_seidel_theorem(rs, 4, w)
+    finally:
+        set_term_budget(saved)
+    assert [entry.name for entry in excinfo.traceback][-2:] == ["_star_words", "_check_budget"]
+    assert get_term_budget() == saved
+    assert verify_seidel_theorem(rs, 4, w).passed

@@ -285,6 +285,8 @@ def test_qkelement_validation():
         QKElement(rs, {((0, 0, 1), s1): LaurentPoly.one(2)})
     with pytest.raises(ValueError):
         QKElement(rs, {((0, 0), s1): LaurentPoly.one(2)}, base=frozenset({1}))
+    with pytest.raises(ValueError):  # so no QKElement holds a negative exponent
+        QKElement.schubert(rs, s1).shift_q((-1, 0))
     assert not QKElement(rs, {((0, 0), s1): LaurentPoly.zero(2)}).terms
 
 
