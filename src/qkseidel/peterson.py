@@ -377,16 +377,16 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
 
     vw = v * w
     g_vw = gamma(rs, vw)
-    check_keys = target == from_finite(vw) * translation(rs, g_vw)
+    key_vw = from_finite(vw) * translation(rs, g_vw)
+    check_keys = target == key_vw
     shift = w.inverse().act_coweight(rs.fundamental_coweight(i))
     check_keys = check_keys and g_vw == tuple(a - b for a, b in zip(g_w, shift))
 
+    # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class
     q_exp = quantum_exponent(rs, i, w)
-    lhs = LocalizedClass(
-        collapsed, tuple(a + b for a, b in zip(seidel_class(rs, i).den, o_class(rs, w).den))
-    )
+    lhs = LocalizedClass(collapsed, tuple(a - b for a, b in zip(seidel_class(rs, i).den, g_w)))
     rhs_q = q_class(rs, q_exp)
-    rhs_o = o_class(rs, vw)
+    rhs_o = LocalizedClass(ell(key_vw), tuple(-c for c in g_vw))
     rhs_num = mult_by_translation(
         rhs_o.num, tuple(-c for c in _translation_part(rhs_q))
     )

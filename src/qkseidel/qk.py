@@ -248,8 +248,10 @@ def seidel_product_parabolic(
     """
     if w not in p:
         raise ValueError(f"index {w.reduced_word()} is not minimal for the base")
-    via_push = pushforward(seidel_product(rs, i, w, registry), p)
-    d = minrep_beta(quantum_exponent(rs, i, w), p)
+    full = seidel_product(rs, i, w, registry)
+    ((d, _),) = full.terms  # the closed form Q^d O^{v_i w}: one quantum exponent for both routes
+    via_push = pushforward(full, p)
+    d = minrep_beta(d, p)
     if any(c < 0 for c in d):
         raise VerificationError(f"parabolic exponent {d} left the positive cone")
     direct = QKElement.schubert(rs, minrep_w(seidel_element(rs, i) * w, p), p.subset).shift_q(d)

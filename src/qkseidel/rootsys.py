@@ -403,7 +403,13 @@ class RootSystem:
         return order
 
     def weyl_group(self) -> tuple[WeylElement, ...]:
-        """All of W, ordered by (length, reduced word).  Cached.
+        """All of W, ordered by (length, reduced word), each element built once.  Cached.
+
+        Every w != e has one parent y = s_i w, i its smallest left descent, and
+        reduced_word(w) = (i,) + reduced_word(y).  So the children of y are the
+        s_i y with y^{-1}(alpha_i) > 0 and y^{-1}(s_i alpha_j) > 0 for all j < i.
+        Built with i outer and the previous level inner, each level comes out
+        in word order, and every element gets its word, length and inverse.
 
         Raises SizeLimitError before enumerating when |W| exceeds WEYL_GROUP_LIMIT.
         """
@@ -414,18 +420,31 @@ class RootSystem:
                     f"W({self.type_label}{self.rank}) has {order} elements, "
                     f"more than the enumeration limit {WEYL_GROUP_LIMIT}"
                 )
-            seen = {self.identity_weyl()}
-            frontier = [self.identity_weyl()]
-            while frontier:
+            npos, simple = self.npos, self.simple_indices
+            # per node: s_i's permutation, and the indices of alpha_i and s_i(alpha_j), j < i
+            letters = []
+            for i in self.nodes:
+                s = self.simple_reflection(i).perm
+                letters.append((i, s, (simple[i - 1],) + tuple(s[k] for k in simple[: i - 1])))
+            level = [self._identity]
+            self._identity._inverse = self._identity
+            group = list(level)
+            while level:
                 nxt = []
-                for w in frontier:
-                    for i in self.nodes:
-                        u = w * self.simple_reflection(i)
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-                frontier = nxt
-            self._weyl_group = tuple(sorted(seen, key=lambda w: (w.length(), w.reduced_word())))
+                for i, s, tests in letters:
+                    for y in level:
+                        y_inv = y._inverse.perm
+                        if all(y_inv[k] < npos for k in tests):
+                            w = self._weyl(tuple(map(s.__getitem__, y.perm)))
+                            w_inv = self._weyl(tuple(map(y_inv.__getitem__, s)))
+                            w._inverse, w_inv._inverse = w_inv, w
+                            w._word = (i,) + y._word
+                            w._length = len(w._word)
+                            nxt.append(w)
+                group += nxt
+                level = nxt
+            assert len(group) == order, (self, len(group), order)
+            self._weyl_group = tuple(group)
         return self._weyl_group
 
 

@@ -153,9 +153,44 @@ def test_weyl_order_closed_form():
 
 def test_weyl_group_size_guard():
     rs = RootSystem("A", 12)
+    interned = len(rs._weyl_cache)
     with pytest.raises(SizeLimitError):
         rs.weyl_group()
+    # refused before any element is built
+    assert len(rs._weyl_cache) == interned
     assert WEYL_GROUP_LIMIT >= build_root_system("E", 6).weyl_order()
+
+
+def bfs_sorted_weyl_group(rs):
+    """Oracle: a BFS over right multiplications with a seen set, sorted by (length, word).
+
+    Run it on a system of its own, so that the lengths, words and inverses it
+    sorts by are computed from the permutations, not read from weyl_group().
+    """
+    seen = {rs.identity_weyl()}
+    frontier = [rs.identity_weyl()]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in rs.nodes:
+                u = w * rs.simple_reflection(i)
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen, key=lambda w: (w.length(), w.reduced_word()))
+
+
+@pytest.mark.parametrize("type_label,rank", DESK_TYPES + [("E", 6)])
+def test_weyl_group_matches_bfs_oracle(type_label, rank):
+    group = build_root_system(type_label, rank).weyl_group()
+    oracle = bfs_sorted_weyl_group(RootSystem(type_label, rank))
+    assert len(group) == weyl_order(type_label, rank)
+    assert [w.perm for w in group] == [w.perm for w in oracle]
+    assert [w.reduced_word() for w in group] == [w.reduced_word() for w in oracle]
+    assert [w.length() for w in group] == [w.length() for w in oracle]
+    assert [w.inverse().perm for w in group] == [w.inverse().perm for w in oracle]
+    assert all(w.inverse().inverse() is w for w in group)
 
 
 def all_reduced_words(w):
