@@ -211,7 +211,9 @@ def seidel_product(
 ) -> QKElement:
     """O^{v_i} . (v_i^L O^w) over G/B, certified before the closed form is used."""
     reg = DEFAULT_REGISTRY if registry is None else registry
-    if not reg.covers(rs, i, w):
+    if reg.covers(rs, i, w):
+        d = quantum_exponent(rs, i, w)
+    else:
         report = verify_seidel_theorem(rs, i, w)
         if not report.passed:
             raise VerificationError(
@@ -219,7 +221,7 @@ def seidel_product(
                 f"{report.checks}"
             )
         reg.record(report)
-    d = quantum_exponent(rs, i, w)
+        d = report.q_exponent  # the exponent the certificate just checked
     return QKElement.schubert(rs, seidel_element(rs, i) * w).shift_q(d)
 
 
@@ -288,17 +290,29 @@ def verify_minrep_biconditional(p: ParabolicData) -> bool:
 
 
 def verify_pushforward_commutes(p: ParabolicData) -> bool:
-    """pushforward(s_i^L O^w) = s_i^L pushforward(O^w), plus the two coset lemmas."""
+    """pushforward(s_i^L O^w) = s_i^L pushforward(O^w), plus the two coset lemmas.
+
+    Each (i, w) computes its left side afresh.  pushforward(O^w) = O^{minrep(w)}
+    is computed once per w, and W is walked coset by coset, so its s_i^L image is
+    computed once per (i, term) and kept only while the coset lasts.
+    """
     rs = p.rs
     if not verify_standard_lemma(p):
         return False
     if not verify_minrep_biconditional(p):
         return False
+    cosets: dict[WeylElement, list[WeylElement]] = {}
     for w in rs.weyl_group():
-        xi = QKElement.schubert(rs, w)
-        for i in rs.nodes:
-            lhs = pushforward(left_action(i, xi), p)
-            rhs = left_action(i, pushforward(xi, p))
-            if lhs != rhs:
-                return False
+        cosets.setdefault(minrep_w(w, p), []).append(w)
+    for coset in cosets.values():
+        images: dict[tuple, QKElement] = {}
+        for w in coset:
+            xi = QKElement.schubert(rs, w)
+            pushed = pushforward(xi, p)
+            for i in rs.nodes:
+                key = (i, *pushed.terms.items())
+                if key not in images:
+                    images[key] = left_action(i, pushed)
+                if pushforward(left_action(i, xi), p) != images[key]:
+                    return False
     return True

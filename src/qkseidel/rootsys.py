@@ -74,8 +74,7 @@ def _cartan_matrix(type_label: str, rank: int) -> Matrix:
 
 
 def _vec_mat(v: tuple[int, ...], m: Matrix) -> tuple[int, ...]:
-    n = len(v)
-    return tuple(sum(v[j] * m[j][k] for j in range(n)) for k in range(n))
+    return tuple([sum(map(operator.mul, v, col)) for col in zip(*m)])
 
 
 def root_is_positive(beta: Root) -> bool:
@@ -238,10 +237,11 @@ class RootSystem:
         self._simple_reflections = {j: self.reflection(self._unit[j]) for j in self.nodes}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._weyl_group: Optional[tuple[WeylElement, ...]] = None
-        # Caches of the affine and seidel layers.  They live as long as the system,
-        # which for a system from build_root_system is the whole process.
+        # Caches of the affine, peterson and seidel layers.  They live as long as the
+        # system, which for a system from build_root_system is the whole process.
         self._ext_intern: dict = {}
         self._ascent_letters: dict = {}
+        self._star_schedules: dict = {}
         self._sigma_group: Optional[tuple] = None
         self._datum_cache: dict = {}
 

@@ -35,6 +35,7 @@ from qkseidel.peterson import (
     verify_seidel_theorem,
 )
 from qkseidel.rootsys import (
+    RootSystem,
     build_root_system,
     longest_element,
     special_nodes,
@@ -553,3 +554,57 @@ def test_term_budget_stops_the_packed_star_words():
     assert [entry.name for entry in excinfo.traceback][-2:] == ["_star_words", "_check_budget"]
     assert get_term_budget() == saved
     assert verify_seidel_theorem(rs, 4, w).passed
+
+
+def _schedule_by_letters(rs, words):
+    """The letter schedule one letter at a time: after letters i_1, ..., i_t the frame is
+    s_{i_t} ... s_{i_1}, and frame^{-1}(alpha_{i_t}) reflects alpha_{i_t} through
+    s_{i_t}, ..., s_{i_1} by Cartan pairings."""
+    done, runs = [], []
+    for word in words:
+        run = []
+        for i in reversed(word):
+            done.append(i)
+            root = rs.simple_root(i)
+            for j in reversed(done):
+                c = rs.pair_coroot_root(j, root)
+                root = tuple(b - c * a for b, a in zip(root, rs.simple_root(j)))
+            run.append((i, root))
+        runs.append(tuple(run))
+    return tuple(runs), weyl_from_word(rs, reversed(done))
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank):
+    """The system keeps exactly the word tuples of verify_seidel_theorem and
+    mult_by_ell_sigma, each with the frames and roots its letters give one at a time."""
+    rs = RootSystem(type_label, rank)
+    w = weyl_from_word(rs, rs.nodes)
+    expected = set()
+    for i in special_nodes(rs):
+        assert verify_seidel_theorem(rs, i, w).passed
+        u = pi(rs, i).inverse().element.u
+        expected.add((seidel_element(rs, i).reduced_word(), u.inverse().reduced_word()))
+    for s in sigma_elements(rs):
+        mult_by_ell_sigma(s, ell(ext_identity(rs)))
+        expected.add((s.element.u.inverse().reduced_word(),))
+    star_w(w, ell(ext_identity(rs)))
+    assert set(rs._star_schedules) == expected
+    for words, schedule in rs._star_schedules.items():
+        assert schedule == _schedule_by_letters(rs, words), words
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_reports_agree_on_warm_and_fresh_systems(type_label, rank):
+    """Kept schedules change no report: a fresh system per instance gives the same one."""
+    warm = build_root_system(type_label, rank)
+    group = warm.weyl_group()
+    sample = [group[0], group[-1]] + random.Random(47).sample(group, k=6)
+    for i in special_nodes(warm):
+        for w in sample:
+            verify_seidel_theorem(warm, i, w)
+    for i in special_nodes(warm):
+        for w in sample:
+            fresh = RootSystem(type_label, rank)
+            cold = verify_seidel_theorem(fresh, i, weyl_from_word(fresh, w.reduced_word()))
+            assert cold.passed and cold == verify_seidel_theorem(warm, i, w), (i, w)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from qkseidel import qk
 from qkseidel.errors import UnsupportedProductError, VerificationError
 from qkseidel.laurent import LaurentPoly
 from qkseidel.peterson import VerificationReport
@@ -25,7 +26,7 @@ from qkseidel.qk import (
     verify_standard_lemma,
 )
 from qkseidel.rootsys import build_root_system, longest_element, special_nodes, weyl_from_word
-from qkseidel.seidel import seidel_element
+from qkseidel.seidel import quantum_exponent, seidel_element
 
 
 def all_subsets(rs):
@@ -269,6 +270,28 @@ def test_registry_mechanics():
         reg.record(failed)
 
 
+def test_seidel_product_takes_the_certified_exponent_on_a_miss(monkeypatch):
+    """A registry miss reads d from the report it just checked; a hit computes it."""
+    rs = build_root_system("A", 3)
+    w = weyl_from_word(rs, (2, 1, 3))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return quantum_exponent(*args)
+
+    monkeypatch.setattr(qk, "quantum_exponent", counting)
+    reg = VerificationRegistry()
+    for i in special_nodes(rs):
+        missed = seidel_product(rs, i, w, reg)
+        assert calls == []
+        assert seidel_product(rs, i, w, reg) == missed
+        assert calls == [(rs, i, w)]
+        calls.clear()
+        ((d, _),) = missed.terms
+        assert d == quantum_exponent(rs, i, w)
+
+
 def test_general_product_is_rejected():
     rs = build_root_system("A", 2)
     xi = QKElement.schubert(rs, weyl_from_word(rs, (1,)))
@@ -343,6 +366,42 @@ def test_pushforward_commutes_d4_sample():
     rs = build_root_system("D", 4)
     for sub in [(2,), (1, 3, 4), (1, 2, 3)]:
         assert verify_pushforward_commutes(parabolic_data(rs, sub)), sub
+
+
+@pytest.mark.parametrize("side", ["flag", "parabolic"])
+def test_commutation_check_sees_each_perturbed_left_action(monkeypatch, side):
+    """Doubling s_i^L of one class makes the check fail, for every (i, w) on G/B and
+    for every (i, m) on G/P; an intact check takes s_i^L once per (i, class) on each side."""
+    rs = build_root_system("A", 3)
+    p = parabolic_data(rs, (1, 3))
+    original = qk.left_action
+    base, indices = (frozenset(), rs.weyl_group()) if side == "flag" else (p.subset, p.minimal_reps)
+    calls = []
+
+    def counting(i, xi):
+        if xi.base == base:
+            calls.append((i, *xi.terms))
+        return original(i, xi)
+
+    monkeypatch.setattr(qk, "left_action", counting)
+    assert verify_pushforward_commutes(p)
+    assert len(calls) == len(set(calls)) == len(rs.nodes) * len(indices)
+    for target in itertools.product(rs.nodes, indices):
+        hits = []
+
+        def perturbed(i, xi):
+            out = original(i, xi)
+            ((_, x),) = xi.terms
+            if xi.base == base and (i, x) == target:
+                hits.append(target)
+                return QKElement._trusted(rs, {k: f + f for k, f in out.terms.items()}, out.base)
+            return out
+
+        monkeypatch.setattr(qk, "left_action", perturbed)
+        assert not verify_pushforward_commutes(p), target
+        assert hits == [target]
+    monkeypatch.setattr(qk, "left_action", original)
+    assert verify_pushforward_commutes(p)
 
 
 # ---------------------------------------------------------- parabolic products
