@@ -26,15 +26,13 @@ frame(g), letter i sets frame <- s_i frame and multiplies by e^beta and
 and the frame is applied once at the end instead of a twist per letter
 (K-theoretic Billey formula: Billey, "Kostant polynomials and the cohomology
 ring for G/B", Duke 1999; Graham, "Equivariant K-theory and Schubert
-varieties", 2002).  The frames and roots depend on the words only, so a word
-tuple's letter schedule is built once; the system keeps the schedules of the
-theorem's words, fixed by the node, and of each ell_sigma product's word.
-While words run, an exponent vector is one int of signed base-2^k digits
-(Kronecker substitution), so e^beta is one integer add per term.  Roots are
-bounded coordinatewise by the highest root theta, so after L letters
-|e_j| <= max |e_j| at the start + L max(theta), and k is the least width with
-2^(k-1) above that; terms are packed before the words and unpacked after
-them, and the schedule's roots are packed per call with that call's k.
+varieties", 2002).  Frames and roots depend on the words only: a word tuple's
+letter schedule is built once and kept on the system.  While words run, an
+exponent vector is one int of signed base-2^k digits (Kronecker substitution),
+so e^beta is one integer add per term.  Roots are bounded coordinatewise by the
+highest root theta, so after L letters |e_j| <= max |e_j| at the start +
+L max(theta), and k is the least width with 2^(k-1) above that; terms and the
+schedule's roots are packed per call, and terms are unpacked after the words.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
@@ -174,10 +172,9 @@ def _add(h: dict, g: dict, sign: int) -> None:
             del h[e]
 
 
-def _letter_schedule(rs: RootSystem, words: tuple, keep: bool = False) -> tuple:
+def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
     """Per word, its letters last first as (i, beta), and the last frame: letter i sets
-    frame <- s_i frame, then beta = frame^{-1}(alpha_i).  Kept on the system if asked, for
-    word tuples fixed by a node or a sigma; star_w's vary with w and are not kept."""
+    frame <- s_i frame, then beta = frame^{-1}(alpha_i).  Kept on the system per words."""
     if (schedule := rs._star_schedules.get(words)) is None:
         frame, runs = rs.identity_weyl(), []
         for word in words:
@@ -186,26 +183,23 @@ def _letter_schedule(rs: RootSystem, words: tuple, keep: bool = False) -> tuple:
                 frame = affine_simple_reflection(rs, i).u * frame
                 run.append((i, frame.inverse().act_root(affine_simple_root(rs, i).finite)))
             runs.append(tuple(run))
-        schedule = tuple(runs), frame
-        if keep:
-            rs._star_schedules[words] = schedule
+        schedule = rs._star_schedules[words] = tuple(runs), frame
     return schedule
 
 
-def _star_words(z: PetersonElement, *words: tuple[int, ...], keep: bool = False) -> tuple:
+def _star_words(z: PetersonElement, *words: tuple[int, ...]) -> tuple:
     """star_s by each word in turn (its last letter first), in one frame and one packing.
 
     Returns the terms, whose coefficients g stand for frame(g), the frame, and
     the keys after each word.  Keys are star_s's, but one root x^{-1}(alpha_i)
     decides each case and builds s_i x (grassmannian_ascent); s_i(f) e^{alpha_i}
     = frame(g e^beta) with beta = frame^{-1}(alpha_i) for the new frame, so
-    nothing is twisted.  Frames and roots come from the words' letter schedule
-    (kept as _letter_schedule says); exponents and roots are packed per call as
-    the module docstring says, and every polynomial meets the term budget after
-    every letter.
+    nothing is twisted.  Frames and roots come from the kept letter schedule and
+    are packed as the module docstring says; every polynomial meets the term
+    budget after every letter.
     """
     rs = z.rs
-    runs, frame = _letter_schedule(rs, words, keep)
+    runs, frame = _letter_schedule(rs, words)
     start = max((abs(a) for f in z.terms.values() for e in f.terms for a in e), default=0)
     k = _pack_width(start + sum(map(len, runs)) * max(rs.highest_root))
     terms = {x: {_pack(e, k): c for e, c in f.terms.items()} for x, f in z.terms.items()}
@@ -268,7 +262,7 @@ def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElemen
     star-act by u_sigma^{-1}, then relabel keys by sigma and twist the
     coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
-    terms, _, _ = _star_words(z, sigma.element.u.inverse().reduced_word(), keep=True)
+    terms, _, _ = _star_words(z, sigma.element.u.inverse().reduced_word())
     # x -> sigma x is injective, so no two terms meet
     return PetersonElement(z.rs, {sigma.element * x: g for x, g in terms.items()})
 
@@ -388,8 +382,7 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     x = from_finite(w) * translation(rs, g_w)
     # v * ell_x, then mult_by_ell_sigma(sig_inv, .) in the same frame: one twist, by v
     u = sig_inv.element.u
-    words = v.reduced_word(), u.inverse().reduced_word()
-    terms, frame, (support, _) = _star_words(ell(x), *words, keep=True)
+    terms, frame, (support, _) = _star_words(ell(x), v.reduced_word(), u.inverse().reduced_word())
     check_support = bool(support) and all(y.is_grassmannian() for y in support)
 
     twist = (u * frame).m  # frame = u^{-1} v

@@ -292,27 +292,21 @@ def verify_minrep_biconditional(p: ParabolicData) -> bool:
 def verify_pushforward_commutes(p: ParabolicData) -> bool:
     """pushforward(s_i^L O^w) = s_i^L pushforward(O^w), plus the two coset lemmas.
 
-    Each (i, w) computes its left side afresh.  pushforward(O^w) = O^{minrep(w)}
-    is computed once per w, and W is walked coset by coset, so its s_i^L image is
-    computed once per (i, term) and kept only while the coset lasts.
+    Each (i, w) computes its left side afresh; pushforward(O^w) is computed once
+    per w, and its s_i^L image once per (i, pushed class) in the whole call.
     """
     rs = p.rs
     if not verify_standard_lemma(p):
         return False
     if not verify_minrep_biconditional(p):
         return False
-    cosets: dict[WeylElement, list[WeylElement]] = {}
+    images: dict[tuple, QKElement] = {}
     for w in rs.weyl_group():
-        cosets.setdefault(minrep_w(w, p), []).append(w)
-    for coset in cosets.values():
-        images: dict[tuple, QKElement] = {}
-        for w in coset:
-            xi = QKElement.schubert(rs, w)
-            pushed = pushforward(xi, p)
-            for i in rs.nodes:
-                key = (i, *pushed.terms.items())
-                if key not in images:
-                    images[key] = left_action(i, pushed)
-                if pushforward(left_action(i, xi), p) != images[key]:
-                    return False
+        xi = QKElement.schubert(rs, w)
+        pushed = pushforward(xi, p)
+        for i in rs.nodes:
+            if (key := (i, *pushed.terms.items())) not in images:
+                images[key] = left_action(i, pushed)
+            if pushforward(left_action(i, xi), p) != images[key]:
+                return False
     return True
