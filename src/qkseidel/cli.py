@@ -23,14 +23,7 @@ from .errors import SizeLimitError, UnsupportedProductError, VerificationError
 from .laurent import get_term_budget, set_term_budget
 from .qk import parabolic_data, q_text, seidel_product_parabolic, verify_pushforward_commutes
 from .rootsys import build_root_system, weyl_from_word
-from .seidel import (
-    gamma,
-    one_line,
-    quantum_exponent,
-    seidel_element,
-    verify_group_lemma,
-    verify_key_lemma,
-)
+from .seidel import gamma, grassmannian_key, one_line, verify_group_lemma, verify_key_lemma
 from .peterson import verify_seidel_theorem
 from .sweeps import default_plan, run_sweep_unit
 
@@ -101,10 +94,8 @@ def cmd_table(args, out) -> int:
     # both index sets are already in (length, reduced word) order
     for w in index_set:
         if p is None:
-            d = quantum_exponent(rs, i, w)
             rep = verify_seidel_theorem(rs, i, w)
-            product = (seidel_element(rs, i) * w).reduced_word()
-            verified = rep.passed
+            d, product, verified = rep.q_exponent, rep.product_word, rep.passed
             details = {"checks": dict(rep.checks)}
         else:
             out_elt = seidel_product_parabolic(rs, i, w, p)
@@ -201,10 +192,7 @@ def cmd_element(args, out) -> int:
         raise ValueError("element requires --word")
     w = weyl_from_word(rs, _parse_word(args.word))
     g = gamma(rs, w)
-    from .affine import from_finite, translation
-
-    key = from_finite(w) * translation(rs, g)
-    sigma, affine_word = sigma_decompose(key)
+    sigma, affine_word = sigma_decompose(grassmannian_key(rs, w))
     try:
         line = one_line(w)
     except ValueError:
@@ -302,12 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_rank=True):
+    def common(p, formats=("json", "latex", "text")):
         p.add_argument("--type", required=True, choices=list("ABCDEFG"), help="Cartan type")
-        p.add_argument("--rank", required=need_rank, type=int, help="rank")
-        p.add_argument(
-            "--format", default="text", choices=["json", "latex", "text"], help="output format"
-        )
+        p.add_argument("--rank", required=True, type=int, help="rank")
+        p.add_argument("--format", default="text", choices=formats, help="output format")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--budget", default=None, type=int, help="term budget override")
 
@@ -325,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("element", help="inspect a Weyl element")
-    common(e)
+    common(e, formats=("json", "text"))
     e.add_argument("--word", default=None, help="comma-separated word")
     e.set_defaults(func=cmd_element)
 
@@ -346,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    saved_budget = get_term_budget()
     if args.budget is not None:
         try:
             set_term_budget(args.budget)
@@ -366,6 +353,8 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        set_term_budget(saved_budget)
 
 
 if __name__ == "__main__":

@@ -47,6 +47,15 @@ def accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
+def _add(h: dict, g: dict, sign: int) -> None:
+    """h += sign * g on sparse terms, in place."""
+    for e, c in g.items():
+        if new := h.get(e, 0) + sign * c:
+            h[e] = new
+        else:
+            del h[e]
+
+
 def _check_budget(n_terms: int) -> None:
     if n_terms > _TERM_BUDGET:
         raise SizeLimitError(
@@ -151,12 +160,7 @@ class LaurentPoly:
         if rhs is None:
             return NotImplemented
         out = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            new = out.get(exps, 0) + sign * coeff
-            if new:
-                out[exps] = new
-            else:
-                del out[exps]
+        _add(out, rhs.terms, sign)
         return LaurentPoly._trusted(self.nvars, out)
 
     def __add__(self, other) -> "LaurentPoly":

@@ -53,14 +53,13 @@ from .affine import (
     affine_nodes,
     affine_simple_reflection,
     affine_simple_root,
-    from_finite,
     pi,
     translation,
 )
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly, _check_budget, _pack, _pack_width, _unpack, accumulate
+from .laurent import LaurentPoly, _add, _check_budget, _pack, _pack_width, _unpack, accumulate
 from .rootsys import RootSystem, WeylElement, is_antidominant
-from .seidel import gamma, quantum_exponent, seidel_datum
+from .seidel import gamma, grassmannian_key, quantum_exponent, seidel_datum
 
 
 class PetersonElement:
@@ -161,15 +160,6 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
         else:
             accumulate(out, x, f + delta)
     return PetersonElement(rs, out)
-
-
-def _add(h: dict, g: dict, sign: int) -> None:
-    """h += sign * g on packed exponents, in place."""
-    for e, c in g.items():
-        if new := h.get(e, 0) + sign * c:
-            h[e] = new
-        else:
-            del h[e]
 
 
 def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
@@ -323,19 +313,14 @@ class LocalizedClass:
 
 def o_class(rs: RootSystem, w: WeylElement) -> LocalizedClass:
     """O^w = ell_{w t_{gamma_w}} / prod_{j in Des(w)} sigma_j."""
-    g = gamma(rs, w)
-    num = ell(from_finite(w) * translation(rs, g))
-    den = tuple(-c for c in g)
-    return LocalizedClass(num, den)
+    return LocalizedClass(ell(grassmannian_key(rs, w)), tuple(-c for c in gamma(rs, w)))
 
 
 def q_class(rs: RootSystem, beta: tuple[int, ...]) -> LocalizedClass:
     """Q^beta = prod_j sigma_j^{-<beta, alpha_j>}, beta in simple-coroot coords."""
     if len(beta) != rs.rank:
         raise ValueError(f"exponent {beta} has wrong arity")
-    pairings = tuple(
-        sum(beta[k] * rs.cartan[k][j] for k in range(rs.rank)) for j in range(rs.rank)
-    )
+    pairings = rs.coroots_to_coweight(beta)
     num_lam = tuple(min(p, 0) for p in pairings)  # antidominant part
     den = tuple(max(p, 0) for p in pairings)
     return LocalizedClass(ell(translation(rs, num_lam)), den)
@@ -379,7 +364,7 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     sig_inv = datum.sigma.inverse()
 
     g_w = gamma(rs, w)
-    x = from_finite(w) * translation(rs, g_w)
+    x = grassmannian_key(rs, w)
     # v * ell_x, then mult_by_ell_sigma(sig_inv, .) in the same frame: one twist, by v
     u = sig_inv.element.u
     terms, frame, (support, _) = _star_words(ell(x), v.reduced_word(), u.inverse().reduced_word())
@@ -394,7 +379,7 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
 
     vw = v * w
     g_vw = gamma(rs, vw)
-    key_vw = from_finite(vw) * translation(rs, g_vw)
+    key_vw = grassmannian_key(rs, vw)
     check_keys = target == key_vw
     shift = w.inverse().act_coweight(rs.fundamental_coweight(i))
     check_keys = check_keys and g_vw == tuple(a - b for a, b in zip(g_w, shift))

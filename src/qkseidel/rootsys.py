@@ -197,11 +197,11 @@ class WeylElement:
 class RootSystem:
     """Irreducible finite root system of a given type and rank.
 
-    Positive roots are generated from the simple roots by closing under root
-    strings: beta + alpha_i is a root iff the string through beta in direction
-    alpha_i extends above beta, i.e. p - <alpha_i^vee, beta> > 0 where p is the
-    depth of the string below beta.  Coroots are carried through the reflection
-    orbit so beta^vee is available without a Euclidean realization.
+    Positive roots and their coroots come from one orbit: the simple roots
+    under simple reflections, kept positive.  It reaches every positive root,
+    since a non-simple one has some <alpha_i^vee, beta> > 0 and s_i beta is a
+    lower positive root.  Carrying beta^vee along makes it available without a
+    Euclidean realization.
     """
 
     def __init__(self, type_label: str, rank: int):
@@ -215,8 +215,8 @@ class RootSystem:
         self._unit = {
             j: tuple(1 if k == j - 1 else 0 for k in range(rank)) for j in self.nodes
         }
-        self.positive_roots = self._close_positive_roots()
         self.coroot_table = self._coroot_orbit()
+        self.positive_roots = tuple(sorted(self.coroot_table))
         self.highest_root = self._find_highest_root()
         self.highest_root_coroot = self.coroot_table[self.highest_root]
         self._special_nodes = tuple(
@@ -250,31 +250,6 @@ class RootSystem:
 
     # -- construction ---------------------------------------------------
 
-    def _close_positive_roots(self) -> tuple[Root, ...]:
-        n = self.rank
-        simple = list(self._unit.values())
-        found = set(simple)
-        level = list(simple)
-        ordered = list(simple)
-        while level:
-            nxt = []
-            for beta in level:
-                for j in range(n):
-                    alpha = simple[j]
-                    p = 0
-                    down = tuple(b - a for b, a in zip(beta, alpha))
-                    while down in found:
-                        p += 1
-                        down = tuple(b - a for b, a in zip(down, alpha))
-                    if p - self.pair_coroot_root(j + 1, beta) > 0:
-                        up = tuple(b + a for b, a in zip(beta, alpha))
-                        if up not in found:
-                            found.add(up)
-                            nxt.append(up)
-                            ordered.append(up)
-            level = nxt
-        return tuple(sorted(ordered))
-
     def _coroot_orbit(self) -> dict[Root, Root]:
         """Map each positive root to its coroot, in simple-coroot coordinates.
 
@@ -299,7 +274,6 @@ class RootSystem:
                 )
                 table[img] = coimg
                 queue.append(img)
-        assert set(table) == set(self.positive_roots)
         return table
 
     def _find_highest_root(self) -> Root:

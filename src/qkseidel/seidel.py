@@ -29,6 +29,7 @@ from .rootsys import (
 __all__ = [
     "SeidelDatum",
     "gamma",
+    "grassmannian_key",
     "one_line",
     "quantum_exponent",
     "seidel_datum",
@@ -39,16 +40,19 @@ __all__ = [
 ]
 
 def seidel_element(rs: RootSystem, i: int) -> WeylElement:
-    """v[i] = w_o * w_{P_i} for a special node i."""
-    if i not in special_nodes(rs):
-        raise ValueError("node %d is not special in %r" % (i, rs))
-    return longest_element(rs) * longest_element(rs, set(rs.nodes) - {i})
+    """v[i] = w_o * w_{P_i} for a special node i, as certified by seidel_datum."""
+    return seidel_datum(rs, i).element
 
 
 def gamma(rs: RootSystem, w: WeylElement) -> Coweight:
     """The antidominant coweight -sum of fundamental coweights over Des(w)."""
     des = set(w.descent_set())
     return tuple(-1 if j in des else 0 for j in rs.nodes)
+
+
+def grassmannian_key(rs: RootSystem, w: WeylElement) -> ExtAffineWeylElement:
+    """w t_{gamma_w}, the affine Grassmannian element that indexes O^w."""
+    return from_finite(w) * translation(rs, gamma(rs, w))
 
 
 def quantum_exponent(rs: RootSystem, i: int, w: WeylElement) -> tuple[int, ...]:
@@ -81,8 +85,8 @@ def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
     """Builds the datum for node i and certifies its defining identities."""
     if i in rs._datum_cache:
         return rs._datum_cache[i]
-    v = seidel_element(rs, i)
-    p = pi(rs, i)
+    p = pi(rs, i)  # rejects a node that is not special
+    v = longest_element(rs) * longest_element(rs, set(rs.nodes) - {i})
     minus_omega = tuple(-c for c in rs.fundamental_coweight(i))
     t_min = translation(rs, minus_omega)
     kappa = p.element * t_min
@@ -127,10 +131,9 @@ def verify_key_lemma(rs: RootSystem, i: int, w: WeylElement) -> KeyLemmaReport:
 
 def verify_group_lemma(rs: RootSystem, i: int, w: WeylElement) -> bool:
     """pi_i^{-1} w t_{gamma_w} = (v[i] w) t_{gamma_{v[i] w}} in the extended group."""
-    v = seidel_element(rs, i)
-    lhs = pi(rs, i).inverse().element * from_finite(w) * translation(rs, gamma(rs, w))
-    rhs = from_finite(v * w) * translation(rs, gamma(rs, v * w))
-    return lhs == rhs
+    datum = seidel_datum(rs, i)
+    lhs = datum.sigma.inverse().element * grassmannian_key(rs, w)
+    return lhs == grassmannian_key(rs, datum.element * w)
 
 
 # -- display sugar ------------------------------------------------------------

@@ -258,3 +258,43 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert canonical_json(json.loads(target.read_text())) == target.read_text()
+
+
+def test_budget_flag_does_not_outlive_main(capsys):
+    saved = get_term_budget()
+    try:
+        code, _, _ = run(capsys, "element", "--type", "A", "--rank", "2", "--word", "1", "--budget", "50")
+        assert code == 0
+        assert get_term_budget() == saved
+        code, _, _ = run(
+            capsys, "verify", "--type", "A", "--rank", "2", "--node", "2", "--word", "1", "--budget", "1"
+        )
+        assert code == 3
+        assert get_term_budget() == saved
+    finally:
+        set_term_budget(saved)
+
+
+def test_element_rejects_latex(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["element", "--type", "A", "--rank", "2", "--word", "1", "--format", "latex"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'latex'" in capsys.readouterr().err
+
+
+PINNED_OUTPUTS = [
+    ("cli_table_A3_node1.txt", "table --type A --rank 3 --node 1"),
+    ("cli_table_A3_node1.json", "table --type A --rank 3 --node 1 --format json"),
+    ("cli_table_A3_node1.tex", "table --type A --rank 3 --node 1 --format latex"),
+    ("cli_table_C2_node2_parabolic1.json",
+     "table --type C --rank 2 --node 2 --parabolic 1 --format json"),
+    ("cli_element_D5.txt", "element --type D --rank 5 --word 2,4,3,5,3,1,2"),
+    ("cli_element_D5.json", "element --type D --rank 5 --word 2,4,3,5,3,1,2 --format json"),
+]
+
+
+@pytest.mark.parametrize("name,argv", PINNED_OUTPUTS, ids=[name for name, _ in PINNED_OUTPUTS])
+def test_output_matches_pinned_bytes(capsys, name, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert out == (Path(__file__).parent / name).read_text(encoding="utf-8")

@@ -1,7 +1,8 @@
 """Root system and Weyl group tests.
 
-The generation oracle is independent of the string-closure construction: the
-full root set is the orbit of the simple roots under simple reflections.
+The generation oracle is independent of the construction, which carries each
+positive root with its coroot and never leaves the positive roots: here the full
+root set is the orbit of the simple roots under Cartan-matrix reflections.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ def orbit_roots(rs) -> set:
     return {b for b in seen if root_is_positive(b)}
 
 
-@pytest.mark.parametrize("type_label,rank", DESK_TYPES)
+@pytest.mark.parametrize("type_label,rank", DESK_TYPES + [("E", 6), ("E", 7), ("E", 8)])
 def test_positive_roots_match_reflection_orbit(type_label, rank):
     rs = build_root_system(type_label, rank)
     assert set(rs.positive_roots) == orbit_roots(rs)
