@@ -12,6 +12,7 @@ passed, 1 a failed verification, 2 invalid input, 3 a size limit exceeded
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -340,10 +341,15 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                return args.func(args, handle)
-        return args.func(args, sys.stdout)
+        if args.out is None:
+            return args.func(args, sys.stdout)
+        # the report goes to the file only once the command returns, so a command
+        # that raises leaves an existing file as it was
+        buffer = io.StringIO()
+        code = args.func(args, buffer)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(buffer.getvalue())
+        return code
     except SizeLimitError as exc:
         print(f"size limit exceeded: {exc}", file=sys.stderr)
         return 3

@@ -31,8 +31,9 @@ letter schedule is built once and kept on the system.  While words run, an
 exponent vector is one int of signed base-2^k digits (Kronecker substitution),
 so e^beta is one integer add per term.  Roots are bounded coordinatewise by the
 highest root theta, so after L letters |e_j| <= max |e_j| at the start +
-L max(theta), and k is the least width with 2^(k-1) above that; terms and the
-schedule's roots are packed per call, and terms are unpacked after the words.
+L max(theta), and k is the least width with 2^(k-1) above that; terms are
+packed per call and unpacked after the words, and the schedule keeps its roots
+packed per width k.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
@@ -163,8 +164,9 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
 
 
 def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
-    """Per word, its letters last first as (i, beta), and the last frame: letter i sets
-    frame <- s_i frame, then beta = frame^{-1}(alpha_i).  Kept on the system per words."""
+    """Per word, its letters last first as (i, beta), the last frame, and the runs with
+    beta packed, per width k (filled by _star_words): letter i sets frame <- s_i frame,
+    then beta = frame^{-1}(alpha_i).  Kept on the system per words."""
     if (schedule := rs._star_schedules.get(words)) is None:
         frame, runs = rs.identity_weyl(), []
         for word in words:
@@ -173,7 +175,7 @@ def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
                 frame = affine_simple_reflection(rs, i).u * frame
                 run.append((i, frame.inverse().act_root(affine_simple_root(rs, i).finite)))
             runs.append(tuple(run))
-        schedule = rs._star_schedules[words] = tuple(runs), frame
+        schedule = rs._star_schedules[words] = tuple(runs), frame, {}
     return schedule
 
 
@@ -185,18 +187,21 @@ def _star_words(z: PetersonElement, *words: tuple[int, ...]) -> tuple:
     decides each case and builds s_i x (grassmannian_ascent); s_i(f) e^{alpha_i}
     = frame(g e^beta) with beta = frame^{-1}(alpha_i) for the new frame, so
     nothing is twisted.  Frames and roots come from the kept letter schedule and
-    are packed as the module docstring says; every polynomial meets the term
-    budget after every letter.
+    are packed as the module docstring says (for ell(x), k depends on the words
+    only); every polynomial meets the term budget after every letter.
     """
     rs = z.rs
-    runs, frame = _letter_schedule(rs, words)
+    runs, frame, packed = _letter_schedule(rs, words)
     start = max((abs(a) for f in z.terms.values() for e in f.terms for a in e), default=0)
     k = _pack_width(start + sum(map(len, runs)) * max(rs.highest_root))
+    if (packed_runs := packed.get(k)) is None:
+        packed_runs = packed[k] = tuple(
+            tuple((i, _pack(root, k)) for i, root in run) for run in runs
+        )
     terms = {x: {_pack(e, k): c for e, c in f.terms.items()} for x, f in z.terms.items()}
     keys = []
-    for run in runs:
-        for i, root in run:
-            beta = _pack(root, k)
+    for run in packed_runs:
+        for i, beta in run:
             out: dict[ExtAffineWeylElement, dict[int, int]] = {}
             for x, g in terms.items():  # each g is consumed
                 if (y := x.grassmannian_ascent(i)) is not None:
@@ -351,6 +356,19 @@ class VerificationReport:
         return self.passed
 
 
+def _theorem_node(rs: RootSystem, i: int) -> tuple:
+    """v[i], the element of pi_i^{-1}, the two star words of verify_seidel_theorem and its
+    final twist, for a special node i.  Kept on the system per node."""
+    if (constants := rs._theorem_nodes.get(i)) is None:
+        datum = seidel_datum(rs, i)  # rejects a node that is not special
+        v, sig_inv = datum.element, datum.sigma.inverse().element
+        u = sig_inv.u
+        words = (v.reduced_word(), u.inverse().reduced_word())
+        frame = _letter_schedule(rs, words)[1]  # u^{-1} v
+        constants = rs._theorem_nodes[i] = v, sig_inv, words, (u * frame).m
+    return constants
+
+
 def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> VerificationReport:
     """Replay the product identity O^{v_i} (v_i * O^w) = Q^{...} O^{v_i w}.
 
@@ -359,22 +377,18 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     single expected basis class; the group-level and coweight-level key
     identities hold; and the assembled localized classes agree.
     """
-    datum = seidel_datum(rs, i)
-    v = datum.element
-    sig_inv = datum.sigma.inverse()
+    v, sig_inv, words, twist = _theorem_node(rs, i)
 
     g_w = gamma(rs, w)
     x = grassmannian_key(rs, w)
-    # v * ell_x, then mult_by_ell_sigma(sig_inv, .) in the same frame: one twist, by v
-    u = sig_inv.element.u
-    terms, frame, (support, _) = _star_words(ell(x), v.reduced_word(), u.inverse().reduced_word())
+    # v * ell_x, then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame: one twist, by v
+    terms, _, (support, _) = _star_words(ell(x), *words)
     check_support = bool(support) and all(y.is_grassmannian() for y in support)
 
-    twist = (u * frame).m  # frame = u^{-1} v
     collapsed = PetersonElement(
-        rs, {sig_inv.element * y: g.act_exponents(twist) for y, g in terms.items()}
+        rs, {sig_inv * y: g.act_exponents(twist) for y, g in terms.items()}
     )
-    target = sig_inv.element * x
+    target = sig_inv * x
     check_collapse = collapsed == ell(target)
 
     vw = v * w
@@ -427,7 +441,7 @@ def verify_phi_compatibility(rs: RootSystem, i: int, w: WeylElement) -> bool:
     o_w = o_class(rs, w)
     # the star action passes through the numerator: sigma denominators are W-invariant
     lhs = LocalizedClass(star_s(i, o_w.num), o_w.den)
-    siw = rs.simple_reflection(i) * w
+    siw = w.left_reflect(i)
     if siw.length() < w.length():
         alpha = LaurentPoly.monomial(rs.simple_root(i))
         one = LaurentPoly.one(rs.rank)

@@ -16,6 +16,7 @@ and shift_q build valid terms from valid ones and skip it (QKElement._trusted).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import UnsupportedProductError, VerificationError
@@ -37,6 +38,11 @@ class ParabolicData:
     subgroup_order: int
     # w -> the minimal representative of w W_P; the fields above determine it
     minrep_table: dict[WeylElement, WeylElement] = field(compare=False, repr=False)
+    # per node, 0 inside the subset and 1 outside; derived from rs and subset
+    mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", tuple(int(j not in self.subset) for j in self.rs.nodes))
 
     def __contains__(self, w: WeylElement) -> bool:
         return all(j not in self.subset for j in w.descent_set())
@@ -69,7 +75,7 @@ def minrep_beta(beta: QExponent, p: ParabolicData) -> QExponent:
     """Project a coroot-basis exponent by deleting the I_P coordinates."""
     if len(beta) != p.rs.rank:
         raise ValueError(f"exponent {beta} has wrong arity")
-    return tuple(0 if j in p.subset else b for j, b in zip(p.rs.nodes, beta))
+    return tuple(map(operator.mul, beta, p.mask))
 
 
 def q_text(d: QExponent) -> str:
@@ -176,7 +182,7 @@ def left_action(i: int, xi: QKElement) -> QKElement:
         if w.inverse().perm[k] >= rs.npos:
             up = sf.shifted(root)
             accumulate(out, (d, w), up)
-            accumulate(out, (d, rs.simple_reflection(i) * w), sf - up)
+            accumulate(out, (d, w.left_reflect(i)), sf - up)
         else:
             accumulate(out, (d, w), sf)
     # keys are xi's or (d, s_i w) with s_i w < w, which stays minimal; accumulate drops zeros
@@ -270,7 +276,7 @@ def verify_standard_lemma(p: ParabolicData) -> bool:
     rs = p.rs
     for w in p.minimal_reps:
         for i in rs.nodes:
-            sw = rs.simple_reflection(i) * w
+            sw = w.left_reflect(i)
             if sw.length() > w.length() and sw not in p:
                 if not any(sw == w * rs.simple_reflection(j) for j in p.subset):
                     return False
@@ -283,8 +289,8 @@ def verify_minrep_biconditional(p: ParabolicData) -> bool:
     for w in rs.weyl_group():
         m = minrep_w(w, p)
         for i in rs.nodes:
-            sm = rs.simple_reflection(i) * m
-            if (sm in p) != (sm == minrep_w(rs.simple_reflection(i) * w, p)):
+            sm = m.left_reflect(i)
+            if (sm in p) != (sm == minrep_w(w.left_reflect(i), p)):
                 return False
     return True
 

@@ -94,7 +94,9 @@ class WeylElement:
     Instances are interned per root system; equality is permutation equality.
     """
 
-    __slots__ = ("rs", "perm", "_inverse", "_m", "_word", "_length", "_descents", "_hash")
+    __slots__ = (
+        "rs", "perm", "_inverse", "_m", "_word", "_length", "_descents", "_left", "_hash"
+    )
 
     def __init__(self, rs: "RootSystem", perm: tuple[int, ...]):
         self.rs = rs
@@ -104,6 +106,7 @@ class WeylElement:
         self._word: Optional[tuple[int, ...]] = None
         self._length: Optional[int] = None
         self._descents: Optional[tuple[int, ...]] = None
+        self._left: Optional[list] = None  # left_reflect per node, None until asked
         self._hash = hash(perm)
 
     def __repr__(self) -> str:
@@ -118,6 +121,15 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.rs._weyl(tuple(map(self.perm.__getitem__, other.perm)))
+
+    def left_reflect(self, i: int) -> "WeylElement":
+        """s_i w, remembered per node."""
+        memo = self._left
+        if memo is None:
+            memo = self._left = [None] * (self.rs.rank + 1)
+        if memo[i] is None:
+            memo[i] = self.rs.simple_reflection(i) * self
+        return memo[i]
 
     def inverse(self) -> "WeylElement":
         if self._inverse is None:
@@ -186,7 +198,7 @@ class WeylElement:
         while cur._word is None:
             i = cur.inverse().descent_set()[0]
             chain.append((cur, i))
-            cur = self.rs.simple_reflection(i) * cur
+            cur = cur.left_reflect(i)
         word = cur._word
         for elem, i in reversed(chain):
             word = (i,) + word
@@ -242,6 +254,7 @@ class RootSystem:
         self._ext_intern: dict = {}
         self._ascent_letters: dict = {}
         self._star_schedules: dict = {}
+        self._theorem_nodes: dict = {}
         self._sigma_group: Optional[tuple] = None
         self._datum_cache: dict = {}
 

@@ -191,7 +191,7 @@ def sweep_grassmannian_dichotomy(
             total += 1
             y = affine_simple_reflection(rs, i) * x
             left = y.ext_length() > x.ext_length() and y.is_grassmannian()
-            si_u = rs.simple_reflection(i) * x.u
+            si_u = x.u.left_reflect(i)
             right = si_u.length() < x.u.length()
             if left != right:
                 failures.append(f"i={i} x=({x.lam}, {x.u.reduced_word()})")

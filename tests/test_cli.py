@@ -260,6 +260,24 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert canonical_json(json.loads(target.read_text())) == target.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--type", "A", "--rank", "2", "--node", "2", "--word", "1", "--budget", "1"),
+    ("table", "--type", "A", "--rank", "12", "--node", "1"),
+])
+def test_failing_command_leaves_out_file_untouched(tmp_path, capsys, argv):
+    """A command that exits 3 writes nothing to --out: an earlier report survives byte for byte."""
+    target = tmp_path / "report.txt"
+    earlier = b"an earlier report\n\xc3\xa9\n"
+    target.write_bytes(earlier)
+    saved = get_term_budget()
+    try:
+        code, out, err = run(capsys, *argv, "--out", str(target))
+    finally:
+        set_term_budget(saved)
+    assert code == 3 and out == "" and err
+    assert target.read_bytes() == earlier
+
+
 def test_budget_flag_does_not_outlive_main(capsys):
     saved = get_term_budget()
     try:

@@ -16,7 +16,7 @@ from qkseidel.affine import (
     from_finite,
 )
 from qkseidel.errors import SizeLimitError, UnsupportedProductError
-from qkseidel.laurent import LaurentPoly, get_term_budget, set_term_budget
+from qkseidel.laurent import LaurentPoly, _pack, get_term_budget, set_term_budget
 from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
@@ -577,7 +577,8 @@ def _schedule_by_letters(rs, words):
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank):
     """Every word tuple of verify_seidel_theorem, mult_by_ell_sigma and star_w is kept
-    with the frames and roots its letters give one at a time."""
+    with the frames and roots its letters give one at a time, and with those roots
+    packed at the one width k that ell(x) inputs give the word tuple."""
     rs = RootSystem(type_label, rank)
     w = weyl_from_word(rs, rs.nodes)
     expected = set()
@@ -591,8 +592,12 @@ def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank)
     star_w(w, ell(ext_identity(rs)))
     expected.add((w.reduced_word(),))
     assert expected <= set(rs._star_schedules)
-    for words, schedule in rs._star_schedules.items():
-        assert schedule == _schedule_by_letters(rs, words), words
+    for words, (runs, frame, packed) in rs._star_schedules.items():
+        assert (runs, frame) == _schedule_by_letters(rs, words), words
+        ((k, packed_runs),) = packed.items()
+        assert packed_runs == tuple(
+            tuple((i, _pack(root, k)) for i, root in run) for run in runs
+        ), words
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])

@@ -25,7 +25,13 @@ from qkseidel.qk import (
     verify_pushforward_commutes,
     verify_standard_lemma,
 )
-from qkseidel.rootsys import build_root_system, longest_element, special_nodes, weyl_from_word
+from qkseidel.rootsys import (
+    RootSystem,
+    build_root_system,
+    longest_element,
+    special_nodes,
+    weyl_from_word,
+)
 from qkseidel.seidel import quantum_exponent, seidel_element
 
 
@@ -102,6 +108,94 @@ def test_minrep_beta_deletes_coordinates():
         x + y for x, y in zip(minrep_beta(a, p4), minrep_beta(b, p4))
     )
     assert minrep_beta(minrep_beta(a, p4), p4) == minrep_beta(a, p4)
+
+
+def _minrep_beta_by_membership(beta, p):
+    return tuple(0 if j in p.subset else b for j, b in zip(p.rs.nodes, beta))
+
+
+@pytest.mark.parametrize("type_label,rank", [("B", 3), ("D", 4)])
+def test_minrep_beta_mask_matches_node_membership(type_label, rank):
+    """The 0/1 node mask projects like deleting the subset's coordinates, and it is
+    derived data: equality, hash and repr ignore it."""
+    rs = build_root_system(type_label, rank)
+    box = list(itertools.product(range(3), repeat=rank))
+    for subset in all_subsets(rs):
+        p = parabolic_data(rs, subset)
+        assert p.mask == tuple(int(j not in subset) for j in rs.nodes)
+        for beta in box:
+            assert minrep_beta(beta, p) == _minrep_beta_by_membership(beta, p), (subset, beta)
+        assert repr(p) == (
+            f"ParabolicData(rs={rs!r}, subset={p.subset!r}, "
+            f"minimal_reps={p.minimal_reps!r}, subgroup_order={p.subgroup_order!r})"
+        )
+        twin = dataclasses.replace(p)
+        object.__setattr__(twin, "mask", (7,) * rank)
+        assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
+        with pytest.raises(ValueError):
+            minrep_beta((0,) * (rank + 1), p)
+
+
+def _standard_lemma_by_products(p):
+    rs = p.rs
+    for w in p.minimal_reps:
+        for i in rs.nodes:
+            sw = rs.simple_reflection(i) * w
+            if sw.length() > w.length() and sw not in p:
+                if not any(sw == w * rs.simple_reflection(j) for j in p.subset):
+                    return False
+    return True
+
+
+def _biconditional_by_products(p):
+    rs = p.rs
+    for w in rs.weyl_group():
+        m = minrep_w(w, p)
+        for i in rs.nodes:
+            sm = rs.simple_reflection(i) * m
+            if (sm in p) != (sm == minrep_w(rs.simple_reflection(i) * w, p)):
+                return False
+    return True
+
+
+def _schubert_left_action_by_products(rs, i, w, project):
+    """s_i^L O^w by the two-case formula, with s_i w a product and each index projected."""
+    out = {}
+    sw = rs.simple_reflection(i) * w
+    alpha = LaurentPoly.monomial(rs.simple_root(i))
+    if sw.length() < w.length():
+        parts = [(w, alpha), (sw, LaurentPoly.one(rs.rank) - alpha)]
+    else:
+        parts = [(w, LaurentPoly.one(rs.rank))]
+    for u, f in parts:
+        key = project(u)
+        out[key] = out[key] + f if key in out else f
+    return {u: f for u, f in out.items() if not f.is_zero()}
+
+
+def _commutes_by_products(p):
+    rs = p.rs
+    if not (_standard_lemma_by_products(p) and _biconditional_by_products(p)):
+        return False
+    for w in rs.weyl_group():
+        m = minrep_w(w, p)
+        for i in rs.nodes:
+            pushed_first = _schubert_left_action_by_products(rs, i, w, lambda u: minrep_w(u, p))
+            if pushed_first != _schubert_left_action_by_products(rs, i, m, lambda u: u):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_coset_verdicts_match_product_reference(type_label, rank):
+    """The standard-lemma, biconditional and commutation verdicts, which read s_i w from
+    left_reflect, equal a reference that multiplies, on every subset of a cold system."""
+    rs = RootSystem(type_label, rank)
+    for subset in all_subsets(rs):
+        p = parabolic_data(rs, subset)
+        assert verify_standard_lemma(p) == _standard_lemma_by_products(p), subset
+        assert verify_minrep_biconditional(p) == _biconditional_by_products(p), subset
+        assert verify_pushforward_commutes(p) == _commutes_by_products(p), subset
 
 
 # ----------------------------------------------------------------- left action

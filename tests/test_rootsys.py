@@ -422,3 +422,19 @@ def test_weyl_group_is_matrix_closure(type_label, rank):
     group = rs.weyl_group()
     assert [w.m for w in group] == ordered
     assert [w.minv for w in group] == [closure[m] for m in ordered]
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+)
+def test_left_reflect_is_the_product(type_label, rank):
+    """w.left_reflect(i) is the interned s_i * w, on a cold system and again once remembered."""
+    rs = RootSystem(type_label, rank)
+    group = rs.weyl_group()
+    for w in group:
+        for i in rs.nodes:
+            assert w.left_reflect(i) is rs.simple_reflection(i) * w, (w, i)
+    for w in group:
+        for i in rs.nodes:
+            sw = w.left_reflect(i)
+            assert sw is rs.simple_reflection(i) * w and sw.left_reflect(i) is w, (w, i)
