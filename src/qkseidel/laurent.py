@@ -12,7 +12,10 @@ therefore keeps its denominator as a multiset of such binomials and never
 multiplies it out; no polynomial gcd is ever required.  The only division
 in the package is LaurentPoly.divide_exact(v), exact division by one
 binomial 1 - e^v, decided by summing coefficients along lines e + Zv; it
-serves RationalFunction and the Peterson divided difference alike.
+serves RationalFunction and the Peterson divided difference alike.  Most
+attempts fail, and most of those fail on the first test: 1 - e^v vanishes
+at the trivial character, so a polynomial whose coefficients do not sum to
+zero is no multiple of it.
 """
 from __future__ import annotations
 
@@ -231,13 +234,17 @@ class LaurentPoly:
         read off the first nonzero coordinate p of v.  On every line
         (1 - e^v) q = f says f_t = q_t - q_{t-1}, so q_t is the running sum of
         f along the line, and the division is exact exactly when every line
-        sums to zero.  That is decided for all lines before any term is built.
+        sums to zero.  That is decided for all lines before any term is built,
+        and first for their total, the coefficient sum: it is the value at the
+        trivial character, where 1 - e^v vanishes.
         """
         if len(v) != self.nvars:
             raise ValueError("mixed variable counts")
         p = next((k for k, c in enumerate(v) if c), None)
         if p is None:
             raise ZeroDivisionError("division by 1 - e^0")
+        if sum(self.terms.values()):
+            return None
         lines: dict[tuple[int, ...], dict[int, int]] = {}
         for e, c in self.terms.items():
             t = e[p] // v[p]
@@ -294,6 +301,24 @@ def _binomial(v: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(len(v), {(0,) * len(v): 1, v: -1})
 
 
+def _normalize_factors(num: LaurentPoly, den: Factors) -> tuple[LaurentPoly, Factors]:
+    """Check each factor, rewrite one with v < 0 as 1/(1 - e^v) = -e^{-v}/(1 - e^{-v}), and merge."""
+    factors: Factors = {}
+    zero = (0,) * num.nvars
+    for v, m in den.items():
+        if len(v) != num.nvars:
+            raise ValueError("mixed variable counts")
+        if v == zero:
+            raise ZeroDivisionError("zero denominator 1 - e^0")
+        if v < zero:
+            v = tuple(-c for c in v)
+            num = num.shifted(tuple(m * c for c in v))
+            if m % 2:
+                num = -num
+        factors[v] = factors.get(v, 0) + m
+    return num, factors
+
+
 class RationalFunction:
     """num / prod_v (1 - e^v)^{m_v}, a scalar of the K-theoretic nil-Hecke algebra.
 
@@ -308,23 +333,17 @@ class RationalFunction:
     factor, multiplying the numerators by the missing binomials, and then
     add or compare numerators.  This is exact in the integral domain Z[Q].
     Operands must be RationalFunctions; callers convert other scalars.
+
+    Twists keep the reduced form: a Weyl twist is a ring automorphism and a
+    sign flip changes a factor only by a unit, so when no factor divides the
+    numerator none divides it after act_exponents or negation either, and
+    neither runs a division.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: Factors | None = None):
-        factors: Factors = {}
-        for v, m in (den or {}).items():
-            if len(v) != num.nvars:
-                raise ValueError("mixed variable counts")
-            if not any(v):
-                raise ZeroDivisionError("zero denominator 1 - e^0")
-            if v < (0,) * len(v):
-                v = tuple(-c for c in v)
-                num = num.shifted(tuple(m * c for c in v))
-                if m % 2:
-                    num = -num
-            factors[v] = factors.get(v, 0) + m
+        num, factors = _normalize_factors(num, den or {})
         self.den: Factors = {}
         for v, m in factors.items():
             while m and (quo := num.divide_exact(v)) is not None:
@@ -332,6 +351,13 @@ class RationalFunction:
             if m:
                 self.den[v] = m
         self.num = num
+
+    @classmethod
+    def _reduced(cls, num: LaurentPoly, den: Factors) -> "RationalFunction":
+        """num / den when no factor of den divides num: signs flipped, nothing divided."""
+        f = object.__new__(cls)
+        f.num, f.den = _normalize_factors(num, den)
+        return f
 
     @classmethod
     def one(cls, nvars: int) -> "RationalFunction":
@@ -349,7 +375,7 @@ class RationalFunction:
         num = self.num
         for v, m in den.items():
             for _ in range(m - self.den.get(v, 0)):
-                num = num * _binomial(v)
+                num = num - num.shifted(v)
         return num
 
     def _common(self, other: "RationalFunction") -> tuple[LaurentPoly, LaurentPoly, Factors]:
@@ -379,7 +405,7 @@ class RationalFunction:
         return RationalFunction(lhs - rhs, den)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._reduced(-self.num, self.den)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         if not isinstance(other, RationalFunction):
@@ -395,7 +421,7 @@ class RationalFunction:
             tuple([sum(map(operator.mul, row, v)) for row in matrix]): m
             for v, m in self.den.items()
         }
-        return RationalFunction(self.num.act_exponents(matrix), den)
+        return RationalFunction._reduced(self.num.act_exponents(matrix), den)
 
     def __str__(self) -> str:
         if not self.den:

@@ -60,7 +60,7 @@ from .affine import (
 from .errors import UnsupportedProductError, VerificationError
 from .laurent import LaurentPoly, _add, _check_budget, _pack, _pack_width, _unpack, accumulate
 from .rootsys import RootSystem, WeylElement, is_antidominant
-from .seidel import gamma, grassmannian_key, quantum_exponent, seidel_datum
+from .seidel import _quantum_exponent, gamma, grassmannian_key, seidel_datum
 
 
 class PetersonElement:
@@ -399,7 +399,7 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     check_keys = check_keys and g_vw == tuple(a - b for a, b in zip(g_w, shift))
 
     # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class
-    q_exp = quantum_exponent(rs, i, w)
+    q_exp = _quantum_exponent(rs, i, shift)
     # O^{v_i} = ell_{pi_i^{-1}} / sigma_i (seidel_class): its denominator is the unit vector at i
     lhs = LocalizedClass(collapsed, tuple(a - b for a, b in zip(rs.fundamental_coweight(i), g_w)))
     rhs_q = q_class(rs, q_exp)

@@ -161,8 +161,9 @@ class WeylElement:
         return rs.roots[self.perm[rs.root_index[beta]]]
 
     def act_coweight(self, cw: Coweight) -> Coweight:
-        # <w(lam), beta> = <lam, w^{-1}(beta)> forces the row action by minv.
-        return _vec_mat(cw, self.minv)
+        """w(lam), by <w(lam), alpha_j> = <lam, w^{-1}(alpha_j)>: one pairing per node."""
+        rs, inv = self.rs, self.inverse().perm
+        return tuple([rs.pairing(cw, rs.roots[inv[k]]) for k in rs.simple_indices])
 
     def length(self) -> int:
         if self._length is None:
@@ -327,7 +328,7 @@ class RootSystem:
 
     def pairing(self, cw: Coweight, beta: Root) -> int:
         """<lambda, beta> for lambda in fundamental-coweight coordinates."""
-        return sum(c * b for c, b in zip(cw, beta))
+        return sum(map(operator.mul, cw, beta))
 
     def coroot(self, beta: Root) -> Root:
         """Coroot of a root, in simple-coroot coordinates."""

@@ -61,8 +61,12 @@ def quantum_exponent(rs: RootSystem, i: int, w: WeylElement) -> tuple[int, ...]:
     The difference always lies in the coroot lattice; nonnegativity of the
     coordinates is part of the certified statement, so a violation raises.
     """
-    fund = rs.fundamental_coweight(i)
-    diff = tuple(a - b for a, b in zip(fund, w.inverse().act_coweight(fund)))
+    return _quantum_exponent(rs, i, w.inverse().act_coweight(rs.fundamental_coweight(i)))
+
+
+def _quantum_exponent(rs: RootSystem, i: int, pulled: Coweight) -> tuple[int, ...]:
+    """quantum_exponent, given the pulled-back coweight w^{-1}(omega_i^vee)."""
+    diff = tuple(a - b for a, b in zip(rs.fundamental_coweight(i), pulled))
     coords = rs.coweight_to_coroots(diff)
     if coords is None:
         raise VerificationError("exponent %r escapes the coroot lattice" % (diff,))

@@ -44,7 +44,9 @@ from .rootsys import (
 from .seidel import verify_group_lemma, verify_key_lemma
 
 THEOREM_SWEEP_TYPES = (("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4))
-NILHECKE_SWEEP_TYPES = (("A", 2), ("C", 2), ("G", 2))
+NILHECKE_SWEEP_TYPES = (
+    ("A", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6),
+)
 PUSHFORWARD_SWEEP_TYPES = (("A", 3), ("C", 2), ("B", 3), ("D", 4))
 PHI_SWEEP_TYPES = (("A", 2), ("C", 2), ("A", 3))
 

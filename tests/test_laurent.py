@@ -1,6 +1,7 @@
 """Coefficient ring tests: Laurent polynomials and rational functions."""
 from __future__ import annotations
 
+import operator
 import random
 import time
 
@@ -16,6 +17,7 @@ from qkseidel.laurent import (
     get_term_budget,
     set_term_budget,
 )
+from qkseidel.nilhecke import demazure
 from qkseidel.rootsys import build_root_system
 
 
@@ -114,6 +116,48 @@ def test_divide_exact_long_gaps_fail_fast():
     start = time.perf_counter()
     assert LaurentPoly(2, {(0, 0): 1, (n, -n): 1}).divide_exact((1, -1)) is None
     assert time.perf_counter() - start < 1.0
+
+
+def line_scan_divide(f: LaurentPoly, v: tuple[int, ...]) -> LaurentPoly | None:
+    """Reference division by 1 - e^v: running sums along every line e + Zv, no early exit."""
+    p = next(k for k, c in enumerate(v) if c)
+    lines: dict[tuple[int, ...], dict[int, int]] = {}
+    for e, c in f.terms.items():
+        t = e[p] // v[p]
+        lines.setdefault(tuple(a - t * b for a, b in zip(e, v)), {})[t] = c
+    if any(sum(line.values()) for line in lines.values()):
+        return None
+    quo = {}
+    for base, line in lines.items():
+        run = 0
+        for t in range(min(line), max(line)):
+            run += line.get(t, 0)
+            quo[tuple(a + t * b for a, b in zip(base, v))] = run
+    return LaurentPoly(f.nvars, quo)
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 2), ("G", 2), ("B", 3), ("D", 4)])
+def test_divide_exact_against_line_scan(type_label, rank):
+    """The coefficient-sum rejection changes no answer: every None and every quotient
+    agrees with the full line scan, also on inputs that sum to zero without dividing."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(15)
+    seen = {"nonzero sum": 0, "zero sum, inexact": 0, "exact": 0}
+    for trial in range(300):
+        v = rng.choice(rs.roots)
+        f = random_poly(rng, rank, rng.randint(1, 5))
+        if trial % 3 == 1:  # sum 0, but rarely a multiple of 1 - e^v
+            e = tuple(rng.randint(-3, 3) for _ in range(rank))
+            f = f - LaurentPoly.monomial(e, sum(f.terms.values()))
+        elif trial % 3 == 2:
+            f = f - f.shifted(v)
+        quo = f.divide_exact(v)
+        assert quo == line_scan_divide(f, v)
+        if sum(f.terms.values()):
+            seen["nonzero sum"] += 1
+        else:
+            seen["exact" if quo is not None else "zero sum, inexact"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_act_exponents_via_weyl():
@@ -338,3 +382,26 @@ def test_rational_weyl_action_is_multiplicative():
     h = RationalFunction(x(2, 1), {(1, 0): 1})
     sym = h + h.act_exponents(s1.m)
     assert sym.act_exponents(s1.m) == sym
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3)])
+def test_twists_keep_the_reduced_form(type_label, rank):
+    """act_exponents and negation skip the division loop; the checked constructor,
+    which runs it, builds the same numerator and factors for every Weyl element."""
+    rs = build_root_system(type_label, rank)
+    nodes = range(rank + 1)
+    fractions = [
+        f
+        for i in nodes
+        for j in nodes
+        for f in (demazure(rs, i) * demazure(rs, j)).coeffs.values()
+        if f.den
+    ]
+    for w in rs.weyl_group():
+        for f in fractions:
+            image = f.act_exponents(w.m)
+            den = {tuple(sum(map(operator.mul, row, v)) for row in w.m): m for v, m in f.den.items()}
+            checked = RationalFunction(f.num.act_exponents(w.m), den)
+            assert (image.num, image.den) == (checked.num, checked.den)
+            neg, checked = -image, RationalFunction(-image.num, image.den)
+            assert (neg.num, neg.den) == (checked.num, checked.den)

@@ -15,6 +15,7 @@ from qkseidel.rootsys import (
     VALID_RANKS,
     WEYL_GROUP_LIMIT,
     RootSystem,
+    _vec_mat,
     build_root_system,
     longest_element,
     root_is_positive,
@@ -290,6 +291,16 @@ def test_coweight_action_respects_pairing():
             cw = tuple(rng.randrange(-3, 4) for _ in rs.nodes)
             beta = rng.choice(rs.positive_roots)
             assert rs.pairing(w.act_coweight(cw), w.act_root(beta)) == rs.pairing(cw, beta)
+
+
+def test_coweight_action_against_matrix_product():
+    """One pairing per node with w^{-1}(alpha_j) is the row action by the matrix of w^{-1}."""
+    for type_label, rank in [("B", 3), ("D", 4), ("G", 2)]:
+        rs = build_root_system(type_label, rank)
+        for w in rs.weyl_group():
+            for i in rs.nodes:
+                cw = rs.fundamental_coweight(i)
+                assert w.act_coweight(cw) == _vec_mat(cw, w.minv)
 
 
 def test_coroot_table_against_pairings():

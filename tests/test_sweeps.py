@@ -16,11 +16,11 @@ from qkseidel.sweeps import (
 
 def test_default_plan_shape():
     plan = default_plan()
-    assert len(plan) == 47
+    assert len(plan) == 52
     assert len(set(plan)) == len(plan)
     for name, type_label, rank in plan:
         assert name in SWEEP_FUNCTIONS
-        assert type_label in "ABCDG" and rank in (2, 3, 4, 5)
+        assert type_label in "ABCDEFG" and rank in (2, 3, 4, 5, 6)
 
 
 def test_run_sweep_unit_matches_direct_call():
