@@ -29,11 +29,17 @@ ring for G/B", Duke 1999; Graham, "Equivariant K-theory and Schubert
 varieties", 2002).  Frames and roots depend on the words only: a word tuple's
 letter schedule is built once and kept on the system.  While words run, an
 exponent vector is one int of signed base-2^k digits (Kronecker substitution),
-so e^beta is one integer add per term.  Roots are bounded coordinatewise by the
-highest root theta, so after L letters |e_j| <= max |e_j| at the start +
-L max(theta), and k is the least width with 2^(k-1) above that; terms are
-packed per call and unpacked after the words, and the schedule keeps its roots
-packed per width k.
+so e^beta is one integer add per term, and each key carries a packed offset o:
+its coefficient (g, o) stands for e^o g.  An ascent x -> y = s_i x multiplies
+x's whole coefficient by e^beta, which is o += beta, and adds e^o (1 - e^beta) g
+into y's coefficient in place; s_i y = x is shorter, so y ascends nowhere and
+x alone reaches it.  Every exponent met is one at the start plus the roots of a
+set S of letters, and every offset the roots of a set T, so a stored exponent
+differs from one at the start by the signed roots of at most the L letters of
+S xor T.  Roots are bounded coordinatewise by the highest root theta, so stored
+exponents and e + o alike have |e_j| <= max |e_j| at the start + L max(theta),
+and k is the least width with 2^(k-1) above that; terms are packed per call and
+unpacked after the words, and the schedule keeps its roots packed per width k.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
@@ -58,7 +64,7 @@ from .affine import (
     translation,
 )
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly, _add, _check_budget, _pack, _pack_width, _unpack, accumulate
+from .laurent import LaurentPoly, _check_budget, _pack, _pack_width, _unpack, accumulate
 from .rootsys import RootSystem, WeylElement, is_antidominant
 from .seidel import _quantum_exponent, gamma, grassmannian_key, seidel_datum
 
@@ -188,7 +194,11 @@ def _star_words(z: PetersonElement, *words: tuple[int, ...]) -> tuple:
     = frame(g e^beta) with beta = frame^{-1}(alpha_i) for the new frame, so
     nothing is twisted.  Frames and roots come from the kept letter schedule and
     are packed as the module docstring says (for ell(x), k depends on the words
-    only); every polynomial meets the term budget after every letter.
+    only).  A letter adds beta to the offset of each key x that ascends and
+    makes one pass over x's g into s_i x: a new key starts from a copy of g at
+    x's offset, less e^beta g; a present one at offset o_y takes e^{o - o_y} g
+    minus e^{o - o_y + beta} g and is dropped if it cancels.  A letter changes
+    only those polynomials, and each meets the term budget after its update.
     """
     rs = z.rs
     runs, frame, packed = _letter_schedule(rs, words)
@@ -198,26 +208,48 @@ def _star_words(z: PetersonElement, *words: tuple[int, ...]) -> tuple:
         packed_runs = packed[k] = tuple(
             tuple((i, _pack(root, k)) for i, root in run) for run in runs
         )
-    terms = {x: {_pack(e, k): c for e, c in f.terms.items()} for x, f in z.terms.items()}
+    terms = {x: ({_pack(e, k): c for e, c in f.terms.items()}, 0) for x, f in z.terms.items()}
     keys = []
     for run in packed_runs:
         for i, beta in run:
-            out: dict[ExtAffineWeylElement, dict[int, int]] = {}
-            for x, g in terms.items():  # each g is consumed
-                if (y := x.grassmannian_ascent(i)) is not None:
-                    # no other key reaches x: s_i x' = x would make s_i x = x' shorter
-                    out[x] = up = {e + beta: c for e, c in g.items()}
-                    _add(g, up, -1)
-                    x = y  # g - up goes to s_i x
-                if (h := out.setdefault(x, g)) is not g:
-                    _add(h, g, 1)
-            terms = {x: g for x, g in out.items() if g}
-            for g in terms.values():
-                _check_budget(len(g))
+            for x, (g, o) in list(terms.items()):
+                if (y := x.grassmannian_ascent(i)) is None:
+                    continue
+                terms[x] = g, o + beta
+                # y ascends nowhere at i and x alone reaches it: update it in place
+                if (slot := terms.get(y)) is None:
+                    h = g.copy()
+                    terms[y] = h, o
+                    for e, c in g.items():
+                        e += beta
+                        if new := h.get(e, 0) - c:
+                            h[e] = new
+                        else:
+                            del h[e]
+                else:
+                    h, o_y = slot
+                    d = o - o_y
+                    for e, c in g.items():
+                        e += d
+                        if new := h.get(e, 0) + c:
+                            h[e] = new
+                        else:
+                            del h[e]
+                        e += beta
+                        if new := h.get(e, 0) - c:
+                            h[e] = new
+                        else:
+                            del h[e]
+                    if not h:
+                        del terms[y]
+                        continue
+                _check_budget(len(h))
         keys.append(list(terms))
     n = rs.rank
-    unpacked = {x: {_unpack(e, k, n): c for e, c in g.items()} for x, g in terms.items()}
-    return {x: LaurentPoly._trusted(n, g) for x, g in unpacked.items()}, frame, keys
+    return {
+        x: LaurentPoly._trusted(n, {_unpack(e + o, k, n): c for e, c in g.items()})
+        for x, (g, o) in terms.items()
+    }, frame, keys
 
 
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:

@@ -38,7 +38,6 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     longest_element,
-    root_is_positive,
     special_nodes,
 )
 from .seidel import verify_group_lemma, verify_key_lemma
@@ -139,17 +138,25 @@ def sweep_inversion_product(type_label: str, rank: int) -> SweepResult:
     rs = build_root_system(type_label, rank)
     failures = []
     group = rs.weyl_group()
+    npos = rs.npos
+    # bit k stands for the positive root beta_k; rs.roots holds -beta_k at npos + k
+    inv = {u: sum(1 << k for k in range(npos) if u.perm[k] >= npos) for u in group}
     total = 0
     for v in group:
-        inv_v = v.inversions()
+        inv_v = [k for k in range(npos) if v.perm[k] >= npos]
         for w in group:
             total += 1
-            winv = w.inverse()
-            pulled = {winv.act_root(a) for a in inv_v}
-            inv_w = set(w.inversions())
-            part1 = {a for a in inv_w if tuple(-c for c in a) not in pulled}
-            part2 = {b for b in pulled if root_is_positive(b) and b not in inv_w}
-            if part1 & part2 or part1 | part2 != set((v * w).inversions()):
+            winv = w.inverse().perm
+            pos = neg = 0  # w^{-1}Inv(v): its positive roots, and the negatives of the rest
+            for k in inv_v:
+                if (j := winv[k]) < npos:
+                    pos |= 1 << j
+                else:
+                    neg |= 1 << (j - npos)
+            inv_w = inv[w]
+            part1 = inv_w & ~neg
+            part2 = pos & ~inv_w
+            if part1 & part2 or part1 | part2 != inv[v * w]:
                 failures.append(f"v={v.reduced_word()} w={w.reduced_word()}")
     return SweepResult("inversion-product", type_label, rank, total, tuple(failures))
 

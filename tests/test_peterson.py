@@ -6,6 +6,7 @@ import random
 import pytest
 
 from qkseidel.affine import (
+    ExtAffineWeylElement,
     affine_from_word,
     affine_nodes,
     affine_simple_reflection,
@@ -20,6 +21,7 @@ from qkseidel.laurent import LaurentPoly, _pack, get_term_budget, set_term_budge
 from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
+    _star_words,
     ell,
     mult_by_ell_sigma,
     mult_by_sigma_monomial,
@@ -42,6 +44,7 @@ from qkseidel.rootsys import (
     weyl_from_word,
 )
 from qkseidel.seidel import seidel_element
+from qkseidel.sweeps import grassmannian_ball
 
 
 def grassmannian_up_to(rs, max_length: int):
@@ -528,6 +531,100 @@ def test_packed_star_w_against_letter_oracle_on_wide_fields(type_label, rank, le
             for x in pool
         })
         assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
+
+
+def mult_by_ell_sigma_by_letters(s, z):
+    """star_s along the word of u^{-1}, then a twist by u and a relabel by sigma."""
+    u = s.element.u
+    y = star_w_by_letters(u.inverse(), z)
+    return PetersonElement(z.rs, {s.element * x: f.act_exponents(u.m) for x, f in y.terms.items()})
+
+
+def filled_peterson(rs, rng, pool, letters: int) -> PetersonElement:
+    """Up to six keys with exponents up to the start that fills the packed field of a word of
+    this many letters: start + letters max(theta) = 2^(k-1) - 1, the most width k holds."""
+    spread = letters * max(rs.highest_root)
+    start = (1 << spread.bit_length()) - 1 - spread
+    return PetersonElement(rs, {
+        x: LaurentPoly(rs.rank, {
+            tuple(rng.choice((-start, start, rng.randint(-start, start))) for _ in rs.nodes):
+                rng.choice((-2, -1, 1, 2))
+            for _ in range(4)
+        })
+        for x in rng.sample(pool, k=min(6, len(pool)))
+    })
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_star_words_against_letters_at_the_packing_bound(type_label, rank):
+    """Offsets per key and pairs updated in place give star_s letter by letter, with
+    start exponents at the packing bound."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(53)
+    pool = grassmannian_up_to(rs, 3)
+    words = [rs.nodes, [rng.choice(rs.nodes) for _ in range(8)]]
+    for w in [longest_element(rs)] + [weyl_from_word(rs, word) for word in words]:
+        z = filled_peterson(rs, rng, pool, w.length())
+        assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
+    for s in sigma_elements(rs):
+        z = filled_peterson(rs, rng, pool, s.element.u.length())
+        assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("D", 4)])
+def test_star_words_drop_a_key_that_cancels(type_label, rank):
+    """z = f l_x + (e^{-alpha_i} - 1) f l_y with y = s_i x: the first letter, i, adds
+    (1 - e^{alpha_i}) s_i(f) to s_i((e^{-alpha_i} - 1) f) = (e^{alpha_i} - 1) s_i(f) at y,
+    so y's coefficient cancels and y is dropped."""
+    rs = build_root_system(type_label, rank)
+    pool = grassmannian_up_to(rs, 3)
+    f = LaurentPoly.monomial(tuple(range(rank)), 3) + LaurentPoly.constant(rank, -1)
+    for s in sigma_elements(rs):
+        word = s.element.u.inverse().reduced_word()
+        if not word:
+            continue
+        i = word[-1]
+        x, y = next((x, y) for x in pool if (y := x.grassmannian_ascent(i)) is not None)
+        lowered = LaurentPoly.monomial(tuple(-a for a in rs.simple_root(i)))
+        z = PetersonElement(rs, {x: f, y: (lowered - LaurentPoly.one(rank)) * f})
+        assert y not in star_s(i, z).terms
+        assert _star_words(z, (i,))[2] == [[x]]
+        si = weyl_from_word(rs, (i,))
+        assert star_w(si, z) == star_w_by_letters(si, z)
+        assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
+        w0 = longest_element(rs)
+        assert star_w(w0, z) == star_w_by_letters(w0, z)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_ascent_pairs_are_disjoint(type_label, rank, monkeypatch):
+    """If x ascends at i to y = s_i x, y does not ascend at i (s_i y = x is shorter), so
+    x is the only key that reaches y and _star_words may update y in place.  Checked on
+    the Grassmannian ball and on every key the theorem's star words meet."""
+    rs = RootSystem(type_label, rank)
+    met = set(grassmannian_ball(rs, 8))
+    ascent = ExtAffineWeylElement.grassmannian_ascent
+
+    def recording(x, i):
+        met.add(x)
+        return ascent(x, i)
+
+    monkeypatch.setattr(ExtAffineWeylElement, "grassmannian_ascent", recording)
+    for i in special_nodes(rs):
+        for w in rs.weyl_group():
+            assert verify_seidel_theorem(rs, i, w).passed
+    monkeypatch.undo()
+    pairs = 0
+    for x in met:
+        for i in affine_nodes(rs):
+            if (y := x.grassmannian_ascent(i)) is not None:
+                pairs += 1
+                assert y.grassmannian_ascent(i) is None, (x, i)
+    assert pairs > len(met) // 2
 
 
 def test_e7_node7_instances():

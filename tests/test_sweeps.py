@@ -5,10 +5,13 @@ import pytest
 
 from qkseidel import sweeps
 from qkseidel.errors import UnsupportedProductError, VerificationError
+from qkseidel.rootsys import WeylElement, build_root_system, root_is_positive
 from qkseidel.sweeps import (
     SWEEP_FUNCTIONS,
+    SweepResult,
     default_plan,
     run_sweep_unit,
+    sweep_inversion_product,
     sweep_pushforward,
     sweep_theorem_random,
 )
@@ -56,3 +59,33 @@ def test_pushforward_sweep_lets_programming_errors_crash(monkeypatch):
         monkeypatch.setattr(sweeps, "seidel_product_parabolic", broken)
         with pytest.raises(exc_type):
             sweep_pushforward("A", 2)
+
+
+def inversion_product_by_roots(type_label: str, rank: int) -> SweepResult:
+    """The inversion-product sweep on sets of root tuples, the reference for its bitmasks."""
+    rs = build_root_system(type_label, rank)
+    failures = []
+    group = rs.weyl_group()
+    total = 0
+    for v in group:
+        inv_v = v.inversions()
+        for w in group:
+            total += 1
+            winv = w.inverse()
+            pulled = {winv.act_root(a) for a in inv_v}
+            inv_w = set(w.inversions())
+            part1 = {a for a in inv_w if tuple(-c for c in a) not in pulled}
+            part2 = {b for b in pulled if root_is_positive(b) and b not in inv_w}
+            if part1 & part2 or part1 | part2 != set((v * w).inversions()):
+                failures.append(f"v={v.reduced_word()} w={w.reduced_word()}")
+    return SweepResult("inversion-product", type_label, rank, total, tuple(failures))
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3)])
+def test_inversion_product_masks_against_root_sets(type_label, rank, monkeypatch):
+    assert sweep_inversion_product(type_label, rank) == inversion_product_by_roots(type_label, rank)
+    # pulling back by w instead of w^{-1} breaks the identity: both flag the same pairs
+    build_root_system(type_label, rank).weyl_group()
+    monkeypatch.setattr(WeylElement, "inverse", lambda self: self)
+    broken = sweep_inversion_product(type_label, rank)
+    assert broken.failures and broken == inversion_product_by_roots(type_label, rank)
