@@ -317,23 +317,17 @@ def pi(rs: RootSystem, i: int) -> SigmaElement:
     raise AssertionError  # pragma: no cover
 
 
-def coweight_class_rep(rs: RootSystem, lam: Coweight) -> Coweight:
-    """Representative (zero or minuscule) of lambda mod the coroot lattice."""
-    zero = (0,) * rs.rank
-    for rep in [zero] + [rs.fundamental_coweight(i) for i in special_nodes(rs)]:
-        if rs.coweight_to_coroots(tuple(a - b for a, b in zip(lam, rep))) is not None:
-            return rep
-    raise AssertionError("no class representative found for %r" % (lam,))
-
-
 def sigma_decompose(x: ExtAffineWeylElement) -> tuple[SigmaElement, tuple[int, ...]]:
-    """x = sigma * y with y in the affine Weyl group; returns (sigma, word of y)."""
+    """x = sigma * y with y in the affine Weyl group; returns (sigma, word of y).
+
+    sigma is the element whose translation is x.lam modulo the coroot lattice:
+    the elements of Sigma lie in pairwise distinct classes, one per class.
+    """
     rs = x.rs
-    rep = coweight_class_rep(rs, x.lam)
     sigma = next(
         s
         for s in sigma_elements(rs)
-        if coweight_class_rep(rs, s.element.lam) == rep
+        if rs.coweight_to_coroots(tuple(a - b for a, b in zip(x.lam, s.element.lam))) is not None
     )
     y = sigma.element.inverse() * x
     return sigma, affine_reduced_word(y)

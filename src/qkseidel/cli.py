@@ -261,9 +261,10 @@ def cmd_sweep(args, out) -> int:
 
     ok = all(res.passed for res in results)
     if args.format == "json":
+        # a SweepResult carries the type_label and rank that _report reads
         payload = [
             _report(
-                build_root_system(res.type_label, res.rank),
+                res,
                 None,
                 (),
                 (),

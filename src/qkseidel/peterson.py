@@ -389,15 +389,13 @@ class VerificationReport:
 
 
 def _theorem_node(rs: RootSystem, i: int) -> tuple:
-    """v[i], the element of pi_i^{-1}, the two star words of verify_seidel_theorem and its
-    final twist, for a special node i.  Kept on the system per node."""
+    """v[i], the element of pi_i^{-1} and the two star words of verify_seidel_theorem,
+    for a special node i.  Kept on the system per node."""
     if (constants := rs._theorem_nodes.get(i)) is None:
         datum = seidel_datum(rs, i)  # rejects a node that is not special
         v, sig_inv = datum.element, datum.sigma.inverse().element
-        u = sig_inv.u
-        words = (v.reduced_word(), u.inverse().reduced_word())
-        frame = _letter_schedule(rs, words)[1]  # u^{-1} v
-        constants = rs._theorem_nodes[i] = v, sig_inv, words, (u * frame).m
+        words = (v.reduced_word(), sig_inv.u.inverse().reduced_word())
+        constants = rs._theorem_nodes[i] = v, sig_inv, words
     return constants
 
 
@@ -409,16 +407,17 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     single expected basis class; the group-level and coweight-level key
     identities hold; and the assembled localized classes agree.
     """
-    v, sig_inv, words, twist = _theorem_node(rs, i)
+    v, sig_inv, words = _theorem_node(rs, i)
 
     g_w = gamma(rs, w)
     x = grassmannian_key(rs, w)
     # v * ell_x, then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame: one twist, by v
+    # (the words end in the frame u^{-1} v, u the finite part of pi_i^{-1}, which twists by u)
     terms, _, (support, _) = _star_words(ell(x), *words)
     check_support = bool(support) and all(y.is_grassmannian() for y in support)
 
     collapsed = PetersonElement(
-        rs, {sig_inv * y: g.act_exponents(twist) for y, g in terms.items()}
+        rs, {sig_inv * y: g.act_exponents(v.m) for y, g in terms.items()}
     )
     target = sig_inv * x
     check_collapse = collapsed == ell(target)

@@ -28,6 +28,12 @@ Matrix = tuple[tuple[int, ...], ...]
 # W(A7) 40,320, while W(D7) (322,560) and W(A8) (362,880) are refused.
 WEYL_GROUP_LIMIT = 100_000
 
+# Most positive roots of a system RootSystem builds.  Building it and Sigma takes
+# about 0.15 s for A15 (120 positive roots), 1.1 s for A24 (300), 3 s for A30 (465)
+# and 10 s for A40 (820) on a 2-core Xeon VM, and minutes for A99.  The largest
+# systems kept are A24, B17, C17, D17 and E8.
+POSITIVE_ROOT_LIMIT = 300
+
 VALID_RANKS = {
     "A": range(1, 100),
     "B": range(2, 100),
@@ -220,6 +226,15 @@ class RootSystem:
     def __init__(self, type_label: str, rank: int):
         if type_label not in VALID_RANKS or rank not in VALID_RANKS[type_label]:
             raise ValueError("no irreducible root system of type %s rank %s" % (type_label, rank))
+        # |R+| is rank times the Coxeter number over 2
+        coxeter = {"A": rank + 1, "B": 2 * rank, "C": 2 * rank, "D": 2 * rank - 2,
+                   "E": {6: 12, 7: 18, 8: 30}.get(rank), "F": 12, "G": 6}[type_label]
+        npos = rank * coxeter // 2
+        if npos > POSITIVE_ROOT_LIMIT:
+            raise SizeLimitError(
+                f"{type_label}{rank} has {npos} positive roots, "
+                f"more than the limit {POSITIVE_ROOT_LIMIT}"
+            )
         self.type_label = type_label
         self.rank = rank
         self.nodes = tuple(range(1, rank + 1))
@@ -238,6 +253,7 @@ class RootSystem:
         self._cartan_inv_den, self._cartan_inv_cols = self._invert_cartan()
         # Weyl elements permute these indices: the positive roots, then their negatives.
         self.npos = len(self.positive_roots)
+        assert self.npos == npos, (self, npos)
         self.roots = self.positive_roots + tuple(
             tuple(-c for c in beta) for beta in self.positive_roots
         )

@@ -2,12 +2,18 @@
 
 Each sweep walks a finite index set (a Weyl group, a set of pairs, the
 Grassmannian ball of a given radius) and re-verifies one identity on every
-point, returning a SweepResult that lists any failures instead of stopping
-at the first.  Sweeps are pure functions of (name, type, rank), so a work
-pool may run them in any order; callers sort results for determinism.
+point.  It is written as a generator checks(rs, ...) that yields one value
+per check: None when the check passes, or the text of the failure, built
+only then.  The decorator _sweep(name) registers it in SWEEP_FUNCTIONS as
+sweep(type_label, rank, ...): that builds the system, counts the checks
+and returns a SweepResult that lists every failure instead of stopping at
+the first.  An exception that is not a failed check, a programming error,
+crashes the sweep.  Sweeps are pure functions of (name, type, rank), so a
+work pool may run them in any order; callers sort results for determinism.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -86,66 +92,69 @@ def grassmannian_ball(rs: RootSystem, max_length: int):
     return sorted(seen, key=lambda x: (x.ext_length(), x.lam, x.u.m))
 
 
-def sweep_theorem(type_label: str, rank: int) -> SweepResult:
+SWEEP_FUNCTIONS = {}  # name -> sweep, filled by _sweep
+
+
+def _sweep(name: str):
+    """Register a check generator checks(rs, ...) under name as the sweep
+    sweep(type_label, rank, ...) -> SweepResult: it builds the system, counts
+    the values the generator yields and keeps the ones that are not None."""
+
+    def register(checks):
+        @functools.wraps(checks)
+        def sweep(type_label: str, rank: int, *args, **kwargs) -> SweepResult:
+            results = list(checks(build_root_system(type_label, rank), *args, **kwargs))
+            failures = tuple(text for text in results if text is not None)
+            return SweepResult(name, type_label, rank, len(results), failures)
+
+        sweep.name = name
+        SWEEP_FUNCTIONS[name] = sweep
+        return sweep
+
+    return register
+
+
+@_sweep("theorem")
+def sweep_theorem(rs: RootSystem):
     """The product identity for every special node and every Weyl element."""
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     for i in special_nodes(rs):
         for w in rs.weyl_group():
-            total += 1
             rep = verify_seidel_theorem(rs, i, w)
-            if not rep.passed:
-                failures.append(f"i={i} w={w.reduced_word()} checks={rep.checks}")
-    return SweepResult("theorem", type_label, rank, total, tuple(failures))
+            yield None if rep.passed else f"i={i} w={w.reduced_word()} checks={rep.checks}"
 
 
-def sweep_theorem_random(
-    type_label: str, rank: int, count: int = 200, seed: int = 2026
-) -> SweepResult:
-    rs = build_root_system(type_label, rank)
+@_sweep("theorem-random")
+def sweep_theorem_random(rs: RootSystem, count: int = 200, seed: int = 2026):
     rng = random.Random(seed)
     group = rs.weyl_group()
     nodes = special_nodes(rs)
-    failures = []
     for _ in range(count):
         i = rng.choice(nodes)
         w = rng.choice(group)
         rep = verify_seidel_theorem(rs, i, w)
-        if not rep.passed:
-            failures.append(f"i={i} w={w.reduced_word()} checks={rep.checks}")
-    return SweepResult("theorem-random", type_label, rank, count, tuple(failures))
+        yield None if rep.passed else f"i={i} w={w.reduced_word()} checks={rep.checks}"
 
 
-def sweep_key_lemmas(type_label: str, rank: int) -> SweepResult:
+@_sweep("key-lemmas")
+def sweep_key_lemmas(rs: RootSystem):
     """The coweight identity and the group identity behind the theorem."""
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     for i in special_nodes(rs):
         for w in rs.weyl_group():
-            total += 2
             report = verify_key_lemma(rs, i, w)
-            if not report:
-                failures.append(f"key i={i} w={w.reduced_word()}: {report.lhs} != {report.rhs}")
-            if not verify_group_lemma(rs, i, w):
-                failures.append(f"group i={i} w={w.reduced_word()}")
-    return SweepResult("key-lemmas", type_label, rank, total, tuple(failures))
+            yield None if report else f"key i={i} w={w.reduced_word()}: {report.lhs} != {report.rhs}"
+            yield None if verify_group_lemma(rs, i, w) else f"group i={i} w={w.reduced_word()}"
 
 
-def sweep_inversion_product(type_label: str, rank: int) -> SweepResult:
+@_sweep("inversion-product")
+def sweep_inversion_product(rs: RootSystem):
     """Inv(vw) = (Inv(w) minus -w^{-1}Inv(v)) disjoint-union (w^{-1}Inv(v) cap R+ minus Inv(w))."""
-    rs = build_root_system(type_label, rank)
-    failures = []
     group = rs.weyl_group()
     npos = rs.npos
     # bit k stands for the positive root beta_k; rs.roots holds -beta_k at npos + k
     inv = {u: sum(1 << k for k in range(npos) if u.perm[k] >= npos) for u in group}
-    total = 0
     for v in group:
         inv_v = [k for k in range(npos) if v.perm[k] >= npos]
         for w in group:
-            total += 1
             winv = w.inverse().perm
             pos = neg = 0  # w^{-1}Inv(v): its positive roots, and the negatives of the rest
             for k in inv_v:
@@ -157,158 +166,105 @@ def sweep_inversion_product(type_label: str, rank: int) -> SweepResult:
             part1 = inv_w & ~neg
             part2 = pos & ~inv_w
             if part1 & part2 or part1 | part2 != inv[v * w]:
-                failures.append(f"v={v.reduced_word()} w={w.reduced_word()}")
-    return SweepResult("inversion-product", type_label, rank, total, tuple(failures))
+                yield f"v={v.reduced_word()} w={w.reduced_word()}"
+            else:
+                yield None
 
 
-def sweep_inversion_sets(type_label: str, rank: int) -> SweepResult:
+@_sweep("inversion-sets")
+def sweep_inversion_sets(rs: RootSystem):
     """Inversion sets of the long minimal representatives, for every node.
 
     For any i: Inv(minrep of w_0 W_{P_i}) = {a > 0 : <omega_i^vee, a> > 0};
     for special i the pairing is 0 or 1 and the count is the length of v_i.
     """
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     special = set(special_nodes(rs))
     w0 = longest_element(rs)
     for i in rs.nodes:
-        total += 1
         rest = tuple(j for j in rs.nodes if j != i)
         rep = w0 * longest_element(rs, rest)
         expected = {a for a in rs.positive_roots if a[i - 1] > 0}
+        unit = {a for a in expected if a[i - 1] == 1}
         if set(rep.inversions()) != expected:
-            failures.append(f"node {i}: inversion set mismatch")
-            continue
-        if i in special:
-            unit = {a for a in rs.positive_roots if a[i - 1] == 1}
-            if expected != unit or rep.length() != len(unit):
-                failures.append(f"special node {i}: non-unit coefficient in inversions")
-    return SweepResult("inversion-sets", type_label, rank, total, tuple(failures))
+            yield f"node {i}: inversion set mismatch"
+        elif i in special and (expected != unit or rep.length() != len(unit)):
+            yield f"special node {i}: non-unit coefficient in inversions"
+        else:
+            yield None
 
 
-def sweep_grassmannian_dichotomy(
-    type_label: str, rank: int, max_length: int = 8
-) -> SweepResult:
+@_sweep("grassmannian-dichotomy")
+def sweep_grassmannian_dichotomy(rs: RootSystem, max_length: int = 8):
     """For Grassmannian x = w t_beta and finite i:
     (s_i x > x and s_i x Grassmannian) iff s_i w < w."""
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     for x in grassmannian_ball(rs, max_length):
         for i in rs.nodes:
-            total += 1
             y = affine_simple_reflection(rs, i) * x
             left = y.ext_length() > x.ext_length() and y.is_grassmannian()
             si_u = x.u.left_reflect(i)
             right = si_u.length() < x.u.length()
-            if left != right:
-                failures.append(f"i={i} x=({x.lam}, {x.u.reduced_word()})")
-    return SweepResult("grassmannian-dichotomy", type_label, rank, total, tuple(failures))
+            yield None if left == right else f"i={i} x=({x.lam}, {x.u.reduced_word()})"
 
 
-def sweep_length_zero_products(type_label: str, rank: int) -> SweepResult:
+@_sweep("length-zero-products")
+def sweep_length_zero_products(rs: RootSystem):
     """ell_{sigma sigma'} = ell_sigma (u_sigma star ell_{sigma'}) over Sigma x Sigma."""
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     for s in sigma_elements(rs):
         for t in sigma_elements(rs):
-            total += 1
             twisted = star_w(s.element.u, ell(t.element))
-            if mult_by_ell_sigma(s, twisted) != ell((s * t).element):
-                failures.append(f"{s!r} * {t!r}")
-    return SweepResult("length-zero-products", type_label, rank, total, tuple(failures))
+            ok = mult_by_ell_sigma(s, twisted) == ell((s * t).element)
+            yield None if ok else f"{s!r} * {t!r}"
 
 
-def sweep_nilhecke(type_label: str, rank: int) -> SweepResult:
+@_sweep("nil-hecke")
+def sweep_nilhecke(rs: RootSystem):
     """Demazure idempotence, braid relations, and a non-centrality witness."""
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     for i in affine_nodes(rs):
-        total += 1
         d = demazure(rs, i)
-        if d * d != d:
-            failures.append(f"D_{i}^2 != D_{i}")
+        yield None if d * d == d else f"D_{i}^2 != D_{i}"
     for i, j in itertools.combinations(affine_nodes(rs), 2):
-        total += 1
-        if not verify_braid_relation(rs, i, j):
-            failures.append(f"braid ({i},{j}) order {braid_order(rs, i, j)}")
-    total += 1
+        ok = verify_braid_relation(rs, i, j)
+        yield None if ok else f"braid ({i},{j}) order {braid_order(rs, i, j)}"
     d1 = demazure(rs, 1)
     f = LaurentPoly.monomial(rs.simple_root(1))
-    if d1 * f == f * d1:
-        failures.append("scalars unexpectedly central")
-    return SweepResult("nil-hecke", type_label, rank, total, tuple(failures))
+    yield "scalars unexpectedly central" if d1 * f == f * d1 else None
 
 
-def sweep_pushforward(type_label: str, rank: int) -> SweepResult:
+@_sweep("pushforward")
+def sweep_pushforward(rs: RootSystem):
     """Left-action commutation and two-route product agreement, all parabolics."""
-    rs = build_root_system(type_label, rank)
     registry = VerificationRegistry()
-    failures = []
-    total = 0
     for size in range(len(rs.nodes) + 1):
         for subset in itertools.combinations(rs.nodes, size):
             p = parabolic_data(rs, subset)
-            total += 1
-            if not verify_pushforward_commutes(p):
-                failures.append(f"commutation subset={subset}")
+            yield None if verify_pushforward_commutes(p) else f"commutation subset={subset}"
             for i in special_nodes(rs):
                 for w in p.minimal_reps:
-                    total += 1
                     try:
                         seidel_product_parabolic(rs, i, w, p, registry)
                     except VerificationError as exc:
-                        failures.append(f"subset={subset} i={i} w={w.reduced_word()}: {exc}")
-    return SweepResult("pushforward", type_label, rank, total, tuple(failures))
+                        yield f"subset={subset} i={i} w={w.reduced_word()}: {exc}"
+                    else:
+                        yield None
 
 
-def sweep_phi(type_label: str, rank: int) -> SweepResult:
+@_sweep("phi-compatibility")
+def sweep_phi(rs: RootSystem):
     """Star action vs left action on every Schubert class, every finite node."""
-    rs = build_root_system(type_label, rank)
-    failures = []
-    total = 0
     for w in rs.weyl_group():
         for i in rs.nodes:
-            total += 1
-            if not verify_phi_compatibility(rs, i, w):
-                failures.append(f"i={i} w={w.reduced_word()}")
-    return SweepResult("phi-compatibility", type_label, rank, total, tuple(failures))
-
-
-SWEEP_FUNCTIONS = {
-    "theorem": sweep_theorem,
-    "theorem-random": sweep_theorem_random,
-    "key-lemmas": sweep_key_lemmas,
-    "inversion-product": sweep_inversion_product,
-    "inversion-sets": sweep_inversion_sets,
-    "grassmannian-dichotomy": sweep_grassmannian_dichotomy,
-    "length-zero-products": sweep_length_zero_products,
-    "nil-hecke": sweep_nilhecke,
-    "pushforward": sweep_pushforward,
-    "phi-compatibility": sweep_phi,
-}
+            yield None if verify_phi_compatibility(rs, i, w) else f"i={i} w={w.reduced_word()}"
 
 
 def default_plan() -> tuple[tuple[str, str, int], ...]:
     """The full verification plan: every sweep on its intended type range."""
-    plan = []
-    for tl, rk in THEOREM_SWEEP_TYPES:
-        plan.append(("theorem", tl, rk))
-        plan.append(("key-lemmas", tl, rk))
-        plan.append(("inversion-product", tl, rk))
-        plan.append(("inversion-sets", tl, rk))
-        plan.append(("grassmannian-dichotomy", tl, rk))
-        plan.append(("length-zero-products", tl, rk))
-    plan.append(("theorem-random", "D", 5))
-    for tl, rk in NILHECKE_SWEEP_TYPES:
-        plan.append(("nil-hecke", tl, rk))
-    for tl, rk in PUSHFORWARD_SWEEP_TYPES:
-        plan.append(("pushforward", tl, rk))
-    for tl, rk in PHI_SWEEP_TYPES:
-        plan.append(("phi-compatibility", tl, rk))
+    per_type = (sweep_theorem, sweep_key_lemmas, sweep_inversion_product,
+                sweep_inversion_sets, sweep_grassmannian_dichotomy, sweep_length_zero_products)
+    plan = [(sweep.name, tl, rk) for tl, rk in THEOREM_SWEEP_TYPES for sweep in per_type]
+    plan.append((sweep_theorem_random.name, "D", 5))
+    plan += [(sweep_nilhecke.name, tl, rk) for tl, rk in NILHECKE_SWEEP_TYPES]
+    plan += [(sweep_pushforward.name, tl, rk) for tl, rk in PUSHFORWARD_SWEEP_TYPES]
+    plan += [(sweep_phi.name, tl, rk) for tl, rk in PHI_SWEEP_TYPES]
     return tuple(plan)
 
 

@@ -1,6 +1,7 @@
 """Extended affine Weyl group tests."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -358,6 +359,12 @@ def test_sigma_decompose_roundtrip():
             assert len(word) == x.ext_length()
         top = pi(rs, max(s.node for s in sigma_elements(rs) if s.node)).element
         assert translation(rs, top.lam) * from_finite(top.u) == top
+    # sigma_decompose takes the first sigma in x's class mod the coroot lattice: there is one
+    for type_label, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]:
+        rs = build_root_system(type_label, rank)
+        for s, t in itertools.combinations(sigma_elements(rs), 2):
+            diff = tuple(a - b for a, b in zip(s.element.lam, t.element.lam))
+            assert rs.coweight_to_coroots(diff) is None, (rs, s, t)
 
 
 def test_length_invariant_under_sigma():

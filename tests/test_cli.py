@@ -157,6 +157,14 @@ def test_oversized_weyl_group_fails_fast(capsys):
     assert "6227020800 elements" in err
 
 
+def test_oversized_root_system_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "element", "--type", "A", "--rank", "99", "--word", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert "4950 positive roots" in err
+
+
 def test_sweep_filtered(capsys):
     code, out, _ = run(capsys, "sweep", "--type", "A", "--rank", "2")
     assert code == 0
@@ -165,10 +173,11 @@ def test_sweep_filtered(capsys):
 
 
 def test_sweep_parallel_matches_serial(capsys):
+    pinned = (Path(__file__).parent / "cli_sweep_C2.json").read_text(encoding="utf-8")
     code1, out1, _ = run(capsys, "sweep", "--type", "C", "--rank", "2", "--format", "json")
     code2, out2, _ = run(capsys, "sweep", "--type", "C", "--rank", "2", "--format", "json", "--jobs", "2")
     assert code1 == code2 == 0
-    assert out1 == out2
+    assert out1 == out2 == pinned
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -263,6 +272,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--type", "A", "--rank", "2", "--node", "2", "--word", "1", "--budget", "1"),
     ("table", "--type", "A", "--rank", "12", "--node", "1"),
+    ("element", "--type", "A", "--rank", "99", "--word", "1"),
 ])
 def test_failing_command_leaves_out_file_untouched(tmp_path, capsys, argv):
     """A command that exits 3 writes nothing to --out: an earlier report survives byte for byte."""

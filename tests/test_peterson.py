@@ -675,14 +675,19 @@ def _schedule_by_letters(rs, words):
 def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank):
     """Every word tuple of verify_seidel_theorem, mult_by_ell_sigma and star_w is kept
     with the frames and roots its letters give one at a time, and with those roots
-    packed at the one width k that ell(x) inputs give the word tuple."""
+    packed at the one width k that ell(x) inputs give the word tuple.  The theorem's
+    words end in the frame u^{-1} v_i, u the finite part of pi_i^{-1}."""
     rs = RootSystem(type_label, rank)
     w = weyl_from_word(rs, rs.nodes)
     expected = set()
     for i in special_nodes(rs):
         assert verify_seidel_theorem(rs, i, w).passed
         u = pi(rs, i).inverse().element.u
-        expected.add((seidel_element(rs, i).reduced_word(), u.inverse().reduced_word()))
+        v = seidel_element(rs, i)
+        words = (v.reduced_word(), u.inverse().reduced_word())
+        expected.add(words)
+        # the words end in the frame u^{-1} v, so verify_seidel_theorem twists once, by v
+        assert u * _schedule_by_letters(rs, words)[1] == v
     for s in sigma_elements(rs):
         mult_by_ell_sigma(s, ell(ext_identity(rs)))
         expected.add((s.element.u.inverse().reduced_word(),))

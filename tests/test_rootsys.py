@@ -12,6 +12,7 @@ import pytest
 
 from qkseidel.errors import SizeLimitError
 from qkseidel.rootsys import (
+    POSITIVE_ROOT_LIMIT,
     VALID_RANKS,
     WEYL_GROUP_LIMIT,
     RootSystem,
@@ -161,6 +162,14 @@ def test_weyl_group_size_guard():
     # refused before any element is built
     assert len(rs._weyl_cache) == interned
     assert WEYL_GROUP_LIMIT >= build_root_system("E", 6).weyl_order()
+
+
+def test_positive_root_limit():
+    # the closed-form count is checked against the built roots on every build
+    assert RootSystem("B", 17).npos == 289 <= POSITIVE_ROOT_LIMIT
+    for type_label, rank in [("A", 25), ("B", 18), ("C", 18), ("D", 18), ("A", 99)]:
+        with pytest.raises(SizeLimitError, match="positive roots"):
+            RootSystem(type_label, rank)
 
 
 def bfs_sorted_weyl_group(rs):

@@ -1,6 +1,8 @@
 """Sweep plumbing: result shape, the default plan, randomized sampling."""
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from qkseidel import sweeps
@@ -30,6 +32,29 @@ def test_run_sweep_unit_matches_direct_call():
     res = run_sweep_unit(("theorem", "A", 2))
     assert res.passed and res.total == 12
     assert res.summary() == "theorem A2: 12 checks, ok"
+
+
+def test_runner_counts_checks_and_keeps_failures():
+    with mock.patch.dict(SWEEP_FUNCTIONS):
+
+        @sweeps._sweep("toy")
+        def toy(rs):
+            yield None
+            yield "x"
+            yield None
+
+        res = run_sweep_unit(("toy", "A", 2))
+        assert res.total == 3 and res.failures == ("x",)
+        assert res == toy("A", 2) == SweepResult("toy", "A", 2, 3, ("x",))
+    assert "toy" not in SWEEP_FUNCTIONS
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_FUNCTIONS))
+def test_every_sweep_reports_its_own_name(name):
+    unit = next(unit for unit in default_plan() if unit[0] == name)
+    res = run_sweep_unit(unit)
+    assert isinstance(res, SweepResult)
+    assert (res.name, res.type_label, res.rank) == unit
 
 
 def test_theorem_random_sampling():
