@@ -61,6 +61,11 @@ class ExtAffineWeylElement:
         lam = tuple(a + b for a, b in zip(self.lam, self.u.act_coweight(other.lam)))
         return _intern(self.rs, lam, self.u * other.u)
 
+    def translated(self, lam: Coweight) -> "ExtAffineWeylElement":
+        """x t_lam = t_{lam_x + u(lam)} u: one coweight action and one intern, no product."""
+        lam = tuple(a + b for a, b in zip(self.lam, self.u.act_coweight(lam)))
+        return _intern(self.rs, lam, self.u)
+
     def inverse(self) -> "ExtAffineWeylElement":
         uinv = self.u.inverse()
         lam = tuple(-c for c in uinv.act_coweight(self.lam))

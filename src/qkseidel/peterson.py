@@ -43,10 +43,13 @@ unpacked after the words, and the schedule keeps its roots packed per width k.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
-right) and by a length-zero class ell_sigma (star-twist then relabel).
-Everything else raises UnsupportedProductError.  These are exactly enough
-to express the localized classes O^w = ell_{w t_{gamma_w}} / prod sigma_j
-and Q^beta, and to verify the Seidel product identity
+right, x -> x.translated(gamma), and stay Grassmannian, so they are kept
+unchecked) and by a length-zero class ell_sigma (star-twist then relabel).
+Everything else raises UnsupportedProductError.  Localized classes compare by
+multiplying each numerator by the part of the other's sigma denominator that
+its own lacks (_cleared), one right translation per key.  These are exactly
+enough to express the localized classes O^w = ell_{w t_{gamma_w}} / prod
+sigma_j and Q^beta, and to verify the Seidel product identity
 
     O^{v_i} * (v_i star O^w) = Q^{omega_i^vee - w^{-1} omega_i^vee} O^{v_i w}.
 """
@@ -63,7 +66,7 @@ from .affine import (
     pi,
     translation,
 )
-from .errors import UnsupportedProductError, VerificationError
+from .errors import UnsupportedProductError
 from .laurent import LaurentPoly, _check_budget, _pack, _pack_width, _unpack, accumulate
 from .rootsys import RootSystem, WeylElement, is_antidominant
 from .seidel import _quantum_exponent, gamma, grassmannian_key, seidel_datum
@@ -89,6 +92,14 @@ class PetersonElement:
                     raise ValueError(f"basis index {x!r} is not Grassmannian")
                 clean[x] = f
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, rs: RootSystem, terms: dict) -> "PetersonElement":
+        """Wrap terms known clean: nonzero coefficients on Grassmannian keys."""
+        z = object.__new__(cls)
+        z.rs = rs
+        z.terms = terms
+        return z
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PetersonElement):
@@ -264,9 +275,27 @@ def mult_by_translation(z: PetersonElement, lam: tuple[int, ...]) -> PetersonEle
         raise UnsupportedProductError(
             f"translation class with non-antidominant {lam} has no product rule"
         )
-    rs = z.rs
-    t = translation(rs, lam)
-    return PetersonElement(rs, {x * t: f for x, f in z.terms.items()})
+    return PetersonElement._trusted(z.rs, _translated(z.terms, lam))
+
+
+def _translated(terms: dict, lam: tuple[int, ...]) -> dict:
+    """Keys x -> x t_lam for antidominant lam, with no check: (x t_lam)(alpha_j) =
+    x(alpha_j) - <lam, alpha_j> delta, and adding a nonnegative multiple of delta
+    keeps a positive root positive, so a Grassmannian key stays Grassmannian.
+    Right translation is injective, so no two keys meet."""
+    return {x.translated(lam): f for x, f in terms.items()} if any(lam) else terms
+
+
+def _cleared(a: dict, den_a: tuple, b: dict, den_b: tuple) -> tuple[dict, dict]:
+    """The numerators a / sigma^den_a and b / sigma^den_b over one denominator: a times
+    sigma^{den_b - m} and b times sigma^{den_a - m}, m = min(den_a, den_b).  Dropping
+    sigma^m is exact, as right translation is injective."""
+    if den_a == den_b:
+        return a, b
+    return (
+        _translated(a, tuple(min(p, q) - q for p, q in zip(den_a, den_b))),
+        _translated(b, tuple(min(p, q) - p for p, q in zip(den_a, den_b))),
+    )
 
 
 def sigma_monomial(rs: RootSystem, m: tuple[int, ...]) -> PetersonElement:
@@ -298,8 +327,9 @@ class LocalizedClass:
     """A Peterson element divided by a monomial in the sigma classes.
 
     The denominator is the exponent tuple m with value prod_j sigma_j^{m_j}.
-    Equality clears denominators through translation classes, so equivalent
-    fractions compare equal without any normalization.
+    Equality clears the difference of the denominators through translation
+    classes (_cleared), so equivalent fractions compare equal without any
+    normalization.
     """
 
     __slots__ = ("num", "den")
@@ -313,9 +343,8 @@ class LocalizedClass:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LocalizedClass):
             return NotImplemented
-        return mult_by_sigma_monomial(self.num, other.den) == mult_by_sigma_monomial(
-            other.num, self.den
-        )
+        a, b = _cleared(self.num.terms, self.den, other.num.terms, other.den)
+        return self.num.rs is other.num.rs and a == b
 
     __hash__ = None
 
@@ -357,10 +386,15 @@ def q_class(rs: RootSystem, beta: tuple[int, ...]) -> LocalizedClass:
     """Q^beta = prod_j sigma_j^{-<beta, alpha_j>}, beta in simple-coroot coords."""
     if len(beta) != rs.rank:
         raise ValueError(f"exponent {beta} has wrong arity")
-    pairings = rs.coroots_to_coweight(beta)
-    num_lam = tuple(min(p, 0) for p in pairings)  # antidominant part
-    den = tuple(max(p, 0) for p in pairings)
+    num_lam, den = _q_parts(rs, beta)
     return LocalizedClass(ell(translation(rs, num_lam)), den)
+
+
+def _q_parts(rs: RootSystem, beta: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Q^beta = ell_{t_lam} / sigma^den: lam the antidominant part of the pairings
+    <beta, alpha_j>, den their positive part."""
+    pairings = rs.coroots_to_coweight(beta)
+    return tuple(min(p, 0) for p in pairings), tuple(max(p, 0) for p in pairings)
 
 
 def seidel_class(rs: RootSystem, i: int) -> LocalizedClass:
@@ -399,6 +433,15 @@ def _theorem_node(rs: RootSystem, i: int) -> tuple:
     return constants
 
 
+def _collapse(terms: dict, v: WeylElement, sig_inv: ExtAffineWeylElement) -> PetersonElement:
+    """mult_by_ell_sigma(pi_i^{-1}, star_w(v, z)), given the terms of _star_words(z, *words)
+    for the words of _theorem_node: they end in the frame u^{-1} v, u the finite part of
+    pi_i^{-1}, whose relabelling twists by u, so one twist by v is left."""
+    return PetersonElement(
+        sig_inv.rs, {sig_inv * y: g.act_exponents(v.m) for y, g in terms.items()}
+    )
+
+
 def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> VerificationReport:
     """Replay the product identity O^{v_i} (v_i * O^w) = Q^{...} O^{v_i w}.
 
@@ -411,14 +454,11 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
 
     g_w = gamma(rs, w)
     x = grassmannian_key(rs, w)
-    # v * ell_x, then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame: one twist, by v
-    # (the words end in the frame u^{-1} v, u the finite part of pi_i^{-1}, which twists by u)
+    # v * ell_x, then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)
     terms, _, (support, _) = _star_words(ell(x), *words)
     check_support = bool(support) and all(y.is_grassmannian() for y in support)
 
-    collapsed = PetersonElement(
-        rs, {sig_inv * y: g.act_exponents(v.m) for y, g in terms.items()}
-    )
+    collapsed = _collapse(terms, v, sig_inv)
     target = sig_inv * x
     check_collapse = collapsed == ell(target)
 
@@ -429,16 +469,15 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     shift = w.inverse().act_coweight(rs.fundamental_coweight(i))
     check_keys = check_keys and g_vw == tuple(a - b for a, b in zip(g_w, shift))
 
-    # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class
+    # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class,
+    # and Q^q = ell_{t_lam} / sigma^den, as in q_class
     q_exp = _quantum_exponent(rs, i, shift)
+    lam, den = _q_parts(rs, q_exp)
     # O^{v_i} = ell_{pi_i^{-1}} / sigma_i (seidel_class): its denominator is the unit vector at i
     lhs = LocalizedClass(collapsed, tuple(a - b for a, b in zip(rs.fundamental_coweight(i), g_w)))
-    rhs_q = q_class(rs, q_exp)
-    rhs_o = LocalizedClass(ell(key_vw), tuple(-c for c in g_vw))
-    rhs_num = mult_by_translation(
-        rhs_o.num, tuple(-c for c in _translation_part(rhs_q))
+    rhs = LocalizedClass(
+        mult_by_translation(ell(key_vw), lam), tuple(a - b for a, b in zip(den, g_vw))
     )
-    rhs = LocalizedClass(rhs_num, tuple(a + b for a, b in zip(rhs_q.den, rhs_o.den)))
     check_product = lhs == rhs
 
     return VerificationReport(
@@ -455,14 +494,6 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
             ("localized_product", check_product),
         ),
     )
-
-
-def _translation_part(c: LocalizedClass) -> tuple[int, ...]:
-    """The sigma exponent of a pure translation-class numerator."""
-    (key,) = c.num.terms
-    if not key.u.is_identity:
-        raise VerificationError(f"numerator {key!r} is not a translation class")
-    return tuple(-a for a in key.lam)
 
 
 def verify_phi_compatibility(rs: RootSystem, i: int, w: WeylElement) -> bool:

@@ -52,7 +52,7 @@ def gamma(rs: RootSystem, w: WeylElement) -> Coweight:
 
 def grassmannian_key(rs: RootSystem, w: WeylElement) -> ExtAffineWeylElement:
     """w t_{gamma_w}, the affine Grassmannian element that indexes O^w."""
-    return from_finite(w) * translation(rs, gamma(rs, w))
+    return from_finite(w).translated(gamma(rs, w))
 
 
 def quantum_exponent(rs: RootSystem, i: int, w: WeylElement) -> tuple[int, ...]:

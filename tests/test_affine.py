@@ -159,6 +159,22 @@ def test_grassmannian_stable_under_antidominant_translation():
             assert (x * translation(rs, gamma)).is_grassmannian()
 
 
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_translated_matches_product_with_translation(type_label, rank):
+    """x.translated(lam) is x * t_lam, for antidominant and for other lam."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(41)
+    for x in grassmannian_ball(rs, 4):
+        lams = [
+            tuple(-rng.randrange(0, 3) for _ in rs.nodes),  # antidominant
+            rs.fundamental_coweight(rng.choice(rs.nodes)),  # dominant
+            tuple(rng.randrange(-2, 3) for _ in rs.nodes),
+            (0,) * rank,
+        ]
+        for lam in lams:
+            assert x.translated(lam) is x * translation(rs, lam), (x, lam)
+
+
 def affine_elements_up_to(rs, max_length: int):
     """All Sigma-free affine elements of length <= max_length, by BFS."""
     seen = {ext_identity(rs)}

@@ -318,6 +318,8 @@ PINNED_OUTPUTS = [
      "table --type C --rank 2 --node 2 --parabolic 1 --format json"),
     ("cli_element_D5.txt", "element --type D --rank 5 --word 2,4,3,5,3,1,2"),
     ("cli_element_D5.json", "element --type D --rank 5 --word 2,4,3,5,3,1,2 --format json"),
+    ("cli_verify_D5_node4.json", "verify --type D --rank 5 --node 4 --word 2,4,3,5,3,1,2 --format json"),
+    ("cli_verify_D4_parabolic1_3.json", "verify --type D --rank 4 --parabolic 1,3 --format json"),
 ]
 
 

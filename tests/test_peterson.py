@@ -21,7 +21,9 @@ from qkseidel.laurent import LaurentPoly, _pack, get_term_budget, set_term_budge
 from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
+    _collapse,
     _star_words,
+    _theorem_node,
     ell,
     mult_by_ell_sigma,
     mult_by_sigma_monomial,
@@ -43,7 +45,7 @@ from qkseidel.rootsys import (
     special_nodes,
     weyl_from_word,
 )
-from qkseidel.seidel import seidel_element
+from qkseidel.seidel import grassmannian_key, seidel_element
 from qkseidel.sweeps import grassmannian_ball
 
 
@@ -241,6 +243,65 @@ def test_translation_product_requires_antidominant():
         mult_by_translation(z, (1, 0))
 
 
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_translation_product_matches_checked_product(type_label, rank):
+    """The unchecked keys x t_lam are Grassmannian and equal the checked x * t_lam."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(43)
+    pool = grassmannian_up_to(rs, 3)
+    for _ in range(12):
+        z = random_peterson(rs, rng, pool)
+        lam = tuple(-rng.randrange(0, 3) for _ in rs.nodes)
+        product = mult_by_translation(z, lam)
+        assert all(x.is_grassmannian() for x in product.terms)
+        t = translation(rs, lam)
+        assert product == PetersonElement(rs, {x * t: f for x, f in z.terms.items()})
+
+
+def _cross_multiplied(a: LocalizedClass, b: LocalizedClass) -> bool:
+    """Oracle: a.num sigma^{b.den} == b.num sigma^{a.den}, by checked general products."""
+    rs = a.num.rs
+
+    def times_sigma(z, m):
+        t = translation(rs, tuple(-c for c in m))
+        return PetersonElement(rs, {x * t: f for x, f in z.terms.items()})
+
+    return times_sigma(a.num, b.den) == times_sigma(b.num, a.den)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("C", 3), ("D", 4)])
+def test_localized_equality_matches_cross_multiplication(type_label, rank):
+    """Equal, comparable and incomparable denominators, on equal and unequal classes."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(47)
+    pool = grassmannian_up_to(rs, 3)
+    unit = [tuple(int(k == j) for k in rs.nodes) for j in rs.nodes]
+    seen = set()
+    for _ in range(30):
+        num = random_peterson(rs, rng, pool)
+        den = tuple(rng.randrange(0, 3) for _ in rs.nodes)
+        c = tuple(rng.randrange(0, 2) for _ in rs.nodes)
+        kind = rng.choice(("equal", "comparable", "incomparable"))
+        if kind == "equal":
+            d = c
+        elif kind == "comparable":
+            d = tuple(a + b for a, b in zip(c, rng.choice(unit)))
+        else:
+            j, k = rng.sample(range(rank), 2)
+            c, d = unit[j], unit[k]
+        a = LocalizedClass(mult_by_sigma_monomial(num, c), tuple(p + q for p, q in zip(den, c)))
+        b = LocalizedClass(mult_by_sigma_monomial(num, d), tuple(p + q for p, q in zip(den, d)))
+        other = LocalizedClass(random_peterson(rs, rng, pool), b.den)
+        shifted = LocalizedClass(a.num, tuple(p + q for p, q in zip(b.den, rng.choice(unit))))
+        for left, right, equal in ((a, b, True), (a, other, None), (b, shifted, False)):
+            verdict = left == right
+            assert verdict == _cross_multiplied(left, right) == (right == left)
+            assert equal is None or verdict == equal
+            seen.add((kind, verdict))
+    assert {kind for kind, _ in seen} == {"equal", "comparable", "incomparable"}
+    assert {verdict for _, verdict in seen} == {True, False}
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("D", 4)])
 def test_sigma_classes_are_star_invariant(type_label, rank):
     rs = build_root_system(type_label, rank)
@@ -298,6 +359,50 @@ def test_framed_paths_twist_once(monkeypatch):
         calls.clear()
         assert verify_seidel_theorem(rs, i, w).passed
         assert calls == [seidel_element(rs, i).m]
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("D", 4)])
+def test_collapse_is_sigma_product_of_star_w(type_label, rank):
+    """_collapse of the framed words is ell_{pi_i^{-1}} (v star z), for z = e^{alpha_1} ell(x)."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(53)
+    alpha = LaurentPoly.monomial(rs.simple_root(1))
+    for i in special_nodes(rs):
+        v, sig_inv, words = _theorem_node(rs, i)
+        wrong_twist_seen = False
+        for w in rng.sample(rs.weyl_group(), 10):
+            z = ell(grassmannian_key(rs, w)).scale(alpha)
+            terms, _, _ = _star_words(z, *words)
+            expected = mult_by_ell_sigma(pi(rs, i).inverse(), star_w(v, z))
+            assert _collapse(terms, v, sig_inv) == expected, (i, w.reduced_word())
+            wrong = PetersonElement(
+                rs, {sig_inv * y: g.act_exponents(v.inverse().m) for y, g in terms.items()}
+            )
+            wrong_twist_seen |= wrong != expected
+        # a twist by v^{-1} shows wherever v is not an involution
+        assert wrong_twist_seen == (v != v.inverse()), i
+
+
+def test_theorem_bookkeeping_makes_no_general_products(monkeypatch):
+    """Past the star words, verify_seidel_theorem multiplies only sig_inv * y and sig_inv * x."""
+    rs = build_root_system("D", 4)
+    weyl = rs.weyl_group()
+    for i in special_nodes(rs):
+        _theorem_node(rs, i)
+    calls = []
+    original = ExtAffineWeylElement.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(ExtAffineWeylElement, "__mul__", counting)
+    for i in special_nodes(rs):
+        for w in (weyl[0], weyl[len(weyl) // 2], longest_element(rs)):
+            calls.clear()
+            assert verify_seidel_theorem(rs, i, w).passed
+            # one collapsed key, and the target
+            assert len(calls) == 2, (i, w.reduced_word(), calls)
 
 
 def test_mult_by_ell_sigma_on_unit():
