@@ -28,12 +28,12 @@ class AffineRoot(NamedTuple):
 class ExtAffineWeylElement:
     """Element t_lambda * u of the extended affine Weyl group.
 
-    Interned per root system, so equal elements share length, Grassmannian
-    and ascent caches.  The Sigma part is implicit: it is trivial exactly when
+    Interned per root system, so equal elements share length and Grassmannian
+    caches.  The Sigma part is implicit: it is trivial exactly when
     lambda lies in the coroot lattice.
     """
 
-    __slots__ = ("rs", "lam", "u", "_length", "_grass", "_ascents", "_hash")
+    __slots__ = ("rs", "lam", "u", "_length", "_grass", "_hash")
 
     def __init__(self, rs: RootSystem, lam: Coweight, u: WeylElement):
         self.rs = rs
@@ -41,7 +41,6 @@ class ExtAffineWeylElement:
         self.u = u
         self._length: Optional[int] = None
         self._grass: Optional[bool] = None
-        self._ascents: Optional[list] = None  # grassmannian_ascent per node, False until asked
         self._hash = hash((lam, u))
 
     def __repr__(self) -> str:
@@ -112,37 +111,6 @@ class ExtAffineWeylElement:
             return level > 0
         return self.u.inverse().perm[rs.root_index[a.finite]] < rs.npos
 
-    def grassmannian_ascent(self, i: int) -> Optional["ExtAffineWeylElement"]:
-        """For Grassmannian x: s_i x if it is longer and Grassmannian, else None.
-
-        The root r = x^{-1}(alpha_i) decides both: s_i x > x iff r > 0, and as
-        (s_i x)(alpha_j) = s_i(x(alpha_j)) with s_i sending only alpha_i negative,
-        s_i x is Grassmannian iff x(alpha_j) != alpha_i for all j, i.e. iff r is
-        not a finite simple root.  For alpha_i = beta + n delta, s_i x is
-        t_{lam - <lam, beta> beta^vee (+ theta^vee for node 0)} (s_beta u).
-        Remembered per node; it never fills is_grassmannian(), an independent check.
-        """
-        memo = self._ascents
-        if memo is None:
-            memo = self._ascents = [False] * (self.rs.rank + 1)
-        if memo[i] is False:
-            memo[i] = self._single_root_ascent(i)
-        return memo[i]
-
-    def _single_root_ascent(self, i: int) -> Optional["ExtAffineWeylElement"]:
-        rs = self.rs
-        shift, refl, beta, index, level, cobeta = _ascent_letter(rs, i)
-        p = rs.pairing(self.lam, beta)
-        level += p
-        if level < 0:
-            return None
-        if level == 0:
-            k = self.u.inverse().perm[index]
-            if k >= rs.npos or k in rs.simple_indices:
-                return None
-        lam = tuple(a - p * c + s for a, c, s in zip(self.lam, cobeta, shift))
-        return _intern(rs, lam, refl * self.u)
-
     def is_grassmannian(self) -> bool:
         """x(alpha_j) > 0 for all finite j: x(alpha_j) is u(alpha_j) at level -<lam, u(alpha_j)>,
         so positive iff that pairing is < 0, or 0 with u(alpha_j) > 0 (index below npos)."""
@@ -155,6 +123,13 @@ class ExtAffineWeylElement:
         return self._grass
 
 
+def grassmannian_keys(mu: Coweight, us: Iterable[WeylElement]) -> bool:
+    """Whether every u t_mu, u in us, is Grassmannian, in right normal form: (u t_mu)(alpha_j)
+    is u(alpha_j) at level -mu_j, so every mu_j <= 0, and u(alpha_j) > 0 wherever mu_j = 0."""
+    zero = {j for j, m in enumerate(mu, 1) if m == 0}
+    return all(m <= 0 for m in mu) and all(zero.isdisjoint(u.descent_set()) for u in us)
+
+
 def _intern(rs: RootSystem, lam: Coweight, u: WeylElement) -> ExtAffineWeylElement:
     cache = rs._ext_intern
     key = (lam, u)
@@ -163,16 +138,6 @@ def _intern(rs: RootSystem, lam: Coweight, u: WeylElement) -> ExtAffineWeylEleme
         x = ExtAffineWeylElement(rs, lam, u)
         cache[key] = x
     return x
-
-
-def _ascent_letter(rs: RootSystem, i: int) -> tuple:
-    """(s_i.lam, s_i.u, beta, root index of beta, n, beta^vee) for alpha_i = beta + n delta."""
-    letter = rs._ascent_letters.get(i)
-    if letter is None:
-        si, (beta, level) = affine_simple_reflection(rs, i), affine_simple_root(rs, i)
-        cobeta = rs.coroots_to_coweight(rs.coroot(beta))
-        letter = rs._ascent_letters[i] = (si.lam, si.u, beta, rs.root_index[beta], level, cobeta)
-    return letter
 
 
 def ext_identity(rs: RootSystem) -> ExtAffineWeylElement:

@@ -7,12 +7,12 @@ star action of affine simple reflections is the two-case recursion
     s_i * (f ell_x) = s_i(f) (e^{alpha_i} ell_x + (1 - e^{alpha_i}) ell_{s_i x})
 
 when s_i x is a longer Grassmannian element, and s_i(f) ell_x otherwise;
-coefficients always pass through the level-zero action first.  The single
-root r = x^{-1}(alpha_i) decides the case: s_i x is longer iff r > 0, and
-then Grassmannian iff r is not a finite simple root (grassmannian_ascent,
-which words use; star_s and star_D keep left_ascent, the general product
-and is_grassmannian, and so serve as its oracle).  star_D is
-the unique companion operator satisfying
+coefficients always pass through the level-zero action first.  star_s and
+star_D decide the case by left_ascent, the general product and is_grassmannian,
+the oracle of the rule words use: they take finite letters only, and for x =
+u t_mu (right normal form, mu = u^{-1}(lambda_x)), s_i x = (s_i u) t_mu is a
+longer Grassmannian element iff s_i u < u (Deodhar's lemma for u in W^{J_mu},
+J_mu the nodes with mu_j = 0).  star_D is the unique companion operator satisfying
 
     star_s(i, a) = e^{alpha_i} a + (1 - e^{alpha_i}) star_D(i, a),
 
@@ -60,9 +60,12 @@ from dataclasses import dataclass
 from .affine import (
     ExtAffineWeylElement,
     SigmaElement,
+    _intern,
     affine_nodes,
     affine_simple_reflection,
     affine_simple_root,
+    from_finite,
+    grassmannian_keys,
     pi,
     translation,
 )
@@ -183,89 +186,107 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
 def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
     """Per word, its letters last first as (i, beta), the last frame, and the runs with
     beta packed, per width k (filled by _star_words): letter i sets frame <- s_i frame,
-    then beta = frame^{-1}(alpha_i).  Kept on the system per words."""
+    then beta = frame^{-1}(alpha_i).  Kept on the system per words, whose letters must
+    be finite nodes: the ascent rule of _star_words holds only for those."""
     if (schedule := rs._star_schedules.get(words)) is None:
+        if any(i not in rs.nodes for word in words for i in word):
+            raise ValueError(f"star words {words} have a letter outside the finite nodes")
         frame, runs = rs.identity_weyl(), []
         for word in words:
             run = []
             for i in reversed(word):
-                frame = affine_simple_reflection(rs, i).u * frame
-                run.append((i, frame.inverse().act_root(affine_simple_root(rs, i).finite)))
+                frame = rs.simple_reflection(i) * frame
+                run.append((i, frame.inverse().act_root(rs.simple_root(i))))
             runs.append(tuple(run))
         schedule = rs._star_schedules[words] = tuple(runs), frame, {}
     return schedule
 
 
-def _star_words(z: PetersonElement, *words: tuple[int, ...]) -> tuple:
+def _right_normal_form(terms: dict) -> dict:
+    """Terms {t_lam u: f} as {mu: {u: f}}: x = u t_mu with mu = u^{-1}(lam)."""
+    groups: dict = {}
+    for x, f in terms.items():
+        groups.setdefault(x.u.inverse().act_coweight(x.lam), {})[x.u] = f
+    return groups
+
+
+def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     """star_s by each word in turn (its last letter first), in one frame and one packing.
 
-    Returns the terms, whose coefficients g stand for frame(g), the frame, and
-    the keys after each word.  Keys are star_s's, but one root x^{-1}(alpha_i)
-    decides each case and builds s_i x (grassmannian_ascent); s_i(f) e^{alpha_i}
-    = frame(g e^beta) with beta = frame^{-1}(alpha_i) for the new frame, so
-    nothing is twisted.  Frames and roots come from the kept letter schedule and
-    are packed as the module docstring says (for ell(x), k depends on the words
-    only).  A letter adds beta to the offset of each key x that ascends and
-    makes one pass over x's g into s_i x: a new key starts from a copy of g at
-    x's offset, less e^beta g; a present one at offset o_y takes e^{o - o_y} g
-    minus e^{o - o_y + beta} g and is dropped if it cancels.  A letter changes
-    only those polynomials, and each meets the term budget after its update.
+    groups holds Grassmannian terms in right normal form, {mu: {u: f}} for f ell_{u t_mu}.
+    u t_mu ascends at i iff u^{-1}(alpha_i) < 0, one lookup, to (s_i u) t_mu with s_i u
+    remembered by u; mu never changes, so each group runs through the words alone.
+    Returns the terms, on the interned t_{u(mu)} u, whose coefficients g stand for
+    frame(g); the frame; and per word the pairs (mu, [u, ...]) of its keys after it.
+    Frames and roots come from the kept letter schedule, packed as the module docstring
+    says (for ell(x), k depends on the words only).  A letter adds beta to the offset of
+    each u that ascends and makes one pass over its g into s_i u: a new key starts from
+    a copy of g at u's offset, less e^beta g; a present one at offset o_y takes
+    e^{o - o_y} g minus e^{o - o_y + beta} g and is dropped if it cancels.  A letter
+    changes only those polynomials, and each meets the term budget after its update.
     """
-    rs = z.rs
     runs, frame, packed = _letter_schedule(rs, words)
-    start = max((abs(a) for f in z.terms.values() for e in f.terms for a in e), default=0)
+    start = max(
+        (abs(a) for group in groups.values() for f in group.values() for e in f.terms for a in e),
+        default=0,
+    )
     k = _pack_width(start + sum(map(len, runs)) * max(rs.highest_root))
     if (packed_runs := packed.get(k)) is None:
         packed_runs = packed[k] = tuple(
             tuple((i, _pack(root, k)) for i, root in run) for run in runs
         )
-    terms = {x: ({_pack(e, k): c for e, c in f.terms.items()}, 0) for x, f in z.terms.items()}
-    keys = []
-    for run in packed_runs:
-        for i, beta in run:
-            for x, (g, o) in list(terms.items()):
-                if (y := x.grassmannian_ascent(i)) is None:
-                    continue
-                terms[x] = g, o + beta
-                # y ascends nowhere at i and x alone reaches it: update it in place
-                if (slot := terms.get(y)) is None:
-                    h = g.copy()
-                    terms[y] = h, o
-                    for e, c in g.items():
-                        e += beta
-                        if new := h.get(e, 0) - c:
-                            h[e] = new
-                        else:
-                            del h[e]
-                else:
-                    h, o_y = slot
-                    d = o - o_y
-                    for e, c in g.items():
-                        e += d
-                        if new := h.get(e, 0) + c:
-                            h[e] = new
-                        else:
-                            del h[e]
-                        e += beta
-                        if new := h.get(e, 0) - c:
-                            h[e] = new
-                        else:
-                            del h[e]
-                    if not h:
-                        del terms[y]
+    n, npos, simple = rs.rank, rs.npos, rs.simple_indices
+    terms, keys = {}, [[] for _ in runs]
+    for mu, group in groups.items():
+        group = {u: ({_pack(e, k): c for e, c in f.terms.items()}, 0) for u, f in group.items()}
+        for run, after in zip(packed_runs, keys):
+            for i, beta in run:
+                index = simple[i - 1]
+                for u, (g, o) in list(group.items()):
+                    if u.inverse().perm[index] < npos:
                         continue
-                _check_budget(len(h))
-        keys.append(list(terms))
-    n = rs.rank
-    return {
-        x: LaurentPoly._trusted(n, {_unpack(e + o, k, n): c for e, c in g.items()})
-        for x, (g, o) in terms.items()
-    }, frame, keys
+                    group[u] = g, o + beta
+                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it: update in place
+                    y = u.left_reflect(i)
+                    if (slot := group.get(y)) is None:
+                        h = g.copy()
+                        group[y] = h, o
+                        for e, c in g.items():
+                            e += beta
+                            if new := h.get(e, 0) - c:
+                                h[e] = new
+                            else:
+                                del h[e]
+                    else:
+                        h, o_y = slot
+                        d = o - o_y
+                        for e, c in g.items():
+                            e += d
+                            if new := h.get(e, 0) + c:
+                                h[e] = new
+                            else:
+                                del h[e]
+                            e += beta
+                            if new := h.get(e, 0) - c:
+                                h[e] = new
+                            else:
+                                del h[e]
+                        if not h:
+                            del group[y]
+                            continue
+                    _check_budget(len(h))
+            if group:
+                after.append((mu, list(group)))
+        for u, (g, o) in group.items():
+            terms[_intern(rs, u.act_coweight(mu), u)] = LaurentPoly._trusted(
+                n, {_unpack(e + o, k, n): c for e, c in g.items()}
+            )
+    return terms, frame, keys
 
 
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
     """Star action of a finite Weyl element: its reduced word in a frame that ends at w."""
-    terms, frame, _ = _star_words(z, w.reduced_word())
+    terms, frame, _ = _star_words(z.rs, _right_normal_form(z.terms), w.reduced_word())
     return PetersonElement(z.rs, {x: g.act_exponents(frame.m) for x, g in terms.items()})
 
 
@@ -318,7 +339,8 @@ def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElemen
     star-act by u_sigma^{-1}, then relabel keys by sigma and twist the
     coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
-    terms, _, _ = _star_words(z, sigma.element.u.inverse().reduced_word())
+    word = sigma.element.u.inverse().reduced_word()
+    terms, _, _ = _star_words(z.rs, _right_normal_form(z.terms), word)
     # x -> sigma x is injective, so no two terms meet
     return PetersonElement(z.rs, {sigma.element * x: g for x, g in terms.items()})
 
@@ -453,18 +475,19 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     v, sig_inv, words = _theorem_node(rs, i)
 
     g_w = gamma(rs, w)
-    x = grassmannian_key(rs, w)
-    # v * ell_x, then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)
-    terms, _, (support, _) = _star_words(ell(x), *words)
-    check_support = bool(support) and all(y.is_grassmannian() for y in support)
+    one = LaurentPoly.one(rs.rank)
+    # v * ell_x for x = w t_{g_w} (grassmannian_key), whose right normal form is (g_w, w),
+    # then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)
+    terms, _, (support, _) = _star_words(rs, {g_w: {w: one}}, *words)
+    check_support = bool(support) and all(grassmannian_keys(mu, us) for mu, us in support)
 
     collapsed = _collapse(terms, v, sig_inv)
-    target = sig_inv * x
+    target = sig_inv * from_finite(w).translated(g_w)
     check_collapse = collapsed == ell(target)
 
     vw = v * w
     g_vw = gamma(rs, vw)
-    key_vw = grassmannian_key(rs, vw)
+    key_vw = from_finite(vw).translated(g_vw)  # grassmannian_key(rs, vw)
     check_keys = target == key_vw
     shift = w.inverse().act_coweight(rs.fundamental_coweight(i))
     check_keys = check_keys and g_vw == tuple(a - b for a, b in zip(g_w, shift))
@@ -476,7 +499,8 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     # O^{v_i} = ell_{pi_i^{-1}} / sigma_i (seidel_class): its denominator is the unit vector at i
     lhs = LocalizedClass(collapsed, tuple(a - b for a, b in zip(rs.fundamental_coweight(i), g_w)))
     rhs = LocalizedClass(
-        mult_by_translation(ell(key_vw), lam), tuple(a - b for a, b in zip(den, g_vw))
+        mult_by_translation(PetersonElement._trusted(rs, {key_vw: one}), lam),
+        tuple(a - b for a, b in zip(den, g_vw)),
     )
     check_product = lhs == rhs
 

@@ -269,7 +269,6 @@ class RootSystem:
         # Caches of the affine, peterson and seidel layers.  They live as long as the
         # system, which for a system from build_root_system is the whole process.
         self._ext_intern: dict = {}
-        self._ascent_letters: dict = {}
         self._star_schedules: dict = {}
         self._theorem_nodes: dict = {}
         self._sigma_group: Optional[tuple] = None

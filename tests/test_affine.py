@@ -15,6 +15,7 @@ from qkseidel.affine import (
     affine_simple_root,
     ext_identity,
     from_finite,
+    grassmannian_keys,
     pi,
     s_theta,
     sigma_decompose,
@@ -22,7 +23,8 @@ from qkseidel.affine import (
     theta_pairings,
     translation,
 )
-from qkseidel.rootsys import RootSystem, build_root_system, root_is_positive, weyl_from_word
+from qkseidel.rootsys import build_root_system, root_is_positive, weyl_from_word
+from qkseidel.seidel import grassmannian_key
 from qkseidel.sweeps import grassmannian_ball
 
 
@@ -191,49 +193,86 @@ def affine_elements_up_to(rs, max_length: int):
     return sorted(seen, key=lambda x: (x.ext_length(), x.lam, x.u.m))
 
 
-@pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2)])
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
+)
 def test_grassmannian_ascent_dichotomy(type_label, rank):
     """For Grassmannian x = w t_beta and finite i:
     s_i x is longer and Grassmannian  <=>  s_i w is shorter than w."""
     rs = build_root_system(type_label, rank)
+    grassmannian = 0
     for x in affine_elements_up_to(rs, 8):
         if not x.is_grassmannian():
             continue
+        grassmannian += 1
         w = x.u  # x = t_lam u = u t_{u^{-1} lam}
         for i in rs.nodes:
             six = affine_simple_reflection(rs, i) * x
             lhs = six.ext_length() > x.ext_length() and six.is_grassmannian()
             rhs = (rs.simple_reflection(i) * w).length() < w.length()
             assert lhs == rhs, (x, i)
+    assert grassmannian > 1
+
+
+def right_normal_form(x):
+    """(mu, u) with x = u t_mu: x = t_lam u = u t_{u^{-1}(lam)}."""
+    return x.u.inverse().act_coweight(x.lam), x.u
 
 
 @pytest.mark.parametrize(
-    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
+    "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4)]
 )
-def test_grassmannian_ascent_against_oracle(type_label, rank):
-    """The single-root ascent equals the general product, length test and Grassmannian test.
-
-    It is asked once on a fresh system, before anything else has run on x, and
-    again after left_ascent and is_grassmannian have; both answers must be the
-    oracle's interned element (or None), and asking must not fill the
-    is_grassmannian() cache.
-    """
-    ball = grassmannian_ball(build_root_system(type_label, rank), 6)
-    rs = RootSystem(type_label, rank)  # its elements have answered nothing yet
-    xs = [translation(rs, x.lam) * from_finite(weyl_from_word(rs, x.u.reduced_word()))
-          for x in ball]
-    first = [{i: x.grassmannian_ascent(i) for i in affine_nodes(rs)} for x in xs]
-    assert all(x._grass is None for x in xs)
+def test_finite_ascent_rule_against_oracle(type_label, rank):
+    """The rule of the star words: for Grassmannian x = u t_mu and finite i, s_i x is
+    longer and Grassmannian (left_ascent, the general product and is_grassmannian) iff
+    s_i u < u, i.e. u^{-1}(alpha_i) < 0, and then s_i x = (s_i u) t_mu.  Checked on the
+    Sigma-translates of the Grassmannian ball, whose keys have a Sigma part, and on every
+    grassmannian_key."""
+    rs = build_root_system(type_label, rank)
+    ball = grassmannian_ball(rs, 5)
+    xs = {s.element * x for s in sigma_elements(rs) for x in ball}
+    xs |= {grassmannian_key(rs, w) for w in rs.weyl_group()}
     ascents = 0
-    for x, before in zip(xs, first):
+    for x in xs:
         assert x.is_grassmannian()
-        for i in affine_nodes(rs):
+        mu, u = right_normal_form(x)
+        for i in rs.nodes:
             six = affine_simple_reflection(rs, i) * x
-            expect = six if x.left_ascent(i) and six.is_grassmannian() else None
-            assert before[i] is expect, (x, i)
-            assert x.grassmannian_ascent(i) is expect, (x, i)
-            ascents += expect is not None
-    assert ascents > 0
+            oracle = x.left_ascent(i) and six.is_grassmannian()
+            rule = u.inverse().perm[rs.root_index[rs.simple_root(i)]] >= rs.npos
+            assert rule == ((rs.simple_reflection(i) * u).length() < u.length())
+            assert oracle == rule, (x, i)
+            if rule:
+                ascents += 1
+                assert six is from_finite(u.left_reflect(i)).translated(mu), (x, i)
+    assert 0 < ascents < len(xs) * rank
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_grassmannian_keys_against_is_grassmannian(type_label, rank):
+    """The right-normal-form test of the theorem's support, on (mu, [u, ...]) with
+    x = u t_mu, equals is_grassmannian on Grassmannian keys (the ball, every
+    grassmannian_key and their Sigma-translates) and on keys that are mostly not
+    Grassmannian: s_i x and x s_j; on a list, it is all of theirs."""
+    rs = build_root_system(type_label, rank)
+    keys = set(grassmannian_ball(rs, 5)) | {grassmannian_key(rs, w) for w in rs.weyl_group()}
+    keys |= {s.element * x for s in sigma_elements(rs) for x in keys}
+    others = {affine_simple_reflection(rs, i) * x for x in keys for i in affine_nodes(rs)}
+    others |= {x * affine_simple_reflection(rs, j) for x in keys for j in rs.nodes}
+    verdicts = {True: 0, False: 0}
+    groups = {}
+    for x in keys | others:
+        mu, u = right_normal_form(x)
+        verdict = grassmannian_keys(mu, [u])
+        assert verdict == x.is_grassmannian(), x
+        assert verdict or x not in keys, x
+        verdicts[verdict] += 1
+        groups.setdefault(mu, []).append(x)
+    assert verdicts[False] > len(keys) // 2
+    for mu, xs in groups.items():
+        assert grassmannian_keys(mu, [x.u for x in xs]) == all(x.is_grassmannian() for x in xs)
 
 
 @pytest.mark.parametrize(

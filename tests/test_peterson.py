@@ -22,6 +22,7 @@ from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
     _collapse,
+    _right_normal_form,
     _star_words,
     _theorem_node,
     ell,
@@ -45,7 +46,7 @@ from qkseidel.rootsys import (
     special_nodes,
     weyl_from_word,
 )
-from qkseidel.seidel import grassmannian_key, seidel_element
+from qkseidel.seidel import gamma, grassmannian_key, seidel_element
 from qkseidel.sweeps import grassmannian_ball
 
 
@@ -372,7 +373,7 @@ def test_collapse_is_sigma_product_of_star_w(type_label, rank):
         wrong_twist_seen = False
         for w in rng.sample(rs.weyl_group(), 10):
             z = ell(grassmannian_key(rs, w)).scale(alpha)
-            terms, _, _ = _star_words(z, *words)
+            terms, _, _ = _star_words(rs, _right_normal_form(z.terms), *words)
             expected = mult_by_ell_sigma(pi(rs, i).inverse(), star_w(v, z))
             assert _collapse(terms, v, sig_inv) == expected, (i, w.reduced_word())
             wrong = PetersonElement(
@@ -691,11 +692,16 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
         if not word:
             continue
         i = word[-1]
-        x, y = next((x, y) for x in pool if (y := x.grassmannian_ascent(i)) is not None)
+        s_i = affine_simple_reflection(rs, i)
+        x, y = next(
+            (x, y) for x in pool if x.left_ascent(i) and (y := s_i * x).is_grassmannian()
+        )
         lowered = LaurentPoly.monomial(tuple(-a for a in rs.simple_root(i)))
         z = PetersonElement(rs, {x: f, y: (lowered - LaurentPoly.one(rank)) * f})
         assert y not in star_s(i, z).terms
-        assert _star_words(z, (i,))[2] == [[x]]
+        ((mu, group),) = _right_normal_form(z.terms).items()
+        assert set(group) == {x.u, y.u}
+        assert _star_words(rs, {mu: group}, (i,))[2] == [[(mu, [x.u])]]
         si = weyl_from_word(rs, (i,))
         assert star_w(si, z) == star_w_by_letters(si, z)
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
@@ -706,30 +712,92 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
 @pytest.mark.parametrize(
     "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 )
-def test_ascent_pairs_are_disjoint(type_label, rank, monkeypatch):
-    """If x ascends at i to y = s_i x, y does not ascend at i (s_i y = x is shorter), so
-    x is the only key that reaches y and _star_words may update y in place.  Checked on
-    the Grassmannian ball and on every key the theorem's star words meet."""
+def test_ascent_pairs_are_disjoint(type_label, rank):
+    """If u t_mu ascends at i, to y = (s_i u) t_mu, then s_i u does not ascend at i
+    (s_i s_i u = u is longer), so u is the only key that reaches y and _star_words may
+    update y in place.  Checked against the oracle (left_ascent, the general product and
+    is_grassmannian) on the Grassmannian ball and on every key the theorem's star words
+    leave after each word."""
     rs = RootSystem(type_label, rank)
-    met = set(grassmannian_ball(rs, 8))
-    ascent = ExtAffineWeylElement.grassmannian_ascent
-
-    def recording(x, i):
-        met.add(x)
-        return ascent(x, i)
-
-    monkeypatch.setattr(ExtAffineWeylElement, "grassmannian_ascent", recording)
+    met = {(x.u.inverse().act_coweight(x.lam), x.u) for x in grassmannian_ball(rs, 8)}
+    one = LaurentPoly.one(rank)
     for i in special_nodes(rs):
+        words = _theorem_node(rs, i)[2]
         for w in rs.weyl_group():
             assert verify_seidel_theorem(rs, i, w).passed
-    monkeypatch.undo()
+            for after in _star_words(rs, {gamma(rs, w): {w: one}}, *words)[2]:
+                met |= {(mu, u) for mu, us in after for u in us}
     pairs = 0
-    for x in met:
-        for i in affine_nodes(rs):
-            if (y := x.grassmannian_ascent(i)) is not None:
+    for mu, u in met:
+        x = from_finite(u).translated(mu)
+        for i in rs.nodes:
+            s_i = affine_simple_reflection(rs, i)
+            ascends = x.left_ascent(i) and (y := s_i * x).is_grassmannian()
+            assert ascends == (u.inverse().perm[rs.simple_indices[i - 1]] >= rs.npos), (x, i)
+            if ascends:
                 pairs += 1
-                assert y.grassmannian_ascent(i) is None, (x, i)
+                assert y is from_finite(u.left_reflect(i)).translated(mu), (x, i)
+                assert not (y.left_ascent(i) and (s_i * y).is_grassmannian()), (x, i)
+                assert u.left_reflect(i).inverse().perm[rs.simple_indices[i - 1]] < rs.npos
     assert pairs > len(met) // 2
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
+def test_star_words_run_each_translation_group(type_label, rank):
+    """Keys in three right translations mu, one u in two of them: star_w and
+    mult_by_ell_sigma, which run each group through the words alone, equal star_s letter
+    by letter."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(59)
+    w = weyl_from_word(rs, (rank, 1))
+    x = grassmannian_key(rs, w)
+    keys = [x, x.translated(tuple(-1 if j == 1 else 0 for j in rs.nodes))]
+    keys += [y for y in grassmannian_up_to(rs, 3) if y.lam != x.lam][:3]
+    z = PetersonElement(rs, {
+        y: LaurentPoly.monomial(tuple(rng.randint(-2, 2) for _ in rs.nodes), rng.choice((-2, 1, 3)))
+        + LaurentPoly.one(rank)
+        for y in keys
+    })
+    groups = _right_normal_form(z.terms)
+    assert len(groups) >= 3 and sum(w in group for group in groups.values()) == 2
+    for v in (longest_element(rs), w, weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(6)])):
+        assert star_w(v, z) == star_w_by_letters(v, z), v.reduced_word()
+    for s in sigma_elements(rs):
+        assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
+
+
+def test_star_words_take_finite_letters_only():
+    """The ascent rule holds for finite letters only: a word with node 0, or with a node
+    outside the diagram, is refused before any schedule is kept."""
+    rs = RootSystem("A", 3)
+    groups = _right_normal_form(ell(ext_identity(rs)).terms)
+    for words in [((1, 0, 2),), ((1, 2), (0,)), ((4,),)]:
+        with pytest.raises(ValueError, match="outside the finite nodes"):
+            _star_words(rs, groups, *words)
+    assert rs._star_schedules == {}
+    assert _star_words(rs, groups, (1, 2))[2] == [[((0, 0, 0), [rs.identity_weyl()])]]
+
+
+def test_theorem_interns_five_affine_elements_at_most():
+    """One verify_seidel_theorem call on a fresh D5 system, past the node's constants,
+    interns at most five affine elements: from_finite(w), x = w t_{gamma_w},
+    from_finite(v w), the target pi_i^{-1} x = (v w) t_{gamma_{v w}} and its translate
+    by the Q part.  The star words intern only the terms they return, which collapse to
+    x, however many keys the support they check has (up to hundreds)."""
+    sample = random.Random(61).sample(RootSystem("D", 5).weyl_group(), 8)
+    largest_support = 0
+    for word in [(), (2, 4, 3, 5, 3, 1, 2)] + [w.reduced_word() for w in sample]:
+        for i in (1, 4, 5):
+            rs = RootSystem("D", 5)
+            w = weyl_from_word(rs, word)
+            _theorem_node(rs, i)
+            before = len(rs._ext_intern)
+            assert verify_seidel_theorem(rs, i, w).passed
+            assert len(rs._ext_intern) - before <= 5, (i, word)
+            words = _theorem_node(rs, i)[2]
+            support = _star_words(rs, {gamma(rs, w): {w: LaurentPoly.one(5)}}, *words)[2][0]
+            largest_support = max(largest_support, sum(len(us) for _, us in support))
+    assert largest_support > 50
 
 
 def test_e7_node7_instances():

@@ -17,6 +17,7 @@ from qkseidel.rootsys import (
 )
 from qkseidel.seidel import (
     gamma,
+    grassmannian_key,
     one_line,
     quantum_exponent,
     seidel_datum,
@@ -180,10 +181,13 @@ def test_group_lemma_exhaustive_small():
 
 
 def test_w_times_gamma_translation_is_grassmannian():
-    for type_label, rank in SWEEP_TYPES:
+    """verify_seidel_theorem takes w t_{gamma_w} and (v w) t_{gamma_{v w}} as basis keys
+    unchecked: every grassmannian_key is the product w t_{gamma_w}, and Grassmannian."""
+    for type_label, rank in SWEEP_TYPES + [("G", 2)]:
         rs = build_root_system(type_label, rank)
         for w in rs.weyl_group():
             x = from_finite(w) * translation(rs, gamma(rs, w))
+            assert grassmannian_key(rs, w) is x
             assert x.is_grassmannian()
 
 
