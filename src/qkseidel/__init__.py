@@ -26,7 +26,6 @@ from .peterson import (
     seidel_class,
     star_s,
     star_w,
-    verify_phi_compatibility,
     verify_seidel_theorem,
 )
 from .qk import (
@@ -36,6 +35,7 @@ from .qk import (
     pushforward,
     seidel_product,
     seidel_product_parabolic,
+    verify_phi_compatibility,
     verify_pushforward_commutes,
 )
 from .rootsys import build_root_system, special_nodes, weyl_from_word

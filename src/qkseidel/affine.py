@@ -180,15 +180,6 @@ def affine_nodes(rs: RootSystem) -> tuple[int, ...]:
     return (0,) + rs.nodes
 
 
-def affine_from_word(rs: RootSystem, word: Iterable[int]) -> ExtAffineWeylElement:
-    x = ext_identity(rs)
-    for i in word:
-        if i != 0 and i not in rs.nodes:
-            raise ValueError("node %r outside the affine index set" % (i,))
-        x = x * affine_simple_reflection(rs, i)
-    return x
-
-
 def affine_reduced_word(y: ExtAffineWeylElement) -> tuple[int, ...]:
     """Lexicographically least reduced word of a Sigma-free element.
 

@@ -8,22 +8,26 @@ closed-form permutation of the basis up to a Q-monomial:
     O^{v_i} . (v_i^L O^w) = Q^{omega_i^vee - w^{-1} omega_i^vee} O^{v_i w}.
 
 Each (i, w) instance is certified in the Peterson engine before the closed
-form is used; a registry caches certificates so repeated products stay
-cheap.  The parabolic product is computed twice, via
-the pushforward and via the direct formula, and the routes must agree.
+form is used.  A VerificationRegistry keeps the quantum exponent each passed
+certificate checked, so a repeated product reads it back and computes nothing;
+the default one lives on the root system (rs._registry) and dies with it.  The
+parabolic product is computed twice, via the pushforward and via the direct
+formula, and the routes must agree.  verify_phi_compatibility reads left_action
+back into the Peterson module, where it must be the star action.
 The public QKElement constructor checks every term; left_action, pushforward
 and shift_q build valid terms from valid ones and skip it (QKElement._trusted).
 """
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
 from .errors import UnsupportedProductError, VerificationError
 from .laurent import LaurentPoly, accumulate
-from .peterson import verify_seidel_theorem
+from .peterson import LocalizedClass, o_class, star_s, verify_seidel_theorem
 from .rootsys import RootSystem, WeylElement
-from .seidel import quantum_exponent, seidel_element
+from .seidel import seidel_element
 
 QExponent = tuple[int, ...]
 
@@ -190,23 +194,22 @@ def left_action(i: int, xi: QKElement) -> QKElement:
 
 
 class VerificationRegistry:
-    """Certificates for theorem instances, so closed-form products are backed."""
+    """Certified theorem instances: (i, w) -> the quantum exponent its passed report checked."""
 
     def __init__(self):
-        self._instances: set[tuple[str, int, int, tuple[int, ...]]] = set()
+        self._exponents: dict[tuple[int, WeylElement], QExponent] = {}
 
-    def record(self, report) -> None:
+    def record(self, w: WeylElement, report) -> QExponent:
         if not report.passed:
             raise VerificationError("refusing to record a failed verification")
-        self._instances.add(
-            (report.type_label, report.rank, report.node, report.word)
-        )
+        if report.word != w.reduced_word():
+            raise ValueError(f"report for word {report.word} recorded under {w.reduced_word()}")
+        self._exponents[report.node, w] = report.q_exponent
+        return report.q_exponent
 
-    def covers(self, rs: RootSystem, i: int, w: WeylElement) -> bool:
-        return (rs.type_label, rs.rank, i, w.reduced_word()) in self._instances
-
-
-DEFAULT_REGISTRY = VerificationRegistry()
+    def exponent(self, i: int, w: WeylElement) -> QExponent | None:
+        """The certified exponent of (i, w), or None if no passed report covers it."""
+        return self._exponents.get((i, w))
 
 
 def seidel_product(
@@ -216,18 +219,16 @@ def seidel_product(
     registry: VerificationRegistry | None = None,
 ) -> QKElement:
     """O^{v_i} . (v_i^L O^w) over G/B, certified before the closed form is used."""
-    reg = DEFAULT_REGISTRY if registry is None else registry
-    if reg.covers(rs, i, w):
-        d = quantum_exponent(rs, i, w)
-    else:
+    if registry is None:
+        registry = rs._registry = rs._registry or VerificationRegistry()
+    if (d := registry.exponent(i, w)) is None:
         report = verify_seidel_theorem(rs, i, w)
         if not report.passed:
             raise VerificationError(
                 f"theorem instance failed for node {i}, word {w.reduced_word()}: "
                 f"{report.checks}"
             )
-        reg.record(report)
-        d = report.q_exponent  # the exponent the certificate just checked
+        d = registry.record(w, report)
     return QKElement.schubert(rs, seidel_element(rs, i) * w).shift_q(d)
 
 
@@ -269,6 +270,17 @@ def seidel_product_parabolic(
             f"word {w.reduced_word()}, base {sorted(p.subset)}"
         )
     return direct
+
+
+def verify_phi_compatibility(rs: RootSystem, i: int, w: WeylElement) -> bool:
+    """The star action of s_i on O^w equals left_action(i, O^w) read back through o_class."""
+    image = left_action(i, QKElement.schubert(rs, w))
+    rhs = functools.reduce(
+        operator.add, (o_class(rs, y).scale(f) for (_, y), f in image.terms.items())
+    )
+    o_w = o_class(rs, w)
+    # the star action passes through the numerator: sigma denominators are W-invariant
+    return LocalizedClass(star_s(i, o_w.num), o_w.den) == rhs
 
 
 def verify_standard_lemma(p: ParabolicData) -> bool:

@@ -154,11 +154,6 @@ class WeylElement:
         return self._m
 
     @property
-    def minv(self) -> Matrix:
-        """Action matrix of the inverse."""
-        return self.inverse().m
-
-    @property
     def is_identity(self) -> bool:
         return self is self.rs._identity
 
@@ -266,13 +261,14 @@ class RootSystem:
         self._simple_reflections = {j: self.reflection(self._unit[j]) for j in self.nodes}
         self._longest_cache: dict[frozenset[int], WeylElement] = {}
         self._weyl_group: Optional[tuple[WeylElement, ...]] = None
-        # Caches of the affine, peterson and seidel layers.  They live as long as the
+        # Caches of the affine, peterson, seidel and qk layers.  They live as long as the
         # system, which for a system from build_root_system is the whole process.
         self._ext_intern: dict = {}
         self._star_schedules: dict = {}
         self._theorem_nodes: dict = {}
         self._sigma_group: Optional[tuple] = None
         self._datum_cache: dict = {}
+        self._registry = None  # qk's default VerificationRegistry, made on first use
 
     def __repr__(self) -> str:
         return "RootSystem(%s, %d)" % (self.type_label, self.rank)

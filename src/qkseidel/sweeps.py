@@ -31,13 +31,13 @@ from .peterson import (
     ell,
     mult_by_ell_sigma,
     star_w,
-    verify_phi_compatibility,
     verify_seidel_theorem,
 )
 from .qk import (
     VerificationRegistry,
     parabolic_data,
     seidel_product_parabolic,
+    verify_phi_compatibility,
     verify_pushforward_commutes,
 )
 from .rootsys import (

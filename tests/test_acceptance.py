@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import time
 
-from qkseidel.affine import affine_from_word, pi
+from qkseidel.affine import pi
 from qkseidel.peterson import (
     LocalizedClass,
     q_class,
-    sigma_monomial,
     verify_seidel_theorem,
 )
 from qkseidel.qk import QKElement, seidel_product
@@ -34,6 +33,8 @@ from qkseidel.sweeps import (
     sweep_pushforward,
     sweep_theorem,
 )
+
+from oracles import affine_from_word, sigma_monomial
 
 
 def _finish(capsys, num, label, t0, bound, ok, detail=""):

@@ -8,7 +8,6 @@ import pytest
 
 from qkseidel.affine import (
     AffineRoot,
-    affine_from_word,
     affine_nodes,
     affine_reduced_word,
     affine_simple_reflection,
@@ -26,6 +25,8 @@ from qkseidel.affine import (
 from qkseidel.rootsys import build_root_system, root_is_positive, weyl_from_word
 from qkseidel.seidel import grassmannian_key
 from qkseidel.sweeps import grassmannian_ball
+
+from oracles import affine_from_word
 
 
 def affine_root_is_positive(a: AffineRoot) -> bool:

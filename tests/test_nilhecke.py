@@ -5,7 +5,6 @@ import itertools
 import random
 
 from qkseidel.affine import (
-    affine_from_word,
     affine_nodes,
     affine_simple_reflection,
     pi,
@@ -19,6 +18,8 @@ from qkseidel.nilhecke import (
     verify_braid_relation,
 )
 from qkseidel.rootsys import build_root_system, special_nodes
+
+from oracles import affine_from_word
 
 RELATION_TYPES = [("A", 2), ("C", 2), ("G", 2)]
 

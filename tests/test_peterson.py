@@ -1,13 +1,13 @@
 """Peterson module tests: star action laws, localized classes, product identity."""
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from qkseidel.affine import (
     ExtAffineWeylElement,
-    affine_from_word,
     affine_nodes,
     affine_simple_reflection,
     ext_identity,
@@ -18,27 +18,26 @@ from qkseidel.affine import (
 )
 from qkseidel.errors import SizeLimitError, UnsupportedProductError
 from qkseidel.laurent import LaurentPoly, _pack, get_term_budget, set_term_budget
+from qkseidel.nilhecke import braid_order
 from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
     _collapse,
+    _letter_schedule,
     _right_normal_form,
     _star_words,
     _theorem_node,
     ell,
     mult_by_ell_sigma,
-    mult_by_sigma_monomial,
     mult_by_translation,
     o_class,
     q_class,
     seidel_class,
-    sigma_monomial,
-    star_D,
     star_s,
     star_w,
-    verify_phi_compatibility,
     verify_seidel_theorem,
 )
+from qkseidel.qk import verify_phi_compatibility
 from qkseidel.rootsys import (
     RootSystem,
     build_root_system,
@@ -47,7 +46,9 @@ from qkseidel.rootsys import (
     weyl_from_word,
 )
 from qkseidel.seidel import gamma, grassmannian_key, seidel_element
-from qkseidel.sweeps import grassmannian_ball
+from qkseidel.sweeps import NILHECKE_SWEEP_TYPES, grassmannian_ball
+
+from oracles import affine_from_word, mult_by_sigma_monomial, sigma_monomial, star_D
 
 
 def grassmannian_up_to(rs, max_length: int):
@@ -226,6 +227,24 @@ def test_star_D_divided_difference_against_geometric_sums(type_label, rank):
             assert star_D(i, z) == expect, (i, z)
 
 
+@pytest.mark.parametrize("type_label,rank", NILHECKE_SWEEP_TYPES)
+def test_star_D_satisfies_the_nil_hecke_relations(type_label, rank):
+    """D_i^2 = D_i and every braid relation of braid_order, on ell(x) over the
+    Grassmannian ball of radius 4: the nil-Hecke algebra acts through star_D."""
+    rs = build_root_system(type_label, rank)
+    nodes = affine_nodes(rs)
+    for x in grassmannian_ball(rs, 4):
+        z = ell(x)
+        for i in nodes:
+            d = star_D(i, z)
+            assert star_D(i, d) == d, (i, x)
+        for i, j in itertools.combinations(nodes, 2):
+            a = b = z
+            for k in range(braid_order(rs, i, j)):
+                a, b = star_D((i, j)[k % 2], a), star_D((j, i)[k % 2], b)
+            assert a == b, (i, j, x)
+
+
 def test_peterson_element_rejects_non_grassmannian():
     rs = build_root_system("A", 2)
     x = from_finite(weyl_from_word(rs, (1,)))
@@ -382,6 +401,23 @@ def test_collapse_is_sigma_product_of_star_w(type_label, rank):
             wrong_twist_seen |= wrong != expected
         # a twist by v^{-1} shows wherever v is not an involution
         assert wrong_twist_seen == (v != v.inverse()), i
+
+
+def test_collapse_frame_is_trivial_on_every_special_node():
+    """sigma_collapse holds by construction: the finite part of pi_i^{-1} is v_i, so
+    the second word is v_i^{-1}'s and the frame after both words is the identity."""
+    types = (
+        [("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 5)]
+        + [("C", r) for r in range(2, 5)] + [("D", r) for r in range(4, 7)]
+        + [("E", 6), ("E", 7)]
+    )
+    for type_label, rank in types:
+        rs = RootSystem(type_label, rank)
+        for i in special_nodes(rs):
+            v, sig_inv, words = _theorem_node(rs, i)
+            _, frame, _ = _letter_schedule(rs, words)
+            assert sig_inv.u == v, (type_label, rank, i)
+            assert frame.is_identity, (type_label, rank, i)
 
 
 def test_theorem_bookkeeping_makes_no_general_products(monkeypatch):

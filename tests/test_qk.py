@@ -7,10 +7,10 @@ import random
 
 import pytest
 
-from qkseidel import qk
+from qkseidel import qk, seidel
 from qkseidel.errors import UnsupportedProductError, VerificationError
 from qkseidel.laurent import LaurentPoly
-from qkseidel.peterson import VerificationReport
+from qkseidel.peterson import VerificationReport, verify_seidel_theorem
 from qkseidel.qk import (
     QKElement,
     VerificationRegistry,
@@ -344,12 +344,16 @@ def test_seidel_product_permutes_basis():
 
 
 def test_registry_mechanics():
+    """A miss records the exponent its report checked; a failed report is refused."""
     rs = build_root_system("A", 2)
     s1 = weyl_from_word(rs, (1,))
     reg = VerificationRegistry()
-    assert not reg.covers(rs, 1, s1)
+    assert reg.exponent(1, s1) is None
     seidel_product(rs, 1, s1, reg)
-    assert reg.covers(rs, 1, s1)
+    assert reg.exponent(1, s1) == verify_seidel_theorem(rs, 1, s1).q_exponent
+    assert reg.exponent(2, s1) is None
+    # WeylElement equality includes the root system, so another system's s1 is a miss
+    assert reg.exponent(1, weyl_from_word(build_root_system("C", 2), (1,))) is None
 
     failed = VerificationReport(
         type_label="A",
@@ -361,29 +365,49 @@ def test_registry_mechanics():
         checks=(("localized_product", False),),
     )
     with pytest.raises(VerificationError):
-        reg.record(failed)
+        reg.record(s1, failed)
+    with pytest.raises(ValueError):
+        reg.record(rs.identity_weyl(), verify_seidel_theorem(rs, 1, s1))
 
 
 def test_seidel_product_takes_the_certified_exponent_on_a_miss(monkeypatch):
-    """A registry miss reads d from the report it just checked; a hit computes it."""
+    """A registry miss checks the instance and records report.q_exponent; a hit returns
+    that exponent and calls neither verify_seidel_theorem nor quantum_exponent."""
     rs = build_root_system("A", 3)
     w = weyl_from_word(rs, (2, 1, 3))
-    calls = []
+    verified, exponents = [], []
 
-    def counting(*args):
-        calls.append(args)
+    def counting_verify(*args):
+        verified.append(args)
+        return verify_seidel_theorem(*args)
+
+    def counting_exponent(*args):
+        exponents.append(args)
         return quantum_exponent(*args)
 
-    monkeypatch.setattr(qk, "quantum_exponent", counting)
+    monkeypatch.setattr(qk, "verify_seidel_theorem", counting_verify)
+    monkeypatch.setattr(seidel, "quantum_exponent", counting_exponent)
     reg = VerificationRegistry()
     for i in special_nodes(rs):
         missed = seidel_product(rs, i, w, reg)
-        assert calls == []
-        assert seidel_product(rs, i, w, reg) == missed
-        assert calls == [(rs, i, w)]
-        calls.clear()
+        assert verified == [(rs, i, w)]
         ((d, _),) = missed.terms
-        assert d == quantum_exponent(rs, i, w)
+        assert d == reg.exponent(i, w) == verify_seidel_theorem(rs, i, w).q_exponent
+        assert d == quantum_exponent(rs, i, w)  # the unpatched function
+        assert seidel_product(rs, i, w, reg) == missed
+        assert verified == [(rs, i, w)]
+        verified.clear()
+    assert exponents == [] and not hasattr(qk, "quantum_exponent")
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_quantum_exponent_is_the_certified_exponent(type_label, rank):
+    """The public quantum_exponent, which no product reads, equals the exponent each
+    theorem report certifies, on every special node and all of W."""
+    rs = build_root_system(type_label, rank)
+    for i in special_nodes(rs):
+        for w in rs.weyl_group():
+            assert quantum_exponent(rs, i, w) == verify_seidel_theorem(rs, i, w).q_exponent
 
 
 def test_general_product_is_rejected():

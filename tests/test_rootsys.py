@@ -309,7 +309,7 @@ def test_coweight_action_against_matrix_product():
         for w in rs.weyl_group():
             for i in rs.nodes:
                 cw = rs.fundamental_coweight(i)
-                assert w.act_coweight(cw) == _vec_mat(cw, w.minv)
+                assert w.act_coweight(cw) == _vec_mat(cw, w.inverse().m)
 
 
 def test_coroot_table_against_pairings():
@@ -379,7 +379,7 @@ def test_permutation_products_against_matrices(type_label, rank):
     rs = build_root_system(type_label, rank)
     refl = {i: reflection_matrix(rs, i) for i in rs.nodes}
     for i in rs.nodes:
-        assert rs.simple_reflection(i).m == refl[i] == rs.simple_reflection(i).minv
+        assert rs.simple_reflection(i).m == refl[i] == rs.simple_reflection(i).inverse().m
 
     def random_element():
         word = [rng.choice(rs.nodes) for _ in range(rng.randrange(2 * rank + 12))]
@@ -394,9 +394,9 @@ def test_permutation_products_against_matrices(type_label, rank):
         u, v = random_element(), random_element()
         uv = u * v
         assert uv.m == mat_mul(u.m, v.m)
-        assert uv.minv == mat_mul(v.minv, u.minv)
-        assert u.inverse().m == u.minv
-        assert mat_mul(u.m, u.minv) == rs.identity_weyl().m
+        assert uv.inverse().m == mat_mul(v.inverse().m, u.inverse().m)
+        assert mat_mul(u.inverse().m, u.m) == rs.identity_weyl().m
+        assert mat_mul(u.m, u.inverse().m) == rs.identity_weyl().m
         for beta in rs.roots:
             assert u.act_root(beta) == mat_vec(u.m, beta)
         inv = matrix_inversions(rs, u.m)
@@ -441,7 +441,7 @@ def test_weyl_group_is_matrix_closure(type_label, rank):
     )
     group = rs.weyl_group()
     assert [w.m for w in group] == ordered
-    assert [w.minv for w in group] == [closure[m] for m in ordered]
+    assert [w.inverse().m for w in group] == [closure[m] for m in ordered]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 
 from qkseidel.affine import from_finite, pi, translation
 from qkseidel.peterson import verify_seidel_theorem
+from qkseidel.qk import parabolic_data, seidel_product, seidel_product_parabolic
 from qkseidel.rootsys import (
     RootSystem,
     build_root_system,
@@ -192,12 +193,17 @@ def test_w_times_gamma_translation_is_grassmannian():
 
 
 def test_caches_die_with_their_root_system():
-    """Affine and Seidel caches live on the root system, not at module level."""
+    """Affine, Seidel and qk caches, the default registry included, live on the root
+    system, not at module level."""
 
     def use_and_drop():
         rs = RootSystem("C", 3)
         assert seidel_datum(rs, 3).node == 3
         assert verify_seidel_theorem(rs, 3, longest_element(rs)).passed
+        seidel_product(rs, 3, longest_element(rs))
+        p = parabolic_data(rs, (1,))
+        seidel_product_parabolic(rs, 3, p.minimal_reps[-1], p)
+        assert rs._registry.exponent(3, longest_element(rs)) is not None
         return weakref.ref(rs)
 
     ref = use_and_drop()

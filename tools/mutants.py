@@ -1,0 +1,118 @@
+"""Mutation check: which of a fixed list of source faults tier-1 and the default sweep see.
+
+Each mutation replaces one exact snippet of one file under src/qkseidel in a
+temporary copy of src/ and tests/.  The copy then runs tier-1 and the serial
+default sweep plan, and the script prints one table row per mutation: the
+number of tier-1 tests that fail, and the number of lines of
+tests/sweep_default.txt that the mutant's sweep no longer prints (all of them
+when the sweep crashes).  The first row runs the copy unmutated, as a control.
+
+Run from the repository root, with no arguments:
+
+    python3 tools/mutants.py
+
+Each mutant takes about as long as tier-1 plus the default plan, longer when it
+fails most of tier-1.  The script uses only the standard library and is not
+part of CI.
+"""
+from __future__ import annotations
+
+import difflib
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (label, file under src/qkseidel, exact snippet, replacement)
+MUTATIONS = (
+    (
+        "`qk.left_action` uses `e^{-alpha_i}` for `e^{alpha_i}`",
+        "qk.py",
+        "up = sf.shifted(root)",
+        "up = sf.shifted(tuple(-c for c in root))",
+    ),
+    (
+        "`qk.minrep_beta` returns `beta` unchanged",
+        "qk.py",
+        "return tuple(map(operator.mul, beta, p.mask))",
+        "return tuple(beta)",
+    ),
+    (
+        "`qk.minrep_beta` keeps the complement of the mask",
+        "qk.py",
+        "return tuple(map(operator.mul, beta, p.mask))",
+        "return tuple(b * (1 - m) for b, m in zip(beta, p.mask))",
+    ),
+    (
+        "the public `seidel.quantum_exponent` drops `w.inverse()`",
+        "seidel.py",
+        "return _quantum_exponent(rs, i, w.inverse().act_coweight(",
+        "return _quantum_exponent(rs, i, w.act_coweight(",
+    ),
+    (
+        "`peterson._star_words` moves the offset to `o - beta`",
+        "peterson.py",
+        "group[u] = g, o + beta",
+        "group[u] = g, o - beta",
+    ),
+)
+
+
+def mutate(copy: Path, filename: str, old: str, new: str) -> None:
+    path = copy / "src" / "qkseidel" / filename
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise SystemExit(f"mutants: {filename} holds {text.count(old)} copies of {old!r}, not 1")
+    path.write_text(text.replace(old, new))
+
+
+def run(copy: Path, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True
+    )
+
+
+def measure(copy: Path, expected: list[str]) -> tuple[str, int]:
+    """(tier-1 verdict, pinned sweep lines the copy no longer prints)."""
+    tests = run(copy, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                "--continue-on-collection-errors")
+    tail = tests.stdout.strip().splitlines()[-1] if tests.stdout.strip() else ""
+    failed = re.search(r"(\d+) failed", tail)
+    errors = re.search(r"(\d+) errors?", tail)
+    verdict = f"{failed.group(1) if failed else 0} fail"
+    if errors:
+        verdict += f", {errors.group(1)} errors"
+    got = run(copy, "-m", "qkseidel.cli", "sweep").stdout.splitlines()
+    blocks = difflib.SequenceMatcher(None, expected, got, autojunk=False).get_matching_blocks()
+    return verdict, len(expected) - sum(b.size for b in blocks)
+
+
+def main() -> int:
+    expected = (ROOT / "tests" / "sweep_default.txt").read_text().splitlines()
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    rows = []
+    for label, filename, old, new in (("none (control)", None, None, None),) + MUTATIONS:
+        with tempfile.TemporaryDirectory(prefix="qkseidel-mutant-") as tmp:
+            copy = Path(tmp)
+            for name in ("src", "tests"):
+                shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+            shutil.copy(ROOT / "pyproject.toml", copy)
+            if filename is not None:
+                mutate(copy, filename, old, new)
+            verdict, changed = measure(copy, expected)
+        rows.append(f"| {label} | {verdict} | {changed} |")
+        print(rows[-1], file=sys.stderr, flush=True)
+    print("| mutation | tier-1 | default-plan lines changed |")
+    print("|---|---|---|")
+    print("\n".join(rows))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
