@@ -1,9 +1,9 @@
 """Extended affine Weyl group: translations, affine reflections, length-zero elements.
 
-Elements are kept in the normal form t_lambda * u with lambda in the coweight
-lattice (fundamental-coweight coordinates) and u finite.  An affine root
-alpha + n*delta is a (finite root, level) pair; the extra affine node is 0 and
-its simple root is -theta + delta.
+Elements are kept in the normal form u * t_mu with u finite and mu in the
+coweight lattice (fundamental-coweight coordinates), the form of the Grassmannian
+keys w t_{gamma_w}.  An affine root alpha + n*delta is a (finite root, level)
+pair; the extra affine node is 0 and its simple root is -theta + delta.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .rootsys import (
     RootSystem,
     WeylElement,
     longest_element,
-    root_is_positive,
     special_nodes,
 )
 
@@ -26,30 +25,30 @@ class AffineRoot(NamedTuple):
 
 
 class ExtAffineWeylElement:
-    """Element t_lambda * u of the extended affine Weyl group.
+    """Element u * t_mu of the extended affine Weyl group.
 
     Interned per root system, so equal elements share length and Grassmannian
     caches.  The Sigma part is implicit: it is trivial exactly when
-    lambda lies in the coroot lattice.
+    mu lies in the coroot lattice.
     """
 
-    __slots__ = ("rs", "lam", "u", "_length", "_grass", "_hash")
+    __slots__ = ("rs", "u", "mu", "_length", "_grass", "_hash")
 
-    def __init__(self, rs: RootSystem, lam: Coweight, u: WeylElement):
+    def __init__(self, rs: RootSystem, u: WeylElement, mu: Coweight):
         self.rs = rs
-        self.lam = lam
         self.u = u
+        self.mu = mu
         self._length: Optional[int] = None
         self._grass: Optional[bool] = None
-        self._hash = hash((lam, u))
+        self._hash = hash((mu, u))
 
     def __repr__(self) -> str:
-        return "t%r*%r" % (self.lam, self.u)
+        return "%r*t%r" % (self.u, self.mu)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ExtAffineWeylElement)
-            and self.lam == other.lam
+            and self.mu == other.mu
             and self.u == other.u
         )
 
@@ -57,99 +56,94 @@ class ExtAffineWeylElement:
         return self._hash
 
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
-        lam = tuple(a + b for a, b in zip(self.lam, self.u.act_coweight(other.lam)))
-        return _intern(self.rs, lam, self.u * other.u)
+        """(u t_mu)(v t_nu) = (uv) t_{v^{-1}(mu) + nu}."""
+        v = other.u
+        mu = tuple(a + b for a, b in zip(v.inverse().act_coweight(self.mu), other.mu))
+        return _intern(self.rs, self.u * v, mu)
 
     def translated(self, lam: Coweight) -> "ExtAffineWeylElement":
-        """x t_lam = t_{lam_x + u(lam)} u: one coweight action and one intern, no product."""
-        lam = tuple(a + b for a, b in zip(self.lam, self.u.act_coweight(lam)))
-        return _intern(self.rs, lam, self.u)
+        """x t_lam = u t_{mu + lam}: one intern, no product."""
+        return _intern(self.rs, self.u, tuple(a + b for a, b in zip(self.mu, lam)))
 
     def inverse(self) -> "ExtAffineWeylElement":
-        uinv = self.u.inverse()
-        lam = tuple(-c for c in uinv.act_coweight(self.lam))
-        return _intern(self.rs, lam, uinv)
+        """(u t_mu)^{-1} = u^{-1} t_{-u(mu)}."""
+        return _intern(self.rs, self.u.inverse(), tuple(-c for c in self.u.act_coweight(self.mu)))
 
     @property
     def is_identity(self) -> bool:
-        return self.u.is_identity and not any(self.lam)
+        return self.u.is_identity and not any(self.mu)
 
     def act(self, a: AffineRoot) -> AffineRoot:
-        """(t_lam u)(alpha + n delta) = u(alpha) + (n - <lam, u(alpha)>) delta."""
-        beta = self.u.act_root(a.finite)
-        return AffineRoot(beta, a.level - self.rs.pairing(self.lam, beta))
+        """(u t_mu)(alpha + n delta) = u(alpha) + (n - <mu, alpha>) delta."""
+        return AffineRoot(self.u.act_root(a.finite), a.level - self.rs.pairing(self.mu, a.finite))
 
     def ext_length(self) -> int:
         """Number of positive affine roots sent negative, in closed form.
 
-        l(t_lam u) = sum over beta > 0 of |<lam, u(beta)> + chi(u(beta) < 0)|
+        l(u t_mu) = sum over beta > 0 of |<mu, beta> + chi(u(beta) < 0)|
         (Iwahori-Matsumoto, "On some Bruhat decomposition and the structure of
-        the Hecke rings of p-adic Chevalley groups", 1965): one root action and
-        one pairing per positive finite root.
+        the Hecke rings of p-adic Chevalley groups", 1965): one pairing and one
+        permutation lookup per positive finite root.
         """
         if self._length is None:
-            rs = self.rs
-            total = 0
-            for beta in rs.positive_roots:
-                img = self.u.act_root(beta)
-                total += abs(rs.pairing(self.lam, img) + (not root_is_positive(img)))
-            self._length = total
+            rs, mu = self.rs, self.mu
+            npos = rs.npos
+            self._length = sum(
+                abs(rs.pairing(mu, beta) + (k >= npos))
+                for beta, k in zip(rs.positive_roots, self.u.perm)
+            )
         return self._length
 
     def left_ascent(self, i: int) -> bool:
         """Whether s_i x > x, i.e. x^{-1}(alpha_i) is a positive affine root.
 
-        With x = t_lam u and alpha_i = alpha + n delta, that root has level
-        n + <lam, alpha>, and at level 0 the sign of u^{-1}(alpha), read from
-        the inverse permutation.  A Sigma part needs no case: it permutes the
-        positive roots.
+        With x = u t_mu and alpha_i = alpha + n delta, that root is
+        u^{-1}(alpha) = roots[k], k read from the inverse permutation, at level
+        n + <mu, roots[k]>, and at level 0 it is positive iff k < npos.  A Sigma
+        part needs no case: it permutes the positive roots.
         """
         rs = self.rs
         a = affine_simple_root(rs, i)
-        level = a.level + rs.pairing(self.lam, a.finite)
+        k = self.u.inverse().perm[rs.root_index[a.finite]]
+        level = a.level + rs.pairing(self.mu, rs.roots[k])
         if level:
             return level > 0
-        return self.u.inverse().perm[rs.root_index[a.finite]] < rs.npos
+        return k < rs.npos
 
     def is_grassmannian(self) -> bool:
-        """x(alpha_j) > 0 for all finite j: x(alpha_j) is u(alpha_j) at level -<lam, u(alpha_j)>,
-        so positive iff that pairing is < 0, or 0 with u(alpha_j) > 0 (index below npos)."""
+        """x(alpha_j) > 0 for all finite j (grassmannian_keys)."""
         if self._grass is None:
-            rs, lam = self.rs, self.lam
-            self._grass = all(
-                (p := rs.pairing(lam, rs.roots[k])) < 0 or (p == 0 and k < rs.npos)
-                for k in map(self.u.perm.__getitem__, rs.simple_indices)
-            )
+            self._grass = grassmannian_keys(self.mu, (self.u,))
         return self._grass
 
 
 def grassmannian_keys(mu: Coweight, us: Iterable[WeylElement]) -> bool:
-    """Whether every u t_mu, u in us, is Grassmannian, in right normal form: (u t_mu)(alpha_j)
-    is u(alpha_j) at level -mu_j, so every mu_j <= 0, and u(alpha_j) > 0 wherever mu_j = 0."""
+    """Whether every u t_mu, u in us, is Grassmannian: (u t_mu)(alpha_j) is u(alpha_j)
+    at level -mu_j, so every mu_j <= 0, and u(alpha_j) > 0 wherever mu_j = 0."""
     zero = {j for j, m in enumerate(mu, 1) if m == 0}
     return all(m <= 0 for m in mu) and all(zero.isdisjoint(u.descent_set()) for u in us)
 
 
-def _intern(rs: RootSystem, lam: Coweight, u: WeylElement) -> ExtAffineWeylElement:
+def _intern(rs: RootSystem, u: WeylElement, mu: Coweight) -> ExtAffineWeylElement:
     cache = rs._ext_intern
-    key = (lam, u)
+    key = (mu, u)
     x = cache.get(key)
     if x is None:
-        x = ExtAffineWeylElement(rs, lam, u)
+        x = ExtAffineWeylElement(rs, u, mu)
         cache[key] = x
     return x
 
 
 def ext_identity(rs: RootSystem) -> ExtAffineWeylElement:
-    return _intern(rs, (0,) * rs.rank, rs.identity_weyl())
+    return _intern(rs, rs.identity_weyl(), (0,) * rs.rank)
 
 
 def from_finite(w: WeylElement) -> ExtAffineWeylElement:
-    return _intern(w.rs, (0,) * w.rs.rank, w)
+    return _intern(w.rs, w, (0,) * w.rs.rank)
 
 
 def translation(rs: RootSystem, lam: Coweight) -> ExtAffineWeylElement:
-    return _intern(rs, tuple(lam), rs.identity_weyl())
+    return _intern(rs, rs.identity_weyl(), tuple(lam))
 
 
 def theta_pairings(rs: RootSystem) -> Coweight:
@@ -163,9 +157,9 @@ def s_theta(rs: RootSystem) -> WeylElement:
 
 
 def affine_simple_reflection(rs: RootSystem, i: int) -> ExtAffineWeylElement:
-    """s_i for finite i; s_0 = t_{theta^vee} s_theta."""
+    """s_i for finite i; s_0 = s_theta t_{-theta^vee}."""
     if i == 0:
-        return _intern(rs, theta_pairings(rs), s_theta(rs))
+        return _intern(rs, s_theta(rs), tuple(-c for c in theta_pairings(rs)))
     return from_finite(rs.simple_reflection(i))
 
 
@@ -187,17 +181,17 @@ def affine_reduced_word(y: ExtAffineWeylElement) -> tuple[int, ...]:
     the i with y^{-1}(alpha_i) negative.
     """
     rs = y.rs
-    if rs.coweight_to_coroots(y.lam) is None:
+    if rs.coweight_to_coroots(y.mu) is None:
         raise ValueError("element has a nontrivial Sigma part, no word exists")
     word = []
-    while not y.is_identity:
-        for i in affine_nodes(rs):
-            if not y.left_ascent(i):
-                word.append(i)
-                y = affine_simple_reflection(rs, i) * y
-                break
-        else:  # pragma: no cover - every nonidentity element has a descent
-            raise AssertionError("no left descent found")
+    # each step strips one left descent, so l(y) steps end at the identity; the bound
+    # keeps a faulty product or length from looping forever
+    for _ in range(y.ext_length()):
+        i = next(i for i in affine_nodes(rs) if not y.left_ascent(i))
+        word.append(i)
+        y = affine_simple_reflection(rs, i) * y
+    if not y.is_identity:  # pragma: no cover - l(y) descents strip y to the identity
+        raise AssertionError(f"{len(word)} left descents leave {y!r}")
     return tuple(word)
 
 
@@ -207,9 +201,10 @@ def affine_reduced_word(y: ExtAffineWeylElement) -> tuple[int, ...]:
 class SigmaElement:
     """Length-zero element of the extended affine Weyl group.
 
-    Each class of P^vee/Q^vee contains exactly one such element; the stored
-    representative coweight is zero or a minuscule fundamental coweight.  The
-    node action is the induced automorphism of the affine Dynkin diagram.
+    Each class of P^vee/Q^vee contains exactly one such element, u t_mu with
+    u(mu) zero or a minuscule fundamental coweight, so the stored mu is u^{-1}
+    of it.  The node action is the induced automorphism of the affine Dynkin
+    diagram.
     """
 
     __slots__ = ("element", "node", "action")
@@ -281,14 +276,15 @@ def pi(rs: RootSystem, i: int) -> SigmaElement:
 def sigma_decompose(x: ExtAffineWeylElement) -> tuple[SigmaElement, tuple[int, ...]]:
     """x = sigma * y with y in the affine Weyl group; returns (sigma, word of y).
 
-    sigma is the element whose translation is x.lam modulo the coroot lattice:
-    the elements of Sigma lie in pairwise distinct classes, one per class.
+    sigma is the element whose translation part is x.mu modulo the coroot lattice
+    (u(mu) - mu lies in it): the elements of Sigma lie in pairwise distinct
+    classes, one per class.
     """
     rs = x.rs
     sigma = next(
         s
         for s in sigma_elements(rs)
-        if rs.coweight_to_coroots(tuple(a - b for a, b in zip(x.lam, s.element.lam))) is not None
+        if rs.coweight_to_coroots(tuple(a - b for a, b in zip(x.mu, s.element.mu))) is not None
     )
     y = sigma.element.inverse() * x
     return sigma, affine_reduced_word(y)

@@ -2,7 +2,7 @@
 
 Scalars are rational functions in the characters e^beta of the finite
 torus.  The null root acts as 1, so a group element twists scalars through
-the finite part of its translation normal form: translations act trivially
+the finite part u of its normal form u t_mu: translations act trivially
 and s_0 acts as the reflection in the highest root.
 
 Products follow (f x)(g y) = f x(g) [xy].  Divided difference operators

@@ -9,12 +9,11 @@ star action of affine simple reflections is the two-case recursion
 when s_i x is a longer Grassmannian element, and s_i(f) ell_x otherwise;
 coefficients always pass through the level-zero action first.  star_s decides
 the case by left_ascent, the general product and is_grassmannian, the oracle
-of the rule words use: they take finite letters only, and for x = u t_mu
-(right normal form, mu = u^{-1}(lambda_x)), s_i x = (s_i u) t_mu is a longer
-Grassmannian element iff s_i u < u (Deodhar's lemma for u in W^{J_mu}, J_mu
-the nodes with mu_j = 0).  Read through the classes O^w, star_s is the left
-W-action on QK_T(G/B); qk.verify_phi_compatibility checks that against
-qk.left_action.
+of the rule words use: they take finite letters only, and for x = u t_mu,
+s_i x = (s_i u) t_mu is a longer Grassmannian element iff s_i u < u (Deodhar's
+lemma for u in W^{J_mu}, J_mu the nodes with mu_j = 0).  Read through the
+classes O^w, star_s is the left W-action on QK_T(G/B);
+qk.verify_phi_compatibility checks that against qk.left_action.
 
 Words run in a frame, a finite Weyl element: a coefficient g stands for
 frame(g), letter i sets frame <- s_i frame and multiplies by e^beta and
@@ -110,6 +109,8 @@ class PetersonElement:
     def __add__(self, other: "PetersonElement") -> "PetersonElement":
         if not isinstance(other, PetersonElement):
             return NotImplemented
+        if other.rs is not self.rs:
+            raise ValueError(f"cannot add elements over {self.rs!r} and {other.rs!r}")
         out = dict(self.terms)
         for x, f in other.terms.items():
             g = out.get(x)
@@ -173,21 +174,21 @@ def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
     return schedule
 
 
-def _right_normal_form(terms: dict) -> dict:
-    """Terms {t_lam u: f} as {mu: {u: f}}: x = u t_mu with mu = u^{-1}(lam)."""
+def _grouped(terms: dict) -> dict:
+    """Terms {u t_mu: f} as {mu: {u: f}}."""
     groups: dict = {}
     for x, f in terms.items():
-        groups.setdefault(x.u.inverse().act_coweight(x.lam), {})[x.u] = f
+        groups.setdefault(x.mu, {})[x.u] = f
     return groups
 
 
 def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     """star_s by each word in turn (its last letter first), in one frame and one packing.
 
-    groups holds Grassmannian terms in right normal form, {mu: {u: f}} for f ell_{u t_mu}.
+    groups holds Grassmannian terms by translation part, {mu: {u: f}} for f ell_{u t_mu}.
     u t_mu ascends at i iff u^{-1}(alpha_i) < 0, one lookup, to (s_i u) t_mu with s_i u
     remembered by u; mu never changes, so each group runs through the words alone.
-    Returns the terms, on the interned t_{u(mu)} u, whose coefficients g stand for
+    Returns the terms, on the interned u t_mu, whose coefficients g stand for
     frame(g); the frame; and per word the pairs (mu, [u, ...]) of its keys after it.
     Frames and roots come from the kept letter schedule, packed as the module docstring
     says (for ell(x), k depends on the words only).  A letter adds beta to the offset of
@@ -249,7 +250,7 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
             if group:
                 after.append((mu, list(group)))
         for u, (g, o) in group.items():
-            terms[_intern(rs, u.act_coweight(mu), u)] = LaurentPoly._trusted(
+            terms[_intern(rs, u, mu)] = LaurentPoly._trusted(
                 n, {_unpack(e + o, k, n): c for e, c in g.items()}
             )
     return terms, frame, keys
@@ -257,7 +258,7 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
 
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
     """Star action of a finite Weyl element: its reduced word in a frame that ends at w."""
-    terms, frame, _ = _star_words(z.rs, _right_normal_form(z.terms), w.reduced_word())
+    terms, frame, _ = _star_words(z.rs, _grouped(z.terms), w.reduced_word())
     return PetersonElement(z.rs, {x: g.act_exponents(frame.m) for x, g in terms.items()})
 
 
@@ -298,7 +299,7 @@ def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElemen
     coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
     word = sigma.element.u.inverse().reduced_word()
-    terms, _, _ = _star_words(z.rs, _right_normal_form(z.terms), word)
+    terms, _, _ = _star_words(z.rs, _grouped(z.terms), word)
     # x -> sigma x is injective, so no two terms meet
     return PetersonElement(z.rs, {sigma.element * x: g for x, g in terms.items()})
 
@@ -429,15 +430,18 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     fault in the words only: grassmannian_support follows from Deodhar's rule, which
     the words apply; sigma_collapse relabels star_{v^{-1}}(star_v(ell_x)) = ell_x,
     because the finite part of pi_i^{-1} is v_i and the frame after both words is
-    trivial.  An instance's content is in key_identities, the group-level and
-    coweight-level key identities, and localized_product, the assembled localized
-    classes agree.
+    trivial.  An instance's content is in key_identities, pi_i^{-1} w t_{gamma_w} =
+    (v_i w) t_{gamma_{v_i w}}, whose translation parts are the key lemma
+    gamma_{v_i w} = gamma_w - w^{-1}(omega_i^vee), and localized_product, the
+    assembled localized classes agree.
     """
+    if w.rs is not rs:
+        raise ValueError(f"{w!r} is an element of {w.rs!r}, not of {rs!r}")
     v, sig_inv, words = _theorem_node(rs, i)
 
     g_w = gamma(rs, w)
     one = LaurentPoly.one(rs.rank)
-    # v * ell_x for x = w t_{g_w} (grassmannian_key), whose right normal form is (g_w, w),
+    # v * ell_x for x = w t_{g_w} (grassmannian_key), the group {g_w: {w: 1}},
     # then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)
     terms, _, (support, _) = _star_words(rs, {g_w: {w: one}}, *words)
     check_support = bool(support) and all(grassmannian_keys(mu, us) for mu, us in support)
@@ -450,12 +454,11 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     g_vw = gamma(rs, vw)
     key_vw = from_finite(vw).translated(g_vw)  # grassmannian_key(rs, vw)
     check_keys = target == key_vw
-    shift = w.inverse().act_coweight(rs.fundamental_coweight(i))
-    check_keys = check_keys and g_vw == tuple(a - b for a, b in zip(g_w, shift))
 
     # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class,
-    # and Q^q = ell_{t_lam} / sigma^den, as in q_class
-    q_exp = _quantum_exponent(rs, i, shift)
+    # and Q^q = ell_{t_lam} / sigma^den, as in q_class; pi_i^{-1} = v t_{-omega_i^vee}, so
+    # target = (v w) t_{g_w - w^{-1}(omega_i^vee)} by the product rule
+    q_exp = _quantum_exponent(rs, i, tuple(a - b for a, b in zip(g_w, target.mu)))
     lam, den = _q_parts(rs, q_exp)
     # O^{v_i} = ell_{pi_i^{-1}} / sigma_i (seidel_class): its denominator is the unit vector at i
     lhs = LocalizedClass(collapsed, tuple(a - b for a, b in zip(rs.fundamental_coweight(i), g_w)))

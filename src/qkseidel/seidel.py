@@ -95,7 +95,7 @@ def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
     t_min = translation(rs, minus_omega)
     kappa = p.element * t_min
 
-    if rs.coweight_to_coroots(kappa.lam) is None or not kappa.is_grassmannian():
+    if rs.coweight_to_coroots(kappa.mu) is None or not kappa.is_grassmannian():
         raise VerificationError("kappa for node %d is not affine Grassmannian" % i)
     if from_finite(v) * t_min != p.inverse().element:
         raise VerificationError("v[%d] t_{-omega^vee} differs from pi^{-1}" % i)

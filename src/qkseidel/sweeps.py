@@ -89,7 +89,7 @@ def grassmannian_ball(rs: RootSystem, max_length: int):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda x: (x.ext_length(), x.lam, x.u.m))
+    return sorted(seen, key=lambda x: (x.ext_length(), x.mu, x.u.m))
 
 
 SWEEP_FUNCTIONS = {}  # name -> sweep, filled by _sweep
@@ -203,7 +203,7 @@ def sweep_grassmannian_dichotomy(rs: RootSystem, max_length: int = 8):
             left = y.ext_length() > x.ext_length() and y.is_grassmannian()
             si_u = x.u.left_reflect(i)
             right = si_u.length() < x.u.length()
-            yield None if left == right else f"i={i} x=({x.lam}, {x.u.reduced_word()})"
+            yield None if left == right else f"i={i} x={x!r}"
 
 
 @_sweep("length-zero-products")

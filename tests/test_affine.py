@@ -36,11 +36,11 @@ def affine_root_is_positive(a: AffineRoot) -> bool:
 def ext_length_oracle(x) -> int:
     """Inversion count by enumeration, level by level.
 
-    Levels run up to max |<lam, alpha>| + 1; beyond that bound the level shift
+    Levels run up to max |<mu, alpha>| + 1; beyond that bound the level shift
     cannot flip the sign of an affine root.
     """
     rs = x.rs
-    bound = max((abs(rs.pairing(x.lam, beta)) for beta in rs.positive_roots), default=0) + 1
+    bound = max((abs(rs.pairing(x.mu, beta)) for beta in rs.positive_roots), default=0) + 1
     count = 0
     for beta in rs.positive_roots:
         neg = tuple(-c for c in beta)
@@ -114,11 +114,35 @@ def test_left_ascent_against_enumerated_length(type_label, rank):
     sigma_parts = 0
     for _ in range(30):
         x = rng.choice(group).element * random_ext(rs, rng)
-        sigma_parts += rs.coweight_to_coroots(x.lam) is None
+        sigma_parts += rs.coweight_to_coroots(x.mu) is None
         for i in affine_nodes(rs):
             six = affine_simple_reflection(rs, i) * x
             assert x.left_ascent(i) == (ext_length_oracle(six) > ext_length_oracle(x)), (x, i)
     assert sigma_parts > 0 or len(group) == 1
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("D", 4)])
+def test_act_is_a_group_action_that_agrees_with_the_product(type_label, rank):
+    """(x y)(a) = x(y(a)) and x^{-1}(x(a)) = a for random x and y with Sigma parts, on
+    every finite root at levels -2 to 2, so act ties the product and the inverse to the
+    affine roots; and the two conventions t_lam(beta + n delta) = beta + (n - <lam, beta>)
+    delta and u(beta + n delta) = u(beta) + n delta."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(83)
+    group = sigma_elements(rs)
+    roots = [AffineRoot(beta, n) for beta in rs.roots for n in range(-2, 3)]
+    for _ in range(10):
+        x = rng.choice(group).element * random_ext(rs, rng)
+        y = random_ext(rs, rng) * rng.choice(group).element
+        t = translation(rs, tuple(rng.randrange(-2, 3) for _ in rs.nodes))
+        u = weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(6)])
+        xy, x_inv = x * y, x.inverse()
+        for a in roots:
+            assert xy.act(a) == x.act(y.act(a)), (x, y, a)
+            assert x_inv.act(x.act(a)) == a, (x, a)
+            beta, n = a
+            assert t.act(a) == (beta, n - rs.pairing(t.mu, beta)), (t, a)
+            assert from_finite(u).act(a) == (u.act_root(beta), n), (u, a)
 
 
 def test_translation_length_is_pairing_sum():
@@ -191,7 +215,7 @@ def affine_elements_up_to(rs, max_length: int):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda x: (x.ext_length(), x.lam, x.u.m))
+    return sorted(seen, key=lambda x: (x.ext_length(), x.mu, x.u.m))
 
 
 @pytest.mark.parametrize(
@@ -206,18 +230,13 @@ def test_grassmannian_ascent_dichotomy(type_label, rank):
         if not x.is_grassmannian():
             continue
         grassmannian += 1
-        w = x.u  # x = t_lam u = u t_{u^{-1} lam}
+        w = x.u  # x = w t_mu
         for i in rs.nodes:
             six = affine_simple_reflection(rs, i) * x
             lhs = six.ext_length() > x.ext_length() and six.is_grassmannian()
             rhs = (rs.simple_reflection(i) * w).length() < w.length()
             assert lhs == rhs, (x, i)
     assert grassmannian > 1
-
-
-def right_normal_form(x):
-    """(mu, u) with x = u t_mu: x = t_lam u = u t_{u^{-1}(lam)}."""
-    return x.u.inverse().act_coweight(x.lam), x.u
 
 
 @pytest.mark.parametrize(
@@ -236,7 +255,7 @@ def test_finite_ascent_rule_against_oracle(type_label, rank):
     ascents = 0
     for x in xs:
         assert x.is_grassmannian()
-        mu, u = right_normal_form(x)
+        mu, u = x.mu, x.u
         for i in rs.nodes:
             six = affine_simple_reflection(rs, i) * x
             oracle = x.left_ascent(i) and six.is_grassmannian()
@@ -253,10 +272,11 @@ def test_finite_ascent_rule_against_oracle(type_label, rank):
     "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 )
 def test_grassmannian_keys_against_is_grassmannian(type_label, rank):
-    """The right-normal-form test of the theorem's support, on (mu, [u, ...]) with
-    x = u t_mu, equals is_grassmannian on Grassmannian keys (the ball, every
-    grassmannian_key and their Sigma-translates) and on keys that are mostly not
-    Grassmannian: s_i x and x s_j; on a list, it is all of theirs."""
+    """The one Grassmannian test, grassmannian_keys on (mu, [u, ...]), which
+    is_grassmannian also calls, equals x(alpha_j) > 0 for every finite j, computed
+    as an affine root action, on every x = u t_mu: on Grassmannian keys (the ball,
+    every grassmannian_key and their Sigma-translates) and on keys that are mostly
+    not Grassmannian, s_i x and x s_j, one at a time and grouped by mu."""
     rs = build_root_system(type_label, rank)
     keys = set(grassmannian_ball(rs, 5)) | {grassmannian_key(rs, w) for w in rs.weyl_group()}
     keys |= {s.element * x for s in sigma_elements(rs) for x in keys}
@@ -265,15 +285,20 @@ def test_grassmannian_keys_against_is_grassmannian(type_label, rank):
     verdicts = {True: 0, False: 0}
     groups = {}
     for x in keys | others:
-        mu, u = right_normal_form(x)
-        verdict = grassmannian_keys(mu, [u])
-        assert verdict == x.is_grassmannian(), x
-        assert verdict or x not in keys, x
-        verdicts[verdict] += 1
-        groups.setdefault(mu, []).append(x)
+        oracle = all(
+            affine_root_is_positive(x.act(AffineRoot(rs.simple_root(j), 0))) for j in rs.nodes
+        )
+        assert grassmannian_keys(x.mu, [x.u]) == oracle, x
+        assert oracle or x not in keys, x
+        verdicts[oracle] += 1
+        groups.setdefault(x.mu, []).append((x.u, oracle))
     assert verdicts[False] > len(keys) // 2
-    for mu, xs in groups.items():
-        assert grassmannian_keys(mu, [x.u for x in xs]) == all(x.is_grassmannian() for x in xs)
+    mixed = 0
+    for mu, pairs in groups.items():
+        expect = all(oracle for _, oracle in pairs)
+        assert grassmannian_keys(mu, [u for u, _ in pairs]) == expect, mu
+        mixed += not expect and any(oracle for _, oracle in pairs)
+    assert mixed > 0
 
 
 @pytest.mark.parametrize(
@@ -414,12 +439,12 @@ def test_sigma_decompose_roundtrip():
             assert sigma.element * affine_from_word(rs, word) == x
             assert len(word) == x.ext_length()
         top = pi(rs, max(s.node for s in sigma_elements(rs) if s.node)).element
-        assert translation(rs, top.lam) * from_finite(top.u) == top
+        assert from_finite(top.u) * translation(rs, top.mu) == top
     # sigma_decompose takes the first sigma in x's class mod the coroot lattice: there is one
     for type_label, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]:
         rs = build_root_system(type_label, rank)
         for s, t in itertools.combinations(sigma_elements(rs), 2):
-            diff = tuple(a - b for a, b in zip(s.element.lam, t.element.lam))
+            diff = tuple(a - b for a, b in zip(s.element.mu, t.element.mu))
             assert rs.coweight_to_coroots(diff) is None, (rs, s, t)
 
 

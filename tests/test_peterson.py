@@ -23,8 +23,8 @@ from qkseidel.peterson import (
     LocalizedClass,
     PetersonElement,
     _collapse,
+    _grouped,
     _letter_schedule,
-    _right_normal_form,
     _star_words,
     _theorem_node,
     ell,
@@ -64,7 +64,7 @@ def grassmannian_up_to(rs, max_length: int):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen, key=lambda x: (x.ext_length(), x.lam, x.u.m))
+    return sorted(seen, key=lambda x: (x.ext_length(), x.mu, x.u.m))
 
 
 def random_peterson(rs, rng, pool, max_terms: int = 4) -> PetersonElement:
@@ -392,7 +392,7 @@ def test_collapse_is_sigma_product_of_star_w(type_label, rank):
         wrong_twist_seen = False
         for w in rng.sample(rs.weyl_group(), 10):
             z = ell(grassmannian_key(rs, w)).scale(alpha)
-            terms, _, _ = _star_words(rs, _right_normal_form(z.terms), *words)
+            terms, _, _ = _star_words(rs, _grouped(z.terms), *words)
             expected = mult_by_ell_sigma(pi(rs, i).inverse(), star_w(v, z))
             assert _collapse(terms, v, sig_inv) == expected, (i, w.reduced_word())
             wrong = PetersonElement(
@@ -552,7 +552,7 @@ def test_q_class_is_multiplicative():
 def _lam_of_translation(z):
     (key,) = z.terms
     assert key.u.is_identity
-    return key.lam
+    return key.mu
 
 
 @pytest.mark.parametrize(
@@ -616,6 +616,28 @@ def test_theorem_rejects_non_special_node():
     rs = build_root_system("C", 2)
     with pytest.raises(ValueError):
         verify_seidel_theorem(rs, 1, weyl_from_word(rs, (1,)))
+
+
+@pytest.mark.parametrize(
+    "system,other", [(("A", 3), ("D", 4)), (("C", 3), ("B", 3)), (("D", 4), ("A", 3)), (("B", 3), ("C", 3))]
+)
+def test_theorem_rejects_an_element_of_another_system(system, other):
+    """An element of another system is bad input, refused before any index is read: not an
+    IndexError from its permutation, nor a VerificationError from its coweights."""
+    rs, foreign = build_root_system(*system), build_root_system(*other)
+    for w in (weyl_from_word(foreign, (1, 2)), longest_element(foreign)):
+        for i in special_nodes(rs):
+            with pytest.raises(ValueError, match="is an element of"):
+                verify_seidel_theorem(rs, i, w)
+
+
+def test_peterson_sum_refuses_mixed_systems():
+    a3, b3 = build_root_system("A", 3), build_root_system("B", 3)
+    with pytest.raises(ValueError, match="cannot add"):
+        ell(ext_identity(a3)) + ell(ext_identity(b3))
+    assert ell(ext_identity(a3)) + ell(ext_identity(a3)) == ell(ext_identity(a3)).scale(
+        LaurentPoly.constant(3, 2)
+    )
 
 
 def test_d5_node4_instance():
@@ -735,7 +757,7 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
         lowered = LaurentPoly.monomial(tuple(-a for a in rs.simple_root(i)))
         z = PetersonElement(rs, {x: f, y: (lowered - LaurentPoly.one(rank)) * f})
         assert y not in star_s(i, z).terms
-        ((mu, group),) = _right_normal_form(z.terms).items()
+        ((mu, group),) = _grouped(z.terms).items()
         assert set(group) == {x.u, y.u}
         assert _star_words(rs, {mu: group}, (i,))[2] == [[(mu, [x.u])]]
         si = weyl_from_word(rs, (i,))
@@ -755,7 +777,7 @@ def test_ascent_pairs_are_disjoint(type_label, rank):
     is_grassmannian) on the Grassmannian ball and on every key the theorem's star words
     leave after each word."""
     rs = RootSystem(type_label, rank)
-    met = {(x.u.inverse().act_coweight(x.lam), x.u) for x in grassmannian_ball(rs, 8)}
+    met = {(x.mu, x.u) for x in grassmannian_ball(rs, 8)}
     one = LaurentPoly.one(rank)
     for i in special_nodes(rs):
         words = _theorem_node(rs, i)[2]
@@ -788,13 +810,13 @@ def test_star_words_run_each_translation_group(type_label, rank):
     w = weyl_from_word(rs, (rank, 1))
     x = grassmannian_key(rs, w)
     keys = [x, x.translated(tuple(-1 if j == 1 else 0 for j in rs.nodes))]
-    keys += [y for y in grassmannian_up_to(rs, 3) if y.lam != x.lam][:3]
+    keys += [y for y in grassmannian_up_to(rs, 3) if y.mu != x.mu][:3]
     z = PetersonElement(rs, {
         y: LaurentPoly.monomial(tuple(rng.randint(-2, 2) for _ in rs.nodes), rng.choice((-2, 1, 3)))
         + LaurentPoly.one(rank)
         for y in keys
     })
-    groups = _right_normal_form(z.terms)
+    groups = _grouped(z.terms)
     assert len(groups) >= 3 and sum(w in group for group in groups.values()) == 2
     for v in (longest_element(rs), w, weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(6)])):
         assert star_w(v, z) == star_w_by_letters(v, z), v.reduced_word()
@@ -806,7 +828,7 @@ def test_star_words_take_finite_letters_only():
     """The ascent rule holds for finite letters only: a word with node 0, or with a node
     outside the diagram, is refused before any schedule is kept."""
     rs = RootSystem("A", 3)
-    groups = _right_normal_form(ell(ext_identity(rs)).terms)
+    groups = _grouped(ell(ext_identity(rs)).terms)
     for words in [((1, 0, 2),), ((1, 2), (0,)), ((4,),)]:
         with pytest.raises(ValueError, match="outside the finite nodes"):
             _star_words(rs, groups, *words)

@@ -332,6 +332,22 @@ def test_seidel_product_rejects_non_special():
         seidel_product(rs, 1, weyl_from_word(rs, (1,)))
 
 
+@pytest.mark.parametrize(
+    "system,other", [(("A", 3), ("D", 4)), (("C", 3), ("B", 3)), (("D", 4), ("A", 3)), (("B", 3), ("C", 3))]
+)
+def test_products_refuse_an_element_of_another_system(system, other):
+    """A registry miss goes through verify_seidel_theorem, which refuses a foreign w as
+    bad input; over the Borel base every w passes the minimality check first."""
+    rs, foreign = build_root_system(*system), build_root_system(*other)
+    borel = parabolic_data(rs, ())
+    for w in (weyl_from_word(foreign, (1, 2)), longest_element(foreign)):
+        for i in special_nodes(rs):
+            with pytest.raises(ValueError, match="is an element of"):
+                seidel_product(rs, i, w)
+            with pytest.raises(ValueError, match="is an element of"):
+                seidel_product_parabolic(rs, i, w, borel)
+
+
 def test_seidel_product_permutes_basis():
     rs = build_root_system("A", 3)
     group = rs.weyl_group()

@@ -31,6 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 # (label, file under src/qkseidel, exact snippet, replacement)
 MUTATIONS = (
     (
+        "`affine` product pulls `mu` back by `v`, not `v^{-1}`",
+        "affine.py",
+        "zip(v.inverse().act_coweight(self.mu), other.mu)",
+        "zip(v.act_coweight(self.mu), other.mu)",
+    ),
+    (
         "`qk.left_action` uses `e^{-alpha_i}` for `e^{alpha_i}`",
         "qk.py",
         "up = sf.shifted(root)",
@@ -95,7 +101,8 @@ def measure(copy: Path, expected: list[str]) -> tuple[str, int]:
 
 def main() -> int:
     expected = (ROOT / "tests" / "sweep_default.txt").read_text().splitlines()
-    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    # test_mutants.py checks this tool's snippets, which a mutant removes by design
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", "test_mutants.py")
     rows = []
     for label, filename, old, new in (("none (control)", None, None, None),) + MUTATIONS:
         with tempfile.TemporaryDirectory(prefix="qkseidel-mutant-") as tmp:
