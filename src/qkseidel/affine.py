@@ -198,54 +198,27 @@ def affine_reduced_word(y: ExtAffineWeylElement) -> tuple[int, ...]:
 # -- the length-zero subgroup Sigma -----------------------------------------
 
 
-class SigmaElement:
-    """Length-zero element of the extended affine Weyl group.
+def node_action(x: ExtAffineWeylElement) -> tuple[int, ...]:
+    """The automorphism of the affine Dynkin diagram that a length-zero x induces:
+    entry j, over affine_nodes, is the node whose simple root is x(alpha_j)."""
+    if x.ext_length():
+        raise ValueError("%r has length %d, not 0" % (x, x.ext_length()))
+    rs = x.rs
+    simples = {affine_simple_root(rs, j): j for j in affine_nodes(rs)}
+    return tuple(simples[x.act(affine_simple_root(rs, j))] for j in affine_nodes(rs))
 
-    Each class of P^vee/Q^vee contains exactly one such element, u t_mu with
-    u(mu) zero or a minuscule fundamental coweight, so the stored mu is u^{-1}
-    of it.  The node action is the induced automorphism of the affine Dynkin
-    diagram.
+
+def sigma_elements(rs: RootSystem) -> tuple[ExtAffineWeylElement, ...]:
+    """All of Sigma, the length-zero elements: the identity, then pi_i per special node.
+
+    Each class of P^vee/Q^vee contains exactly one, u t_mu with u(mu) zero or a
+    minuscule fundamental coweight, so the stored mu is u^{-1} of it.
     """
-
-    __slots__ = ("element", "node", "action")
-
-    def __init__(self, element: ExtAffineWeylElement, node: Optional[int]):
-        assert element.ext_length() == 0
-        self.element = element
-        self.node = node
-        rs = element.rs
-        simples = {affine_simple_root(rs, j): j for j in affine_nodes(rs)}
-        self.action = tuple(
-            simples[element.act(affine_simple_root(rs, j))] for j in affine_nodes(rs)
-        )
-
-    def __repr__(self) -> str:
-        return "Sigma[node=%s]" % (self.node,)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SigmaElement) and self.element == other.element
-
-    def __hash__(self) -> int:
-        return hash(self.element)
-
-    def __mul__(self, other: "SigmaElement") -> "SigmaElement":
-        return _sigma_lookup(self.element.rs, self.element * other.element)
-
-    def inverse(self) -> "SigmaElement":
-        return _sigma_lookup(self.element.rs, self.element.inverse())
-
-    @property
-    def is_identity(self) -> bool:
-        return self.element.is_identity
-
-
-def sigma_elements(rs: RootSystem) -> tuple[SigmaElement, ...]:
-    """All of Sigma: the identity plus one element per special node."""
     if rs._sigma_group is None:
-        members = [SigmaElement(ext_identity(rs), None)]
-        for i in special_nodes(rs):
-            members.append(SigmaElement(_pi_element(rs, i), i))
-        rs._sigma_group = tuple(members)
+        members = (ext_identity(rs),) + tuple(_pi_element(rs, i) for i in special_nodes(rs))
+        # node_action checks each length is zero; pi_i sends the node 0 to i
+        assert [node_action(x)[0] for x in members] == [0, *special_nodes(rs)]
+        rs._sigma_group = members
     return rs._sigma_group
 
 
@@ -255,25 +228,14 @@ def _pi_element(rs: RootSystem, i: int) -> ExtAffineWeylElement:
     return translation(rs, rs.fundamental_coweight(i)) * from_finite(u)
 
 
-def _sigma_lookup(rs: RootSystem, element: ExtAffineWeylElement) -> SigmaElement:
-    for s in sigma_elements(rs):
-        if s.element == element:
-            return s
-    raise ValueError("element %r is not length zero" % (element,))
-
-
-def pi(rs: RootSystem, i: int) -> SigmaElement:
-    """The Sigma element whose node action sends 0 to the special node i."""
+def pi(rs: RootSystem, i: int) -> ExtAffineWeylElement:
+    """The element of Sigma whose node action sends 0 to the special node i."""
     if i not in special_nodes(rs):
         raise ValueError("node %d is not special in %r" % (i, rs))
-    for s in sigma_elements(rs):
-        if s.node == i:
-            assert s.action[0] == i
-            return s
-    raise AssertionError  # pragma: no cover
+    return sigma_elements(rs)[special_nodes(rs).index(i) + 1]
 
 
-def sigma_decompose(x: ExtAffineWeylElement) -> tuple[SigmaElement, tuple[int, ...]]:
+def sigma_decompose(x: ExtAffineWeylElement) -> tuple[ExtAffineWeylElement, tuple[int, ...]]:
     """x = sigma * y with y in the affine Weyl group; returns (sigma, word of y).
 
     sigma is the element whose translation part is x.mu modulo the coroot lattice
@@ -284,7 +246,7 @@ def sigma_decompose(x: ExtAffineWeylElement) -> tuple[SigmaElement, tuple[int, .
     sigma = next(
         s
         for s in sigma_elements(rs)
-        if rs.coweight_to_coroots(tuple(a - b for a, b in zip(x.mu, s.element.mu))) is not None
+        if rs.coweight_to_coroots(tuple(a - b for a, b in zip(x.mu, s.mu))) is not None
     )
-    y = sigma.element.inverse() * x
+    y = sigma.inverse() * x
     return sigma, affine_reduced_word(y)

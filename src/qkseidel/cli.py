@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
-from .affine import sigma_decompose
+from .affine import node_action, sigma_decompose
 from .errors import SizeLimitError, UnsupportedProductError, VerificationError
 from .laurent import get_term_budget, set_term_budget
 from .qk import parabolic_data, q_text, seidel_product_parabolic, verify_pushforward_commutes
@@ -205,7 +205,7 @@ def cmd_element(args, out) -> int:
         "inversions": [list(a) for a in w.inversions()],
         "gamma": list(g),
         "grassmannian_key": {
-            "sigma_node": sigma.node,
+            "sigma_node": node_action(sigma)[0] or None,
             "affine_word": list(affine_word),
         },
     }

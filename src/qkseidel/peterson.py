@@ -54,7 +54,6 @@ from dataclasses import dataclass
 
 from .affine import (
     ExtAffineWeylElement,
-    SigmaElement,
     _intern,
     affine_nodes,
     affine_simple_reflection,
@@ -291,26 +290,28 @@ def _cleared(a: dict, den_a: tuple, b: dict, den_b: tuple) -> tuple[dict, dict]:
     )
 
 
-def mult_by_ell_sigma(sigma: SigmaElement, z: PetersonElement) -> PetersonElement:
+def mult_by_ell_sigma(sigma: ExtAffineWeylElement, z: PetersonElement) -> PetersonElement:
     """Multiply by the length-zero class ell_sigma.
 
     Writing z = u_sigma * y and using ell_{sigma x} = ell_sigma (u_sigma * ell_x):
     star-act by u_sigma^{-1}, then relabel keys by sigma and twist the
     coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
-    word = sigma.element.u.inverse().reduced_word()
+    if sigma.ext_length():
+        raise ValueError(f"{sigma!r} has length {sigma.ext_length()}, not 0")
+    word = sigma.u.inverse().reduced_word()
     terms, _, _ = _star_words(z.rs, _grouped(z.terms), word)
     # x -> sigma x is injective, so no two terms meet
-    return PetersonElement(z.rs, {sigma.element * x: g for x, g in terms.items()})
+    return PetersonElement(z.rs, {sigma * x: g for x, g in terms.items()})
 
 
 class LocalizedClass:
     """A Peterson element divided by a monomial in the sigma classes.
 
     The denominator is the exponent tuple m with value prod_j sigma_j^{m_j}.
-    Equality clears the difference of the denominators through translation
-    classes (_cleared), so equivalent fractions compare equal without any
-    normalization.
+    Equality and sums clear the difference of the denominators through
+    translation classes (_cleared), so equivalent fractions compare equal
+    without any normalization.
     """
 
     __slots__ = ("num", "den")
@@ -332,13 +333,11 @@ class LocalizedClass:
     def __add__(self, other: "LocalizedClass") -> "LocalizedClass":
         if not isinstance(other, LocalizedClass):
             return NotImplemented
-        den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        # a / sigma^m = (a sigma^{den - m}) / sigma^den, and sigma^c = ell_{t_{-c}}
-        lift_self = tuple(b - a for a, b in zip(den, self.den))
-        lift_other = tuple(b - a for a, b in zip(den, other.den))
+        # _cleared puts both over sigma^{den_a + den_b - min}, which is sigma^max
+        a, b = _cleared(self.num.terms, self.den, other.num.terms, other.den)
         return LocalizedClass(
-            mult_by_translation(self.num, lift_self) + mult_by_translation(other.num, lift_other),
-            den,
+            PetersonElement._trusted(self.num.rs, a) + PetersonElement._trusted(other.num.rs, b),
+            tuple(map(max, self.den, other.den)),
         )
 
     def scale(self, f: LaurentPoly) -> "LocalizedClass":
@@ -380,7 +379,7 @@ def _q_parts(rs: RootSystem, beta: tuple[int, ...]) -> tuple[tuple, tuple]:
 
 def seidel_class(rs: RootSystem, i: int) -> LocalizedClass:
     """O^{v_i} = ell_{pi_i^{-1}} / sigma_i for a special node i."""
-    num = ell(pi(rs, i).element.inverse())
+    num = ell(pi(rs, i).inverse())
     den = tuple(1 if j == i else 0 for j in rs.nodes)
     return LocalizedClass(num, den)
 
@@ -408,7 +407,7 @@ def _theorem_node(rs: RootSystem, i: int) -> tuple:
     for a special node i.  Kept on the system per node."""
     if (constants := rs._theorem_nodes.get(i)) is None:
         datum = seidel_datum(rs, i)  # rejects a node that is not special
-        v, sig_inv = datum.element, datum.sigma.inverse().element
+        v, sig_inv = datum.element, datum.sigma.inverse()
         words = (v.reduced_word(), sig_inv.u.inverse().reduced_word())
         constants = rs._theorem_nodes[i] = v, sig_inv, words
     return constants

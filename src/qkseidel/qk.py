@@ -232,10 +232,16 @@ def seidel_product(
     return QKElement.schubert(rs, seidel_element(rs, i) * w).shift_q(d)
 
 
+def _same_system(rs: RootSystem, p: ParabolicData) -> None:
+    if p.rs is not rs:
+        raise ValueError(f"parabolic subset over {p.rs!r} used with {rs!r}")
+
+
 def pushforward(xi: QKElement, p: ParabolicData) -> QKElement:
     """Project a class over G/B to G/P term by term; coefficients pass through."""
     if xi.base:
         raise ValueError("pushforward starts from the full flag variety base")
+    _same_system(xi.rs, p)
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
         accumulate(out, (minrep_beta(d, p), minrep_w(w, p)), f)
@@ -255,6 +261,7 @@ def seidel_product_parabolic(
     The two routes must agree; a mismatch is a verification failure, not a
     silent preference for one of them.
     """
+    _same_system(rs, p)  # before `w not in p`, which reads descents only
     if w not in p:
         raise ValueError(f"index {w.reduced_word()} is not minimal for the base")
     full = seidel_product(rs, i, w, registry)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .affine import (
     ExtAffineWeylElement,
-    SigmaElement,
     from_finite,
     pi,
     translation,
@@ -81,7 +80,7 @@ class SeidelDatum:
 
     node: int
     element: WeylElement              # v[i], finite
-    sigma: SigmaElement               # pi_i, length zero
+    sigma: ExtAffineWeylElement       # pi_i, length zero
     grassmannian_part: ExtAffineWeylElement  # kappa_i, in the affine Weyl group
 
 
@@ -93,13 +92,13 @@ def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
     v = longest_element(rs) * longest_element(rs, set(rs.nodes) - {i})
     minus_omega = tuple(-c for c in rs.fundamental_coweight(i))
     t_min = translation(rs, minus_omega)
-    kappa = p.element * t_min
+    kappa = p * t_min
 
     if rs.coweight_to_coroots(kappa.mu) is None or not kappa.is_grassmannian():
         raise VerificationError("kappa for node %d is not affine Grassmannian" % i)
-    if from_finite(v) * t_min != p.inverse().element:
+    if from_finite(v) * t_min != p.inverse():
         raise VerificationError("v[%d] t_{-omega^vee} differs from pi^{-1}" % i)
-    if p.element * from_finite(v.inverse()) * p.inverse().element != kappa:
+    if p * from_finite(v.inverse()) * p.inverse() != kappa:
         raise VerificationError("pi v[%d]^{-1} pi^{-1} differs from kappa" % i)
     expected_inv = {
         beta for beta in rs.positive_roots if beta[i - 1] == 1
@@ -136,7 +135,7 @@ def verify_key_lemma(rs: RootSystem, i: int, w: WeylElement) -> KeyLemmaReport:
 def verify_group_lemma(rs: RootSystem, i: int, w: WeylElement) -> bool:
     """pi_i^{-1} w t_{gamma_w} = (v[i] w) t_{gamma_{v[i] w}} in the extended group."""
     datum = seidel_datum(rs, i)
-    lhs = datum.sigma.inverse().element * grassmannian_key(rs, w)
+    lhs = datum.sigma.inverse() * grassmannian_key(rs, w)
     return lhs == grassmannian_key(rs, datum.element * w)
 
 

@@ -211,8 +211,8 @@ def sweep_length_zero_products(rs: RootSystem):
     """ell_{sigma sigma'} = ell_sigma (u_sigma star ell_{sigma'}) over Sigma x Sigma."""
     for s in sigma_elements(rs):
         for t in sigma_elements(rs):
-            twisted = star_w(s.element.u, ell(t.element))
-            ok = mult_by_ell_sigma(s, twisted) == ell((s * t).element)
+            twisted = star_w(s.u, ell(t))
+            ok = mult_by_ell_sigma(s, twisted) == ell(s * t)
             yield None if ok else f"{s!r} * {t!r}"
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from qkseidel.affine import pi
+from qkseidel.affine import node_action, pi
 from qkseidel.peterson import (
     LocalizedClass,
     q_class,
@@ -112,7 +112,7 @@ def test_criterion_3_d5_instance(capsys):
     checks.append(datum.grassmannian_part.ext_length() == 10)
 
     p4 = pi(rs, 4)
-    checks.append(p4.action == (4, 5, 3, 2, 1, 0))
+    checks.append(node_action(p4) == (4, 5, 3, 2, 1, 0))
     checks.append(p4 * p4 == pi(rs, 1))
     checks.append(pi(rs, 5) == p4.inverse())
 

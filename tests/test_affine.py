@@ -15,6 +15,7 @@ from qkseidel.affine import (
     ext_identity,
     from_finite,
     grassmannian_keys,
+    node_action,
     pi,
     s_theta,
     sigma_decompose,
@@ -113,7 +114,7 @@ def test_left_ascent_against_enumerated_length(type_label, rank):
     group = sigma_elements(rs)
     sigma_parts = 0
     for _ in range(30):
-        x = rng.choice(group).element * random_ext(rs, rng)
+        x = rng.choice(group) * random_ext(rs, rng)
         sigma_parts += rs.coweight_to_coroots(x.mu) is None
         for i in affine_nodes(rs):
             six = affine_simple_reflection(rs, i) * x
@@ -132,8 +133,8 @@ def test_act_is_a_group_action_that_agrees_with_the_product(type_label, rank):
     group = sigma_elements(rs)
     roots = [AffineRoot(beta, n) for beta in rs.roots for n in range(-2, 3)]
     for _ in range(10):
-        x = rng.choice(group).element * random_ext(rs, rng)
-        y = random_ext(rs, rng) * rng.choice(group).element
+        x = rng.choice(group) * random_ext(rs, rng)
+        y = random_ext(rs, rng) * rng.choice(group)
         t = translation(rs, tuple(rng.randrange(-2, 3) for _ in rs.nodes))
         u = weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(6)])
         xy, x_inv = x * y, x.inverse()
@@ -250,7 +251,7 @@ def test_finite_ascent_rule_against_oracle(type_label, rank):
     grassmannian_key."""
     rs = build_root_system(type_label, rank)
     ball = grassmannian_ball(rs, 5)
-    xs = {s.element * x for s in sigma_elements(rs) for x in ball}
+    xs = {s * x for s in sigma_elements(rs) for x in ball}
     xs |= {grassmannian_key(rs, w) for w in rs.weyl_group()}
     ascents = 0
     for x in xs:
@@ -279,7 +280,7 @@ def test_grassmannian_keys_against_is_grassmannian(type_label, rank):
     not Grassmannian, s_i x and x s_j, one at a time and grouped by mu."""
     rs = build_root_system(type_label, rank)
     keys = set(grassmannian_ball(rs, 5)) | {grassmannian_key(rs, w) for w in rs.weyl_group()}
-    keys |= {s.element * x for s in sigma_elements(rs) for x in keys}
+    keys |= {s * x for s in sigma_elements(rs) for x in keys}
     others = {affine_simple_reflection(rs, i) * x for x in keys for i in affine_nodes(rs)}
     others |= {x * affine_simple_reflection(rs, j) for x in keys for j in rs.nodes}
     verdicts = {True: 0, False: 0}
@@ -313,7 +314,7 @@ def test_is_grassmannian_against_affine_root_oracle(type_label, rank):
     rs = build_root_system(type_label, rank)
     ball = grassmannian_ball(rs, 5)
     xs = set(ball) | {affine_simple_reflection(rs, i) * x for x in ball for i in affine_nodes(rs)}
-    xs |= {s.element for s in sigma_elements(rs)} | {s.element.inverse() for s in sigma_elements(rs)}
+    xs |= set(sigma_elements(rs)) | {s.inverse() for s in sigma_elements(rs)}
     verdicts = set()
     for x in xs:
         expect = all(
@@ -339,7 +340,7 @@ def test_affine_reduced_word_roundtrip():
 def test_affine_reduced_word_rejects_sigma_part():
     rs = build_root_system("A", 2)
     with pytest.raises(ValueError):
-        affine_reduced_word(pi(rs, 1).element)
+        affine_reduced_word(pi(rs, 1))
 
 
 # -- Sigma ---------------------------------------------------------------
@@ -360,8 +361,8 @@ def test_sigma_elements_have_length_zero_and_compose():
         rs = build_root_system(type_label, rank)
         group = sigma_elements(rs)
         for s in group:
-            assert s.element.ext_length() == 0
-            assert s.element.is_grassmannian()
+            assert s.ext_length() == 0
+            assert s.is_grassmannian()
             assert s.inverse() in group
             for t in group:
                 assert s * t in group  # closure, via lookup
@@ -373,7 +374,7 @@ def test_pi_unique_per_special_node():
         from qkseidel.rootsys import special_nodes
 
         for i in special_nodes(rs):
-            hits = [s for s in sigma_elements(rs) if s.action[0] == i]
+            hits = [s for s in sigma_elements(rs) if node_action(s)[0] == i]
             assert hits == [pi(rs, i)]
         with pytest.raises(ValueError):
             pi(rs, max(special_nodes(rs)) + 10)
@@ -381,7 +382,9 @@ def test_pi_unique_per_special_node():
 
 def test_node_action_is_diagram_automorphism():
     """Adjacency of affine simple roots is preserved by every Sigma element."""
-    for type_label, rank in [("A", 2), ("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4), ("D", 5)]:
+    for type_label, rank in [
+        ("A", 2), ("A", 3), ("C", 2), ("C", 3), ("B", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7)
+    ]:
         rs = build_root_system(type_label, rank)
         tp = theta_pairings(rs)
 
@@ -395,16 +398,22 @@ def test_node_action_is_diagram_automorphism():
 
         nodes = affine_nodes(rs)
         for s in sigma_elements(rs):
-            perm = dict(zip(nodes, s.action))
+            perm = dict(zip(nodes, node_action(s)))
             for j in nodes:
                 for k in nodes:
                     assert adj(j, k) == adj(perm[j], perm[k])
 
 
+def test_node_action_refuses_an_element_of_nonzero_length():
+    rs = build_root_system("A", 2)
+    with pytest.raises(ValueError, match="has length 1, not 0"):
+        node_action(from_finite(rs.simple_reflection(1)))
+
+
 def test_a2_pi1_action_and_order():
     rs = build_root_system("A", 2)
     p1 = pi(rs, 1)
-    assert p1.action == (1, 2, 0)  # 0->1, 1->2, 2->0
+    assert node_action(p1) == (1, 2, 0)  # 0->1, 1->2, 2->0
     p2 = pi(rs, 2)
     assert p1 * p1 == p2
     assert (p1 * p2).is_identity
@@ -413,7 +422,7 @@ def test_a2_pi1_action_and_order():
 def test_d5_sigma_structure():
     rs = build_root_system("D", 5)
     p4 = pi(rs, 4)
-    assert p4.action == (4, 5, 3, 2, 1, 0)  # 0->4, 1->5, 2->3, 3->2, 4->1, 5->0
+    assert node_action(p4) == (4, 5, 3, 2, 1, 0)  # 0->4, 1->5, 2->3, 3->2, 4->1, 5->0
     assert p4 * p4 == pi(rs, 1)
     assert pi(rs, 5) == p4.inverse()
     assert (p4 * p4 * p4 * p4).is_identity
@@ -425,7 +434,7 @@ def test_d5_minuscule_translation_factors_through_pi4():
     kappa4 = affine_from_word(rs, [1, 2, 3, 5, 0, 2, 3, 1, 2, 0])
     assert kappa4.ext_length() == 10
     assert kappa4.is_grassmannian()
-    lhs = pi(rs, 4).inverse().element * kappa4
+    lhs = pi(rs, 4).inverse() * kappa4
     assert lhs == translation(rs, (0, 0, 0, -1, 0))
 
 
@@ -436,15 +445,15 @@ def test_sigma_decompose_roundtrip():
         for _ in range(20):
             x = random_ext(rs, rng, nwords=5)
             sigma, word = sigma_decompose(x)
-            assert sigma.element * affine_from_word(rs, word) == x
+            assert sigma * affine_from_word(rs, word) == x
             assert len(word) == x.ext_length()
-        top = pi(rs, max(s.node for s in sigma_elements(rs) if s.node)).element
+        top = pi(rs, max(node_action(s)[0] for s in sigma_elements(rs)))
         assert from_finite(top.u) * translation(rs, top.mu) == top
     # sigma_decompose takes the first sigma in x's class mod the coroot lattice: there is one
     for type_label, rank in [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]:
         rs = build_root_system(type_label, rank)
         for s, t in itertools.combinations(sigma_elements(rs), 2):
-            diff = tuple(a - b for a, b in zip(s.element.mu, t.element.mu))
+            diff = tuple(a - b for a, b in zip(s.mu, t.mu))
             assert rs.coweight_to_coroots(diff) is None, (rs, s, t)
 
 
@@ -455,7 +464,7 @@ def test_length_invariant_under_sigma():
         for _ in range(15):
             y = random_ext(rs, rng)
             for s in sigma_elements(rs):
-                assert (s.element * y).ext_length() == y.ext_length()
+                assert (s * y).ext_length() == y.ext_length()
 
 
 def test_affine_simple_roots_positive():

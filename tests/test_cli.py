@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import random
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -13,6 +14,7 @@ import pytest
 from qkseidel import cli
 from qkseidel.cli import canonical_json, main
 from qkseidel.laurent import get_term_budget, set_term_budget
+from qkseidel.rootsys import build_root_system, special_nodes, weyl_from_word
 
 SCHEMA_KEYS = {
     "type",
@@ -115,6 +117,38 @@ def test_element_inspection(capsys):
     assert d["gamma"] == [0, -1, 0, 0, -1]
     assert d["one_line"] == [3, -4, 1, 5, -2]
     assert d["grassmannian_key"]["sigma_node"] == 4
+
+
+def test_element_sigma_node_is_the_class_of_gamma(capsys):
+    """sigma_node is the special node j with gamma_w - omega_j^vee in the coroot lattice,
+    or None when gamma_w lies in it: the class of the key w t_{gamma_w} modulo the coroot
+    lattice, read without the node action.  All of W(A3) and W(D4), 50 elements of W(E6)."""
+    rng = random.Random(2026)
+    for type_label, rank, sample in [("A", 3, None), ("D", 4, None), ("E", 6, 50)]:
+        rs = build_root_system(type_label, rank)
+        if sample is None:
+            ws = rs.weyl_group()
+        else:
+            words = ([rng.choice(rs.nodes) for _ in range(rng.randrange(40))] for _ in range(sample))
+            ws = [weyl_from_word(rs, word) for word in words]
+        zero = (0,) * rank
+        for w in ws:
+            g = tuple(-1 if j in w.descent_set() else 0 for j in rs.nodes)
+            classes = [
+                j
+                for j in (None, *special_nodes(rs))
+                if rs.coweight_to_coroots(
+                    tuple(a - b for a, b in zip(g, zero if j is None else rs.fundamental_coweight(j)))
+                ) is not None
+            ]
+            word = ",".join(map(str, w.reduced_word())) or "e"
+            code, out, _ = run(
+                capsys, "element", "--type", type_label, "--rank", str(rank), "--word", word,
+                "--format", "json",
+            )
+            assert code == 0
+            (row,) = json.loads(out)
+            assert [row["details"]["grassmannian_key"]["sigma_node"]] == classes, (type_label, word)
 
 
 def test_element_text_without_one_line(capsys):

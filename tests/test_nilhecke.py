@@ -7,6 +7,7 @@ import random
 from qkseidel.affine import (
     affine_nodes,
     affine_simple_reflection,
+    node_action,
     pi,
 )
 from qkseidel.laurent import LaurentPoly, RationalFunction
@@ -104,10 +105,10 @@ def test_sigma_conjugation_permutes_operators():
         rs = build_root_system(type_label, rank)
         for i in special_nodes(rs):
             sigma = pi(rs, i)
-            head = GroupAlgebraElement.basis(sigma.element)
-            tail = GroupAlgebraElement.basis(sigma.element.inverse())
+            head = GroupAlgebraElement.basis(sigma)
+            tail = GroupAlgebraElement.basis(sigma.inverse())
             for j in affine_nodes(rs):
-                expected = demazure(rs, sigma.action[j])
+                expected = demazure(rs, node_action(sigma)[j])
                 assert head * demazure(rs, j) * tail == expected, (type_label, i, j)
 
 

@@ -337,8 +337,8 @@ def test_length_zero_products_match_group_law():
         rs = build_root_system(type_label, rank)
         for s in sigma_elements(rs):
             for t in sigma_elements(rs):
-                twisted = star_w(s.element.u, ell(t.element))
-                assert mult_by_ell_sigma(s, twisted) == ell((s * t).element)
+                twisted = star_w(s.u, ell(t))
+                assert mult_by_ell_sigma(s, twisted) == ell(s * t)
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("D", 4)])
@@ -348,12 +348,12 @@ def test_mult_by_ell_sigma_against_twist_formula(type_label, rank):
     rng = random.Random(31)
     pool = grassmannian_up_to(rs, 3)
     for s in sigma_elements(rs):
-        u = s.element.u
+        u = s.u
         for _ in range(3):
             z = random_peterson(rs, rng, pool)
             y = star_w(u.inverse(), z)
             expected = PetersonElement(
-                rs, {s.element * x: f.act_exponents(u.m) for x, f in y.terms.items()}
+                rs, {s * x: f.act_exponents(u.m) for x, f in y.terms.items()}
             )
             assert mult_by_ell_sigma(s, z) == expected
 
@@ -442,10 +442,16 @@ def test_theorem_bookkeeping_makes_no_general_products(monkeypatch):
             assert len(calls) == 2, (i, w.reduced_word(), calls)
 
 
+def test_mult_by_ell_sigma_refuses_an_element_of_nonzero_length():
+    rs = build_root_system("C", 2)
+    with pytest.raises(ValueError, match="has length 1, not 0"):
+        mult_by_ell_sigma(from_finite(rs.simple_reflection(1)), ell(ext_identity(rs)))
+
+
 def test_mult_by_ell_sigma_on_unit():
     rs = build_root_system("C", 2)
     for s in sigma_elements(rs):
-        assert mult_by_ell_sigma(s, ell(ext_identity(rs))) == ell(s.element)
+        assert mult_by_ell_sigma(s, ell(ext_identity(rs))) == ell(s)
 
 
 # ------------------------------------------------------------ localized classes
@@ -493,8 +499,8 @@ def test_o_class_denominator_tracks_descents():
 def test_a2_o_dictionary():
     rs = build_root_system("A", 2)
     s0 = affine_from_word(rs, (0,))
-    p1 = pi(rs, 1).inverse().element
-    p2 = pi(rs, 2).inverse().element
+    p1 = pi(rs, 1).inverse()
+    p2 = pi(rs, 2).inverse()
     table = {
         (1,): (p1 * s0, (1, 0)),
         (2,): (p2 * s0, (0, 1)),
@@ -509,7 +515,7 @@ def test_a2_o_dictionary():
 
 def test_c2_o_dictionary():
     rs = build_root_system("C", 2)
-    p2 = pi(rs, 2).inverse().element
+    p2 = pi(rs, 2).inverse()
 
     def aw(*word):
         return affine_from_word(rs, word)
@@ -699,9 +705,9 @@ def test_packed_star_w_against_letter_oracle_on_wide_fields(type_label, rank, le
 
 def mult_by_ell_sigma_by_letters(s, z):
     """star_s along the word of u^{-1}, then a twist by u and a relabel by sigma."""
-    u = s.element.u
+    u = s.u
     y = star_w_by_letters(u.inverse(), z)
-    return PetersonElement(z.rs, {s.element * x: f.act_exponents(u.m) for x, f in y.terms.items()})
+    return PetersonElement(z.rs, {s * x: f.act_exponents(u.m) for x, f in y.terms.items()})
 
 
 def filled_peterson(rs, rng, pool, letters: int) -> PetersonElement:
@@ -733,7 +739,7 @@ def test_star_words_against_letters_at_the_packing_bound(type_label, rank):
         z = filled_peterson(rs, rng, pool, w.length())
         assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
     for s in sigma_elements(rs):
-        z = filled_peterson(rs, rng, pool, s.element.u.length())
+        z = filled_peterson(rs, rng, pool, s.u.length())
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
 
 
@@ -746,7 +752,7 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
     pool = grassmannian_up_to(rs, 3)
     f = LaurentPoly.monomial(tuple(range(rank)), 3) + LaurentPoly.constant(rank, -1)
     for s in sigma_elements(rs):
-        word = s.element.u.inverse().reduced_word()
+        word = s.u.inverse().reduced_word()
         if not word:
             continue
         i = word[-1]
@@ -913,7 +919,7 @@ def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank)
     expected = set()
     for i in special_nodes(rs):
         assert verify_seidel_theorem(rs, i, w).passed
-        u = pi(rs, i).inverse().element.u
+        u = pi(rs, i).inverse().u
         v = seidel_element(rs, i)
         words = (v.reduced_word(), u.inverse().reduced_word())
         expected.add(words)
@@ -921,7 +927,7 @@ def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank)
         assert u * _schedule_by_letters(rs, words)[1] == v
     for s in sigma_elements(rs):
         mult_by_ell_sigma(s, ell(ext_identity(rs)))
-        expected.add((s.element.u.inverse().reduced_word(),))
+        expected.add((s.u.inverse().reduced_word(),))
     star_w(w, ell(ext_identity(rs)))
     expected.add((w.reduced_word(),))
     assert expected <= set(rs._star_schedules)

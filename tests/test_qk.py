@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -346,6 +347,22 @@ def test_products_refuse_an_element_of_another_system(system, other):
                 seidel_product(rs, i, w)
             with pytest.raises(ValueError, match="is an element of"):
                 seidel_product_parabolic(rs, i, w, borel)
+
+
+@pytest.mark.parametrize("system,other", [(("A", 3), ("B", 3)), (("B", 3), ("C", 3)), (("D", 4), ("A", 3))])
+def test_parabolic_routes_refuse_a_subset_of_another_system(system, other):
+    """A parabolic subset built over another system is refused by name, not as a KeyError
+    of its coset table; seidel_product_parabolic checks it before `w not in p`, which
+    reads descents only, so w = e and w = s_2 (a descent in the subset) are both refused."""
+    rs, foreign = build_root_system(*system), build_root_system(*other)
+    p = parabolic_data(foreign, (2,))
+    message = re.escape(f"parabolic subset over {foreign!r} used with {rs!r}")
+    for w in (weyl_from_word(rs, ()), weyl_from_word(rs, (2,)), weyl_from_word(rs, (1, 3))):
+        with pytest.raises(ValueError, match=message):
+            pushforward(QKElement.schubert(rs, w), p)
+        for i in special_nodes(rs):
+            with pytest.raises(ValueError, match=message):
+                seidel_product_parabolic(rs, i, w, p)
 
 
 def test_seidel_product_permutes_basis():

@@ -12,8 +12,9 @@ Run from the repository root, with no arguments:
     python3 tools/mutants.py
 
 Each mutant takes about as long as tier-1 plus the default plan, longer when it
-fails most of tier-1.  The script uses only the standard library and is not
-part of CI.
+fails most of tier-1.  A run that outlasts TIMEOUT_S, as a mutant that makes a
+loop endless would, is stopped and its column reads `timeout`.  The script uses
+only the standard library and is not part of CI.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# seconds for one tier-1 or sweep run; an unmutated copy needs well under a minute
+TIMEOUT_S = 300
 
 # (label, file under src/qkseidel, exact snippet, replacement)
 MUTATIONS = (
@@ -80,21 +83,30 @@ def mutate(copy: Path, filename: str, old: str, new: str) -> None:
 def run(copy: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
-        [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True
+        [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True,
+        timeout=TIMEOUT_S,
     )
 
 
-def measure(copy: Path, expected: list[str]) -> tuple[str, int]:
-    """(tier-1 verdict, pinned sweep lines the copy no longer prints)."""
-    tests = run(copy, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                "--continue-on-collection-errors")
-    tail = tests.stdout.strip().splitlines()[-1] if tests.stdout.strip() else ""
-    failed = re.search(r"(\d+) failed", tail)
-    errors = re.search(r"(\d+) errors?", tail)
-    verdict = f"{failed.group(1) if failed else 0} fail"
-    if errors:
-        verdict += f", {errors.group(1)} errors"
-    got = run(copy, "-m", "qkseidel.cli", "sweep").stdout.splitlines()
+def measure(copy: Path, expected: list[str]) -> tuple[str, int | str]:
+    """(tier-1 verdict, pinned sweep lines the copy no longer prints); either reads
+    `timeout` when its run outlasts TIMEOUT_S."""
+    try:
+        tests = run(copy, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                    "--continue-on-collection-errors")
+    except subprocess.TimeoutExpired:
+        verdict = "timeout"
+    else:
+        tail = tests.stdout.strip().splitlines()[-1] if tests.stdout.strip() else ""
+        failed = re.search(r"(\d+) failed", tail)
+        errors = re.search(r"(\d+) errors?", tail)
+        verdict = f"{failed.group(1) if failed else 0} fail"
+        if errors:
+            verdict += f", {errors.group(1)} errors"
+    try:
+        got = run(copy, "-m", "qkseidel.cli", "sweep").stdout.splitlines()
+    except subprocess.TimeoutExpired:
+        return verdict, "timeout"
     blocks = difflib.SequenceMatcher(None, expected, got, autojunk=False).get_matching_blocks()
     return verdict, len(expected) - sum(b.size for b in blocks)
 
