@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from .affine import node_action, sigma_decompose
@@ -249,9 +248,14 @@ def cmd_sweep(args, out) -> int:
         raise ValueError("no sweep units match the requested filters")
     # a fork pool starts all its workers at once, so never more than there are units
     jobs = min(args.jobs, len(plan))
-    pool = ProcessPoolExecutor(
-        max_workers=jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
-    ) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        # imported here, so that commands without a pool never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=jobs, initializer=set_term_budget, initargs=(get_term_budget(),)
+        )
     results = []
     with pool or nullcontext():
         for k, (res, seconds) in enumerate((pool.map if pool else map)(_timed_unit, plan), 1):

@@ -50,7 +50,7 @@ sigma_j and Q^beta, and to verify the Seidel product identity
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import (
     ExtAffineWeylElement,
@@ -384,8 +384,7 @@ def seidel_class(rs: RootSystem, i: int) -> LocalizedClass:
     return LocalizedClass(num, den)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     type_label: str
     rank: int
     node: int
@@ -434,11 +433,9 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     gamma_{v_i w} = gamma_w - w^{-1}(omega_i^vee), and localized_product, the
     assembled localized classes agree.
     """
-    if w.rs is not rs:
-        raise ValueError(f"{w!r} is an element of {w.rs!r}, not of {rs!r}")
+    g_w = gamma(rs, w)  # refuses an element of another system
     v, sig_inv, words = _theorem_node(rs, i)
 
-    g_w = gamma(rs, w)
     one = LaurentPoly.one(rs.rank)
     # v * ell_x for x = w t_{g_w} (grassmannian_key), the group {g_w: {w: 1}},
     # then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)

@@ -21,32 +21,55 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 
 from .errors import UnsupportedProductError, VerificationError
 from .laurent import LaurentPoly, accumulate
 from .peterson import LocalizedClass, o_class, star_s, verify_seidel_theorem
-from .rootsys import RootSystem, WeylElement
+from .rootsys import RootSystem, WeylElement, check_element
 from .seidel import seidel_element
 
 QExponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class ParabolicData:
-    """A parabolic subset with its coset combinatorics precomputed."""
+    """A parabolic subset with its coset combinatorics precomputed.
 
-    rs: RootSystem
-    subset: frozenset[int]
-    minimal_reps: tuple[WeylElement, ...]
-    subgroup_order: int
-    # w -> the minimal representative of w W_P; the fields above determine it
-    minrep_table: dict[WeylElement, WeylElement] = field(compare=False, repr=False)
-    # per node, 0 inside the subset and 1 outside; derived from rs and subset
-    mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    Equality, hash and repr read (rs, subset, minimal_reps, subgroup_order) only:
+    minrep_table and mask are derived from them.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "mask", tuple(int(j not in self.subset) for j in self.rs.nodes))
+    __slots__ = ("rs", "subset", "minimal_reps", "subgroup_order", "minrep_table", "mask")
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        subset: frozenset[int],
+        minimal_reps: tuple[WeylElement, ...],
+        subgroup_order: int,
+        minrep_table: dict[WeylElement, WeylElement],
+    ):
+        self.rs = rs
+        self.subset = subset
+        self.minimal_reps = minimal_reps
+        self.subgroup_order = subgroup_order
+        # w -> the minimal representative of w W_P
+        self.minrep_table = minrep_table
+        # per node, 0 inside the subset and 1 outside
+        self.mask = tuple(int(j not in subset) for j in rs.nodes)
+
+    def _key(self) -> tuple:
+        return self.rs, self.subset, self.minimal_reps, self.subgroup_order
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ParabolicData):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ParabolicData(rs=%r, subset=%r, minimal_reps=%r, subgroup_order=%r)" % self._key()
 
     def __contains__(self, w: WeylElement) -> bool:
         return all(j not in self.subset for j in w.descent_set())
@@ -103,6 +126,7 @@ class QKElement:
         clean: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
         if terms:
             for (d, w), f in terms.items():
+                check_element(rs, w)
                 if f.is_zero():
                     continue
                 if len(d) != rs.rank or any(c < 0 for c in d):

@@ -494,6 +494,12 @@ def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> Weyl
     return w
 
 
+def check_element(rs: RootSystem, w: WeylElement) -> None:
+    """Refuse, as bad input, a Weyl element of another root system."""
+    if w.rs is not rs:
+        raise ValueError(f"{w!r} is an element of {w.rs!r}, not of {rs!r}")
+
+
 def is_antidominant(cw: Coweight) -> bool:
     return all(c <= 0 for c in cw)
 

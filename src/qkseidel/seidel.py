@@ -8,7 +8,7 @@ checked eagerly at construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import (
     ExtAffineWeylElement,
@@ -21,6 +21,7 @@ from .rootsys import (
     Coweight,
     RootSystem,
     WeylElement,
+    check_element,
     longest_element,
     special_nodes,
 )
@@ -45,6 +46,7 @@ def seidel_element(rs: RootSystem, i: int) -> WeylElement:
 
 def gamma(rs: RootSystem, w: WeylElement) -> Coweight:
     """The antidominant coweight -sum of fundamental coweights over Des(w)."""
+    check_element(rs, w)
     des = set(w.descent_set())
     return tuple(-1 if j in des else 0 for j in rs.nodes)
 
@@ -60,6 +62,7 @@ def quantum_exponent(rs: RootSystem, i: int, w: WeylElement) -> tuple[int, ...]:
     The difference always lies in the coroot lattice; nonnegativity of the
     coordinates is part of the certified statement, so a violation raises.
     """
+    check_element(rs, w)
     return _quantum_exponent(rs, i, w.inverse().act_coweight(rs.fundamental_coweight(i)))
 
 
@@ -74,8 +77,7 @@ def _quantum_exponent(rs: RootSystem, i: int, pulled: Coweight) -> tuple[int, ..
     return coords
 
 
-@dataclass(frozen=True)
-class SeidelDatum:
+class SeidelDatum(NamedTuple):
     """The (v[i], pi_i, kappa_i) package attached to a special node."""
 
     node: int
@@ -111,8 +113,7 @@ def seidel_datum(rs: RootSystem, i: int) -> SeidelDatum:
     return datum
 
 
-@dataclass(frozen=True)
-class KeyLemmaReport:
+class KeyLemmaReport(NamedTuple):
     ok: bool
     node: int
     w_word: tuple[int, ...]
@@ -125,10 +126,10 @@ class KeyLemmaReport:
 
 def verify_key_lemma(rs: RootSystem, i: int, w: WeylElement) -> KeyLemmaReport:
     """gamma(v[i] w) = gamma(w) - w^{-1}(omega_i^vee)."""
-    v = seidel_element(rs, i)
-    lhs = gamma(rs, v * w)
+    g_w = gamma(rs, w)  # refuses an element of another system before v * w
+    lhs = gamma(rs, seidel_element(rs, i) * w)
     pulled = w.inverse().act_coweight(rs.fundamental_coweight(i))
-    rhs = tuple(a - b for a, b in zip(gamma(rs, w), pulled))
+    rhs = tuple(a - b for a, b in zip(g_w, pulled))
     return KeyLemmaReport(lhs == rhs, i, w.reduced_word(), lhs, rhs)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import (
     affine_nodes,
@@ -46,7 +46,7 @@ from .rootsys import (
     longest_element,
     special_nodes,
 )
-from .seidel import verify_group_lemma, verify_key_lemma
+from .seidel import one_line, verify_group_lemma, verify_key_lemma
 
 THEOREM_SWEEP_TYPES = (("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4))
 NILHECKE_SWEEP_TYPES = (
@@ -56,8 +56,7 @@ PUSHFORWARD_SWEEP_TYPES = (("A", 3), ("C", 2), ("B", 3), ("D", 4))
 PHI_SWEEP_TYPES = (("A", 2), ("C", 2), ("A", 3))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     name: str
     type_label: str
     rank: int
@@ -248,6 +247,50 @@ def sweep_pushforward(rs: RootSystem):
                         yield None
 
 
+def rotation_rule(i: int, line: tuple[int, ...], cuts) -> tuple[dict, tuple[int, ...]]:
+    """The type A_{n-1} rotation rule for O^{v_i} . (v_i^L O^w), w given by its one-line
+    notation `line`: the first k entries of x for each k in `cuts`, and the Q-degree d.
+
+    With S_k(w) the first k entries of w, S_k(x) = {s - i mod n, in 1..n : s in S_k(w)}
+    and d_k = |S_k(w) cap (i, n]| - |[1, k] cap (i, n]| for k in cuts, d_j = 0 for the
+    rest (Postnikov, Duke Math. J. 2005; Belkale, Compositio Math. 2004).  It reads
+    one-line notation only: no root, coweight or coset representative of the package.
+    """
+    n = len(line)
+    sets = {k: {(s - i - 1) % n + 1 for s in line[:k]} for k in cuts}
+    d = tuple(sum(s > i for s in line[:k]) - max(k - i, 0) if k in sets else 0 for k in range(1, n))
+    return sets, d
+
+
+@_sweep("rotation")
+def sweep_rotation(rs: RootSystem):
+    """The parabolic Seidel product against the rotation rule, on every parabolic
+    subset of type A, every node (all are special) and every w in W^P."""
+    if rs.type_label != "A":
+        raise ValueError("the rotation rule is stated for type A only")
+    one = LaurentPoly.one(rs.rank)
+    registry = VerificationRegistry()
+    for size in range(len(rs.nodes) + 1):
+        for subset in itertools.combinations(rs.nodes, size):
+            p = parabolic_data(rs, subset)
+            cuts = [k for k in rs.nodes if k not in subset]
+            for i in rs.nodes:
+                for w in p.minimal_reps:
+                    line = one_line(w)
+                    try:
+                        product = seidel_product_parabolic(rs, i, w, p, registry)
+                    except VerificationError as exc:
+                        yield f"subset={subset} i={i} w={line}: {exc}"
+                        continue
+                    (((d, x), f),) = product.terms.items()
+                    sets, rule_d = rotation_rule(i, line, cuts)
+                    got = one_line(x)
+                    ok = f == one and d == rule_d and all(set(got[:k]) == s for k, s in sets.items())
+                    yield None if ok else (
+                        f"subset={subset} i={i} w={line}: Q^{d} O^{got}, rule Q^{rule_d} {sets}"
+                    )
+
+
 @_sweep("phi-compatibility")
 def sweep_phi(rs: RootSystem):
     """Star action vs left action on every Schubert class, every finite node."""
@@ -265,6 +308,7 @@ def default_plan() -> tuple[tuple[str, str, int], ...]:
     plan += [(sweep_nilhecke.name, tl, rk) for tl, rk in NILHECKE_SWEEP_TYPES]
     plan += [(sweep_pushforward.name, tl, rk) for tl, rk in PUSHFORWARD_SWEEP_TYPES]
     plan += [(sweep_phi.name, tl, rk) for tl, rk in PHI_SWEEP_TYPES]
+    plan.append((sweep_rotation.name, "A", 4))
     return tuple(plan)
 
 

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from qkseidel import cli
 from qkseidel.cli import canonical_json, main
 from qkseidel.laurent import get_term_budget, set_term_budget
 from qkseidel.rootsys import build_root_system, special_nodes, weyl_from_word
@@ -238,7 +237,7 @@ def test_sweep_workers_get_budget_under_spawn(capsys, monkeypatch):
         probes.append(pool.submit(get_term_budget))
         return pool
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", spawn_pool)
     saved = get_term_budget()
     try:
         code, _, _ = run(capsys, "sweep", "--type", "A", "--rank", "2", "--jobs", "2", "--budget", "54321")
@@ -266,7 +265,7 @@ class RecordingPool:
 
 def test_sweep_pool_never_exceeds_the_plan(capsys, monkeypatch):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: RecordingPool(sizes, **kw))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda **kw: RecordingPool(sizes, **kw))
     _, serial, _ = run(capsys, "sweep", "--type", "C", "--rank", "2")
     code, out, _ = run(capsys, "sweep", "--type", "C", "--rank", "2", "--jobs", "64")
     assert code == 0 and out == serial
@@ -280,7 +279,7 @@ def test_sweep_pool_never_exceeds_the_plan(capsys, monkeypatch):
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_jobs_below_one(capsys, monkeypatch, jobs):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kw: RecordingPool(sizes, **kw))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda **kw: RecordingPool(sizes, **kw))
     code, out, err = run(capsys, "sweep", "--type", "A", "--rank", "2", "--jobs", jobs)
     assert code == 2 and out == "" and "--jobs" in err
     assert sizes == []

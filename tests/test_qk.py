@@ -1,7 +1,6 @@
 """Quantum K-model tests: left action, closed-form products, pushforward."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -11,8 +10,9 @@ import pytest
 from qkseidel import qk, seidel
 from qkseidel.errors import UnsupportedProductError, VerificationError
 from qkseidel.laurent import LaurentPoly
-from qkseidel.peterson import VerificationReport, verify_seidel_theorem
+from qkseidel.peterson import VerificationReport, o_class, verify_seidel_theorem
 from qkseidel.qk import (
+    ParabolicData,
     QKElement,
     VerificationRegistry,
     left_action,
@@ -92,7 +92,7 @@ def test_minrep_w_examples_and_idempotence(type_label, rank, sub):
     for w in p.minimal_reps:
         assert minrep_w(w, p) == w
     # the coset table is derived data: equality and hash ignore it
-    twin = dataclasses.replace(p, minrep_table={})
+    twin = ParabolicData(p.rs, p.subset, p.minimal_reps, p.subgroup_order, {})
     assert twin == p and hash(twin) == hash(p)
 
 
@@ -130,7 +130,7 @@ def test_minrep_beta_mask_matches_node_membership(type_label, rank):
             f"ParabolicData(rs={rs!r}, subset={p.subset!r}, "
             f"minimal_reps={p.minimal_reps!r}, subgroup_order={p.subgroup_order!r})"
         )
-        twin = dataclasses.replace(p)
+        twin = ParabolicData(p.rs, p.subset, p.minimal_reps, p.subgroup_order, p.minrep_table)
         object.__setattr__(twin, "mask", (7,) * rank)
         assert twin == p and hash(twin) == hash(p) and repr(twin) == repr(p)
         with pytest.raises(ValueError):
@@ -363,6 +363,26 @@ def test_parabolic_routes_refuse_a_subset_of_another_system(system, other):
         for i in special_nodes(rs):
             with pytest.raises(ValueError, match=message):
                 seidel_product_parabolic(rs, i, w, p)
+
+
+@pytest.mark.parametrize("system,other", [(("A", 3), ("B", 3)), (("B", 3), ("C", 3)), (("D", 4), ("A", 3))])
+def test_entry_points_refuse_an_element_of_another_system(system, other):
+    """The QKElement constructor, gamma (behind o_class, grassmannian_key and both lemmas)
+    and quantum_exponent refuse a foreign w by name.  B3 and C3 have the same number of
+    roots, so no index of the foreign permutation fails first."""
+    rs, foreign = build_root_system(*system), build_root_system(*other)
+    one = LaurentPoly.one(rs.rank)
+    for w in (foreign.weyl_group()[5], longest_element(foreign), foreign.identity_weyl()):
+        message = re.escape(f"{w!r} is an element of {foreign!r}, not of {rs!r}")
+        with pytest.raises(ValueError, match=message):
+            QKElement(rs, {((0,) * rs.rank, w): one})
+        for entry in (seidel.gamma, o_class, seidel.grassmannian_key):
+            with pytest.raises(ValueError, match=message):
+                entry(rs, w)
+        for i in special_nodes(rs):
+            for entry in (seidel.verify_key_lemma, seidel.verify_group_lemma, quantum_exponent):
+                with pytest.raises(ValueError, match=message):
+                    entry(rs, i, w)
 
 
 def test_seidel_product_permutes_basis():

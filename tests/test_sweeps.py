@@ -5,23 +5,26 @@ from unittest import mock
 
 import pytest
 
-from qkseidel import sweeps
+from qkseidel import qk, sweeps
 from qkseidel.errors import UnsupportedProductError, VerificationError
 from qkseidel.rootsys import WeylElement, build_root_system, root_is_positive
+from qkseidel.seidel import one_line, quantum_exponent
 from qkseidel.sweeps import (
     SWEEP_FUNCTIONS,
     SweepResult,
     default_plan,
+    rotation_rule,
     run_sweep_unit,
     sweep_inversion_product,
     sweep_pushforward,
+    sweep_rotation,
     sweep_theorem_random,
 )
 
 
 def test_default_plan_shape():
     plan = default_plan()
-    assert len(plan) == 52
+    assert len(plan) == 53
     assert len(set(plan)) == len(plan)
     for name, type_label, rank in plan:
         assert name in SWEEP_FUNCTIONS
@@ -84,6 +87,32 @@ def test_pushforward_sweep_lets_programming_errors_crash(monkeypatch):
         monkeypatch.setattr(sweeps, "seidel_product_parabolic", broken)
         with pytest.raises(exc_type):
             sweep_pushforward("A", 2)
+
+
+# Fubini numbers (ordered set partitions of n), the sum of |W^P| over the subsets of A_{n-1},
+# times n - 1 nodes
+@pytest.mark.parametrize("rank,total", [(1, 3), (2, 26), (3, 225), (4, 2164)])
+def test_rotation_rule_holds_on_every_parabolic_of_type_a(rank, total):
+    """The parabolic Seidel product is the rotation rule on A1 to A4, and on the Borel the
+    rule's Q-degree is the public quantum_exponent."""
+    res = sweep_rotation("A", rank)
+    assert res.passed and res.total == total, res.failures[:3]
+    rs = build_root_system("A", rank)
+    for i in rs.nodes:
+        for w in rs.weyl_group():
+            _, d = rotation_rule(i, one_line(w), rs.nodes)
+            assert d == quantum_exponent(rs, i, w), (i, w)
+
+
+def test_rotation_sweep_sees_a_wrong_projection(monkeypatch):
+    """Both routes of seidel_product_parabolic project through minrep_beta, so they agree
+    when it is wrong; the rotation rule, which does not call it, sees the fault."""
+    monkeypatch.setattr(qk, "minrep_beta", lambda beta, p: tuple(beta))
+    res = sweep_rotation("A", 3)
+    assert res.total == 225 and res.failures
+    assert all("subset=(" in f and "rule Q^" in f for f in res.failures)
+    with pytest.raises(ValueError, match="type A only"):
+        sweep_rotation("B", 3)
 
 
 def inversion_product_by_roots(type_label: str, rank: int) -> SweepResult:
