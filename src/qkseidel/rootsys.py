@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import SizeLimitError
@@ -79,6 +79,32 @@ def _cartan_matrix(type_label: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in a)
 
 
+def _invert_cartan(cartan: Matrix) -> tuple[int, Matrix]:
+    """The least den with den * C^{-1} integral, and the columns of den * C^{-1}.
+
+    Fraction-free Gauss-Jordan on [C | I]: a row r is eliminated against the pivot
+    row as r * pivot - f * pivot_row and divided by the gcd of its entries, so every
+    entry stays an integer.  Row j ends as d_j e_j | d_j (C^{-1})_j.
+    """
+    n = len(cartan)
+    aug = [list(row) + [int(j == k) for k in range(n)] for j, row in enumerate(cartan)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        top = aug[col]
+        p = top[col]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and f:
+                row = [x * p - f * y for x, y in zip(aug[r], top)]
+                g = math.gcd(*row)
+                aug[r] = [x // g for x in row]
+    den = math.lcm(*(row[j] // math.gcd(row[j], *row[n:]) for j, row in enumerate(aug)))
+    return den, tuple(
+        tuple(aug[j][n + k] * den // aug[j][j] for j in range(n)) for k in range(n)
+    )
+
+
 def _vec_mat(v: tuple[int, ...], m: Matrix) -> tuple[int, ...]:
     return tuple([sum(map(operator.mul, v, col)) for col in zip(*m)])
 
@@ -126,7 +152,7 @@ class WeylElement:
         return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return self.rs._weyl(tuple(map(self.perm.__getitem__, other.perm)))
+        return self.rs._weyl(itemgetter(*other.perm)(self.perm))
 
     def left_reflect(self, i: int) -> "WeylElement":
         """s_i w, remembered per node."""
@@ -140,7 +166,10 @@ class WeylElement:
     def inverse(self) -> "WeylElement":
         if self._inverse is None:
             perm = self.perm
-            inv = self.rs._weyl(tuple(sorted(range(len(perm)), key=perm.__getitem__)))
+            scatter = [0] * len(perm)
+            for k in range(len(perm)):
+                scatter[perm[k]] = k
+            inv = self.rs._weyl(tuple(scatter))
             inv._inverse = self
             self._inverse = inv
         return self._inverse
@@ -245,7 +274,7 @@ class RootSystem:
         self._special_nodes = tuple(
             i for i in self.nodes if all(beta[i - 1] in (0, 1) for beta in self.positive_roots)
         )
-        self._cartan_inv_den, self._cartan_inv_cols = self._invert_cartan()
+        self._cartan_inv_den, self._cartan_inv_cols = _invert_cartan(self.cartan)
         # Weyl elements permute these indices: the positive roots, then their negatives.
         self.npos = len(self.positive_roots)
         assert self.npos == npos, (self, npos)
@@ -306,24 +335,6 @@ class RootSystem:
         best = max(self.positive_roots, key=sum)
         assert all(all(b <= t for b, t in zip(beta, best)) for beta in self.positive_roots)
         return best
-
-    def _invert_cartan(self) -> tuple[int, Matrix]:
-        """The least den with den * C^{-1} integral, and the columns of den * C^{-1}."""
-        n = self.rank
-        aug = [[Fraction(self.cartan[j][k]) for k in range(n)]
-               + [Fraction(1 if k == j else 0) for k in range(n)] for j in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        inv = [row[n:] for row in aug]
-        den = math.lcm(*(x.denominator for row in inv for x in row))
-        return den, tuple(tuple(int(inv[j][k] * den) for j in range(n)) for k in range(n))
 
     # -- basic queries ---------------------------------------------------
 
@@ -409,6 +420,8 @@ class RootSystem:
         s_i y with y^{-1}(alpha_i) > 0 and y^{-1}(s_i alpha_j) > 0 for all j < i.
         Built with i outer and the previous level inner, each level comes out
         in word order, and every element gets its word, length and inverse.
+        Elements interned before the enumeration (by products, left_reflect or
+        inverse()) are kept, not rebuilt; one without its inverse gets it here.
 
         Raises SizeLimitError before enumerating when |W| exceeds WEYL_GROUP_LIMIT.
         """
@@ -419,24 +432,27 @@ class RootSystem:
                     f"W({self.type_label}{self.rank}) has {order} elements, "
                     f"more than the enumeration limit {WEYL_GROUP_LIMIT}"
                 )
-            npos, simple = self.npos, self.simple_indices
-            # per node: s_i's permutation, and the indices of alpha_i and s_i(alpha_j), j < i
+            npos, simple, weyl = self.npos, self.simple_indices, self._weyl
+            # per node: s_i's permutation, the map y^{-1} -> y^{-1} s_i, and the map
+            # reading y^{-1} at alpha_i and s_i(alpha_j), j < i (padded: always a tuple)
             letters = []
             for i in self.nodes:
                 s = self.simple_reflection(i).perm
-                letters.append((i, s, (simple[i - 1],) + tuple(s[k] for k in simple[: i - 1])))
+                tests = (simple[i - 1],) + tuple(s[k] for k in simple[: i - 1])
+                letters.append((i, s, itemgetter(*s), itemgetter(*tests, tests[0])))
             level = [self._identity]
             self._identity._inverse = self._identity
             group = list(level)
             while level:
                 nxt = []
-                for i, s, tests in letters:
+                for i, s, times_s, tests in letters:
                     for y in level:
                         y_inv = y._inverse.perm
-                        if all(y_inv[k] < npos for k in tests):
-                            w = self._weyl(tuple(map(s.__getitem__, y.perm)))
-                            w_inv = self._weyl(tuple(map(y_inv.__getitem__, s)))
-                            w._inverse, w_inv._inverse = w_inv, w
+                        if max(tests(y_inv)) < npos:
+                            w = weyl(itemgetter(*y.perm)(s))
+                            if w._inverse is None:
+                                w_inv = weyl(times_s(y_inv))
+                                w._inverse, w_inv._inverse = w_inv, w
                             w._word = (i,) + y._word
                             w._length = len(w._word)
                             nxt.append(w)

@@ -1,11 +1,14 @@
 """Constructions that only the tests use, kept here as oracles for the package.
 
 star_D is the nil-Hecke companion of the star action, sigma_monomial and
-mult_by_sigma_monomial write the sigma classes as translation classes, and
-affine_from_word multiplies out a word in the affine simple reflections.
+mult_by_sigma_monomial write the sigma classes as translation classes,
+affine_from_word multiplies out a word in the affine simple reflections, and
+cartan_inverse_by_fractions inverts a Cartan matrix over the rationals.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Iterable
 
 from qkseidel.affine import (
@@ -68,3 +71,23 @@ def affine_from_word(rs: RootSystem, word: Iterable[int]) -> ExtAffineWeylElemen
             raise ValueError("node %r outside the affine index set" % (i,))
         x = x * affine_simple_reflection(rs, i)
     return x
+
+
+def cartan_inverse_by_fractions(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple]:
+    """(den, columns of den * C^{-1}), den the least making it integral: Gauss-Jordan on
+    [C | I] over Fraction."""
+    n = len(cartan)
+    aug = [[Fraction(cartan[j][k]) for k in range(n)]
+           + [Fraction(1 if k == j else 0) for k in range(n)] for j in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    inv = [row[n:] for row in aug]
+    den = math.lcm(*(x.denominator for row in inv for x in row))
+    return den, tuple(tuple(int(inv[j][k] * den) for j in range(n)) for k in range(n))

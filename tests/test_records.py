@@ -91,11 +91,13 @@ def _new_modules(statement: str) -> set[str]:
 
 def test_cold_import_loads_no_introspection_modules():
     """The records are tuples and slotted classes, so importing the package loads no
-    dataclasses, and with it no inspect, ast or dis; a command without a worker pool
+    dataclasses, and with it no inspect, ast or dis; the Cartan matrix is inverted in
+    integers, so no fractions, decimal or numbers; a command without a worker pool
     loads no concurrent.futures."""
     new = _new_modules("import qkseidel, qkseidel.nilhecke, qkseidel.sweeps")
     assert "qkseidel.sweeps" in new
-    assert not new & {"dataclasses", "inspect", "ast", "dis"}, sorted(new)
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "fractions", "decimal", "numbers"}
+    assert not new & forbidden, sorted(new)
     new = _new_modules("import qkseidel.cli")
     assert "qkseidel.cli" in new
     assert not {m for m in new if m.split(".")[0] in ("concurrent", "multiprocessing")}, sorted(new)

@@ -16,6 +16,8 @@ from qkseidel.rootsys import (
     VALID_RANKS,
     WEYL_GROUP_LIMIT,
     RootSystem,
+    _cartan_matrix,
+    _invert_cartan,
     _vec_mat,
     build_root_system,
     longest_element,
@@ -23,6 +25,8 @@ from qkseidel.rootsys import (
     special_nodes,
     weyl_from_word,
 )
+
+from oracles import cartan_inverse_by_fractions
 
 DESK_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -373,10 +377,9 @@ def matrix_inversions(rs, m):
     return tuple(sorted(b for b in rs.positive_roots if not root_is_positive(mat_vec(m, b))))
 
 
-@pytest.mark.parametrize("type_label,rank", DESK_TYPES + [("E", 6)])
-def test_permutation_products_against_matrices(type_label, rank):
+def check_products_against_matrices(rs):
     rng = random.Random(20261018)
-    rs = build_root_system(type_label, rank)
+    rank = rs.rank
     refl = {i: reflection_matrix(rs, i) for i in rs.nodes}
     for i in rs.nodes:
         assert rs.simple_reflection(i).m == refl[i] == rs.simple_reflection(i).inverse().m
@@ -405,6 +408,62 @@ def test_permutation_products_against_matrices(type_label, rank):
         assert u.descent_set() == tuple(
             k for k in rs.nodes if not root_is_positive(mat_vec(u.m, rs.simple_root(k)))
         )
+
+
+@pytest.mark.parametrize("type_label,rank", DESK_TYPES + [("E", 6)])
+def test_permutation_products_against_matrices(type_label, rank):
+    check_products_against_matrices(build_root_system(type_label, rank))
+
+
+@pytest.mark.parametrize("type_label,rank", DESK_TYPES + [("E", 6), ("E", 7), ("E", 8)])
+def test_permutation_products_against_matrices_unenumerated(type_label, rank):
+    """The same checks on a system that never enumerates W, so every inverse is computed
+    from its permutation, not read from weyl_group(); E7 and E8 cannot enumerate, and
+    their permutations have 126 and 240 entries."""
+    rs = RootSystem(type_label, rank)
+    check_products_against_matrices(rs)
+    assert rs._weyl_group is None
+
+
+@pytest.mark.parametrize("type_label,rank", DESK_TYPES)
+def test_weyl_group_keeps_elements_interned_before_it(type_label, rank):
+    """Products, left_reflect and inverse() intern elements before the enumeration, some
+    with their inverse and some without; weyl_group() still matches the oracle, and every
+    element is linked to its inverse both ways."""
+    rng = random.Random(20261019)
+    rs = RootSystem(type_label, rank)
+    for k in range(40):
+        w = weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(rng.randrange(3 * rank + 2))])
+        if k % 3 == 0:
+            w.inverse()
+        elif k % 3 == 1:
+            w.left_reflect(rng.choice(rs.nodes))
+    interned = set(rs._weyl_cache)
+    group = rs.weyl_group()
+    oracle = bfs_sorted_weyl_group(RootSystem(type_label, rank))
+    assert interned <= set(rs._weyl_cache) == {w.perm for w in group}
+    assert [w.perm for w in group] == [w.perm for w in oracle]
+    assert [w._word for w in group] == [w.reduced_word() for w in oracle]
+    assert [w.length() for w in group] == [w.length() for w in oracle]
+    assert [w._inverse.perm for w in group] == [w.inverse().perm for w in oracle]
+    assert all(w.inverse().inverse() is w for w in group)
+
+
+def test_cartan_inverse_matches_the_fraction_solve():
+    """The fraction-free solve against Gauss-Jordan over the rationals, on every valid
+    type up to rank 20, and as the built systems store it."""
+    checked = 0
+    for type_label, ranks in VALID_RANKS.items():
+        for rank in ranks:
+            if rank > 20:
+                break
+            cartan = _cartan_matrix(type_label, rank)
+            assert _invert_cartan(cartan) == cartan_inverse_by_fractions(cartan), (type_label, rank)
+            checked += 1
+    assert checked == 81
+    for type_label, rank in DESK_TYPES + [("E", 6)]:
+        rs = build_root_system(type_label, rank)
+        assert (rs._cartan_inv_den, rs._cartan_inv_cols) == cartan_inverse_by_fractions(rs.cartan)
 
 
 def matrix_reduced_word(rs, m, minv, refl):

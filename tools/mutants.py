@@ -34,6 +34,12 @@ TIMEOUT_S = 300
 # (label, file under src/qkseidel, exact snippet, replacement)
 MUTATIONS = (
     (
+        "`WeylElement.__mul__` composes in the opposite order",
+        "rootsys.py",
+        "itemgetter(*other.perm)(self.perm)",
+        "itemgetter(*self.perm)(other.perm)",
+    ),
+    (
         "`affine` product pulls `mu` back by `v`, not `v^{-1}`",
         "affine.py",
         "zip(v.inverse().act_coweight(self.mu), other.mu)",
