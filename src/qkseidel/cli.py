@@ -43,11 +43,12 @@ def canonical_json(payload) -> str:
 
 
 def _report(
-    rs, node, w_word, q_exponent, product_word, verified, details
+    type_label, rank, verified, details, *, node=None, w_word=(), q_exponent=(), product_word=()
 ) -> dict:
+    """The one JSON record every command emits; an unused field stays null or empty."""
     return {
-        "type": rs.type_label,
-        "rank": rs.rank,
+        "type": type_label,
+        "rank": rank,
         "node": node,
         "w_word": list(w_word),
         "q_exponent": list(q_exponent),
@@ -55,6 +56,10 @@ def _report(
         "verified": verified,
         "details": details,
     }
+
+
+def _word_text(word) -> str:
+    return ",".join(map(str, word)) or "e"
 
 
 def _class_text(d, word) -> str:
@@ -76,9 +81,11 @@ def _class_latex(d, word) -> str:
 
 
 # ------------------------------------------------------------------- commands
+# Each command writes its own text or LaTeX form and returns its JSON records;
+# `main` writes the JSON and reads the exit status from the records.
 
 
-def cmd_table(args, out) -> int:
+def cmd_table(args, out) -> list[dict]:
     rs = build_root_system(args.type, args.rank)
     if args.node is None:
         raise ValueError("table requires --node")
@@ -103,47 +110,34 @@ def cmd_table(args, out) -> int:
             product = x.reduced_word()
             verified = True
             details = {"parabolic": sorted(p.subset), "routes_agree": True}
-        rows.append(_report(rs, i, w.reduced_word(), d, product, verified, details))
+        rows.append(_report(
+            rs.type_label, rs.rank, verified, details,
+            node=i, w_word=w.reduced_word(), q_exponent=d, product_word=product,
+        ))
 
-    ok = all(r["verified"] for r in rows)
-    if args.format == "json":
-        out.write(canonical_json(rows))
-    elif args.format == "latex":
+    if args.format == "latex":
         body_rows = [r for r in rows if r["w_word"]]
-        cols = " & ".join(
-            "\\mathcal{O}^{" + "".join(f"s_{j}" for j in r["w_word"]) + "}" for r in body_rows
-        )
-        vals = " & ".join(
-            _class_latex(r["q_exponent"], r["product_word"]) for r in body_rows
-        )
+        cols = " & ".join(_class_latex((), r["w_word"]) for r in body_rows)
+        vals = " & ".join(_class_latex(r["q_exponent"], r["product_word"]) for r in body_rows)
         out.write("\\begin{array}{c|" + "c" * len(body_rows) + "}\n")
         out.write(f"w & {cols} \\\\\n\\hline\n")
         out.write(f"\\mathcal{{O}}^{{v_{i}}} \\cdot v_{i}^L \\mathcal{{O}}^w & {vals}\n")
         out.write("\\end{array}\n")
-    else:
+    elif args.format == "text":
         for r in rows:
-            w_txt = ",".join(str(j) for j in r["w_word"]) or "e"
             res = _class_text(r["q_exponent"], r["product_word"])
             state = "ok" if r["verified"] else "FAILED"
-            out.write(f"w={w_txt:<16} -> {res:<32} [{state}]\n")
-    return 0 if ok else 1
+            out.write(f"w={_word_text(r['w_word']):<16} -> {res:<32} [{state}]\n")
+    return rows
 
 
-def cmd_verify(args, out) -> int:
+def cmd_verify(args, out) -> list[dict]:
     rs = build_root_system(args.type, args.rank)
     if args.parabolic is not None:
         p = parabolic_data(rs, _parse_word(args.parabolic))
-        ok = verify_pushforward_commutes(p)
-        report = _report(
-            rs,
-            None,
-            (),
-            (),
-            (),
-            ok,
-            {"check": "pushforward-commutation", "parabolic": sorted(p.subset)},
-        )
-        reports = [report]
+        details = {"check": "pushforward-commutation", "parabolic": sorted(p.subset)}
+        report = _report(rs.type_label, rs.rank, verify_pushforward_commutes(p), details)
+        line = f"{details['check']} subset={details['parabolic']}"
     else:
         if args.node is None or args.word is None:
             raise ValueError("verify requires --node and --word (or --parabolic)")
@@ -151,42 +145,24 @@ def cmd_verify(args, out) -> int:
         rep = verify_seidel_theorem(rs, args.node, w)
         key = verify_key_lemma(rs, args.node, w)
         group = verify_group_lemma(rs, args.node, w)
-        reports = [
-            _report(
-                rs,
-                args.node,
-                w.reduced_word(),
-                rep.q_exponent,
-                rep.product_word,
-                rep.passed and bool(key) and group,
-                {
-                    "checks": dict(rep.checks),
-                    "key_lemma": bool(key),
-                    "group_lemma": group,
-                },
-            )
-        ]
+        report = _report(
+            rs.type_label, rs.rank, rep.passed and bool(key) and group,
+            {"checks": dict(rep.checks), "key_lemma": bool(key), "group_lemma": group},
+            node=args.node, w_word=w.reduced_word(),
+            q_exponent=rep.q_exponent, product_word=rep.product_word,
+        )
+        res = _class_text(report["q_exponent"], report["product_word"])
+        line = f"node={args.node} w={_word_text(report['w_word'])}: {res}"
 
-    ok = all(r["verified"] for r in reports)
-    if args.format == "json":
-        out.write(canonical_json(reports))
-    elif args.format == "latex":
-        for r in reports:
-            res = _class_latex(r["q_exponent"], r["product_word"])
-            out.write(f"% verified: {r['verified']}\n{res}\n")
-    else:
-        for r in reports:
-            state = "PASS" if r["verified"] else "FAIL"
-            if r["node"] is not None:
-                w_txt = ",".join(str(j) for j in r["w_word"]) or "e"
-                res = _class_text(r["q_exponent"], r["product_word"])
-                out.write(f"{state} node={r['node']} w={w_txt}: {res}\n")
-            else:
-                out.write(f"{state} {r['details']['check']} subset={r['details']['parabolic']}\n")
-    return 0 if ok else 1
+    if args.format == "latex":
+        res = _class_latex(report["q_exponent"], report["product_word"])
+        out.write(f"% verified: {report['verified']}\n{res}\n")
+    elif args.format == "text":
+        out.write(("PASS " if report["verified"] else "FAIL ") + line + "\n")
+    return [report]
 
 
-def cmd_element(args, out) -> int:
+def cmd_element(args, out) -> list[dict]:
     rs = build_root_system(args.type, args.rank)
     if args.word is None:
         raise ValueError("element requires --word")
@@ -208,11 +184,9 @@ def cmd_element(args, out) -> int:
             "affine_word": list(affine_word),
         },
     }
-    if args.format == "json":
-        out.write(canonical_json([_report(rs, None, w.reduced_word(), (), (), True, details)]))
-    else:
+    if args.format == "text":
         out.write(f"type {rs.type_label} rank {rs.rank}\n")
-        out.write("word: " + (",".join(str(j) for j in w.reduced_word()) or "e") + "\n")
+        out.write(f"word: {_word_text(w.reduced_word())}\n")
         out.write(f"length: {details['length']}\n")
         if line is not None:
             out.write("one_line: " + ",".join(str(v) for v in line) + "\n")
@@ -225,9 +199,8 @@ def cmd_element(args, out) -> int:
         out.write("gamma: " + ",".join(str(c) for c in g) + "\n")
         sig = details["grassmannian_key"]
         sig_txt = f"pi_{sig['sigma_node']}" if sig["sigma_node"] is not None else "1"
-        word_txt = ",".join(str(j) for j in sig["affine_word"]) or "e"
-        out.write(f"grassmannian key: sigma={sig_txt}, affine word={word_txt}\n")
-    return 0
+        out.write(f"grassmannian key: sigma={sig_txt}, affine word={_word_text(affine_word)}\n")
+    return [_report(rs.type_label, rs.rank, True, details, w_word=w.reduced_word())]
 
 
 def _timed_unit(unit: tuple[str, str, int]):
@@ -235,7 +208,7 @@ def _timed_unit(unit: tuple[str, str, int]):
     return run_sweep_unit(unit), time.perf_counter() - start
 
 
-def cmd_sweep(args, out) -> int:
+def cmd_sweep(args, out) -> list[dict]:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, not {args.jobs}")
     plan = [
@@ -263,27 +236,18 @@ def cmd_sweep(args, out) -> int:
                              f" {seconds:.3f}s\n")
             results.append(res)
 
-    ok = all(res.passed for res in results)
-    if args.format == "json":
-        # a SweepResult carries the type_label and rank that _report reads
-        payload = [
-            _report(
-                res,
-                None,
-                (),
-                (),
-                (),
-                res.passed,
-                {"sweep": res.name, "total": res.total, "failures": list(res.failures)},
-            )
-            for res in results
-        ]
-        out.write(canonical_json(payload))
-    else:
+    if args.format == "text":
         for res in results:
             out.write(res.summary() + "\n")
+        ok = all(res.passed for res in results)
         out.write(("all sweeps passed" if ok else "SWEEPS FAILED") + f" ({len(results)} units)\n")
-    return 0 if ok else 1
+    return [
+        _report(
+            res.type_label, res.rank, res.passed,
+            {"sweep": res.name, "total": res.total, "failures": list(res.failures)},
+        )
+        for res in results
+    ]
 
 
 # ----------------------------------------------------------------------- main
@@ -296,9 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "latex", "text")):
-        p.add_argument("--type", required=True, choices=list("ABCDEFG"), help="Cartan type")
-        p.add_argument("--rank", required=True, type=int, help="rank")
+    def common(p, formats=("json", "latex", "text"), required=True):
+        p.add_argument("--type", required=required, choices=list("ABCDEFG"),
+                       help="Cartan type" if required else "filter by type")
+        p.add_argument("--rank", required=required, type=int,
+                       help="rank" if required else "filter by rank")
         p.add_argument("--format", default="text", choices=formats, help="output format")
         p.add_argument("--out", default=None, help="write the report to this file")
         p.add_argument("--budget", default=None, type=int, help="term budget override")
@@ -322,13 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_element)
 
     s = sub.add_parser("sweep", help="run exhaustive verification sweeps")
-    s.add_argument("--type", default=None, choices=list("ABCDEFG"), help="filter by type")
-    s.add_argument("--rank", default=None, type=int, help="filter by rank")
-    s.add_argument(
-        "--format", default="text", choices=["json", "text"], help="output format"
-    )
-    s.add_argument("--out", default=None, help="write the report to this file")
-    s.add_argument("--budget", default=None, type=int, help="term budget override")
+    common(s, formats=("json", "text"), required=False)
     s.add_argument("--jobs", default=1, type=int, help="parallel worker processes")
     s.set_defaults(func=cmd_sweep)
 
@@ -336,25 +296,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     saved_budget = get_term_budget()
-    if args.budget is not None:
-        try:
-            set_term_budget(args.budget)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        if args.out is None:
-            return args.func(args, sys.stdout)
-        # the report goes to the file only once the command returns, so a command
-        # that raises leaves an existing file as it was
-        buffer = io.StringIO()
-        code = args.func(args, buffer)
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(buffer.getvalue())
-        return code
+        if args.budget is not None:
+            set_term_budget(args.budget)
+        # the report goes to --out only once the command returns, so a command that
+        # raises leaves an existing file as it was
+        out = sys.stdout if args.out is None else io.StringIO()
+        reports = args.func(args, out)
+        if args.format == "json":
+            out.write(canonical_json(reports))
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(out.getvalue())
+        return 0 if all(r["verified"] for r in reports) else 1
     except SizeLimitError as exc:
         print(f"size limit exceeded: {exc}", file=sys.stderr)
         return 3

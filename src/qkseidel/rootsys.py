@@ -226,10 +226,15 @@ class WeylElement:
         """
         chain = []
         cur = self
-        while cur._word is None:
+        # each step shortens the element, so the identity is reached within |R+| steps
+        for _ in range(self.rs.npos + 1):
+            if cur._word is not None:
+                break
             i = cur.inverse().descent_set()[0]
             chain.append((cur, i))
             cur = cur.left_reflect(i)
+        else:
+            raise AssertionError(f"no reduced word for {self.perm} within |R+| steps")
         word = cur._word
         for elem, i in reversed(chain):
             word = (i,) + word
@@ -499,13 +504,16 @@ def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> Weyl
     if cached is not None:
         return cached
     w = rs.identity_weyl()
-    while True:
+    # each step lengthens w, so the top is reached within |R+| steps
+    for _ in range(rs.npos + 1):
         for j in sorted(key):
             if root_is_positive(w.act_root(rs.simple_root(j))):
                 w = w * rs.simple_reflection(j)
                 break
         else:
             break
+    else:
+        raise AssertionError(f"no longest element of {sorted(key)} within |R+| steps")
     rs._longest_cache[key] = w
     return w
 

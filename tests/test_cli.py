@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from qkseidel import cli
 from qkseidel.cli import canonical_json, main
 from qkseidel.laurent import get_term_budget, set_term_budget
 from qkseidel.rootsys import build_root_system, special_nodes, weyl_from_word
+from qkseidel.sweeps import SWEEP_FUNCTIONS, SweepResult
 
 SCHEMA_KEYS = {
     "type",
@@ -300,6 +302,67 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert canonical_json(json.loads(target.read_text())) == target.read_text()
+
+
+def fail_theorem_at(monkeypatch, word):
+    """The theorem reports its first check false for the element of this reduced word."""
+    real = cli.verify_seidel_theorem
+
+    def one_false_check(rs, i, w):
+        rep = real(rs, i, w)
+        if w.reduced_word() == word:
+            (name, _), *rest = rep.checks
+            rep = rep._replace(checks=((name, False), *rest))
+        return rep
+
+    monkeypatch.setattr(cli, "verify_seidel_theorem", one_false_check)
+
+
+def fail_toy_sweep(monkeypatch):
+    """The plan is one unit, whose one failure is a made-up instance."""
+    monkeypatch.setattr(cli, "default_plan", lambda: (("toy", "A", 2),))
+    monkeypatch.setitem(
+        SWEEP_FUNCTIONS, "toy", lambda tl, rk: SweepResult("toy", tl, rk, 2, ("w=e: wrong",))
+    )
+
+
+# argv, the fault, and what the text report says of it
+FAILING_RUNS = {
+    "table": ("table --type A --rank 2 --node 2", lambda mp: fail_theorem_at(mp, (1, 2)),
+              "w=1,2              -> Q2*O[s2*s1]                      [FAILED]\n"),
+    "verify": ("verify --type A --rank 2 --node 2 --word 1,2",
+               lambda mp: fail_theorem_at(mp, (1, 2)), "FAIL node=2 w=1,2: Q2*O[s2*s1]\n"),
+    "verify-parabolic": (
+        "verify --type A --rank 3 --parabolic 1,2",
+        lambda mp: mp.setattr(cli, "verify_pushforward_commutes", lambda p: False),
+        "FAIL pushforward-commutation subset=[1, 2]\n",
+    ),
+    "sweep": ("sweep", fail_toy_sweep, "toy A2: 2 checks, 1 FAILED\nSWEEPS FAILED (1 units)\n"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", list(FAILING_RUNS))
+def test_a_false_record_exits_1(capsys, monkeypatch, tmp_path, case, fmt, to_file):
+    """Exit status 1 when any record reads `verified: false`, in every format and with --out;
+    the report is still written in full."""
+    argv, fault, text = FAILING_RUNS[case]
+    fault(monkeypatch)
+    target = tmp_path / "report"
+    argv = [*argv.split(), "--format", fmt] + (["--out", str(target)] if to_file else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    if to_file:
+        assert out == ""
+        out = target.read_text(encoding="utf-8")
+    if fmt == "json":
+        rows = json.loads(out)
+        assert canonical_json(rows) == out
+        assert all(set(row) == SCHEMA_KEYS for row in rows)
+        assert [row["verified"] for row in rows].count(False) == 1
+    else:
+        assert text in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,10 @@
-"""The mutation tool: its snippets still match the source they mutate, and a stuck run
-reads `timeout`."""
+"""The mutation tool: its snippets still match the source they mutate, a stuck test
+counts as one failure, and a stuck run reads `timeout`."""
 from __future__ import annotations
 
 import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,20 @@ def test_a_run_past_the_timeout_reads_timeout(monkeypatch, capsys, stuck):
     cells = "| timeout | 0 |" if stuck == "pytest" else "| 0 fail | timeout |"
     assert len(rows) == len(mutants.MUTATIONS) + 1
     assert all(row.endswith(cells) for row in rows), rows
+
+
+def test_a_stuck_test_in_the_copy_is_one_failure(monkeypatch, tmp_path):
+    """The conftest.py the tool writes into its copy stops a test at TEST_TIMEOUT_S and
+    fails that test alone; the other tests still run."""
+    mutants = load_mutants()
+    monkeypatch.setattr(mutants, "TEST_TIMEOUT_S", 1)
+    mutants.write_test_timeout(tmp_path)
+    (tmp_path / "test_stuck.py").write_text(
+        "import time\n\n\ndef test_stuck():\n    time.sleep(3)\n\n\ndef test_quick():\n    pass\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout.strip().splitlines()[-1].startswith("1 failed, 1 passed"), done.stdout
+    assert "TimeoutError: test ran past 1 s" in done.stdout

@@ -7,6 +7,7 @@ root set is the orbit of the simple roots under Cartan-matrix reflections.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -16,6 +17,7 @@ from qkseidel.rootsys import (
     VALID_RANKS,
     WEYL_GROUP_LIMIT,
     RootSystem,
+    WeylElement,
     _cartan_matrix,
     _invert_cartan,
     _vec_mat,
@@ -267,6 +269,20 @@ def test_longest_elements():
         longest_element(rs, [0, 1])
 
 
+def test_a_faulty_product_stops_the_greedy_loops(monkeypatch):
+    """longest_element and reduced_word walk at most |R+| steps: with a product that
+    composes in the opposite order they raise, where an unbounded loop would never end."""
+    rs = RootSystem("A", 2)
+    s1, s2 = rs.simple_reflection(1), rs.simple_reflection(2)
+    monkeypatch.setattr(
+        WeylElement, "__mul__", lambda self, other: self.rs._weyl(itemgetter(*self.perm)(other.perm))
+    )
+    with pytest.raises(AssertionError, match="longest element"):
+        longest_element(rs)
+    with pytest.raises(AssertionError, match="reduced word"):
+        (s1 * s2).reduced_word()
+
+
 def check_inversion_identity(rs):
     """Inv(vw) = (Inv(w) \\ (-w^{-1}Inv(v))) + ((w^{-1}Inv(v)) \\ Inv(w)).
 
@@ -467,12 +483,14 @@ def test_cartan_inverse_matches_the_fraction_solve():
 
 
 def matrix_reduced_word(rs, m, minv, refl):
-    """Old matrix algorithm: strip the smallest i with column i of minv negative."""
+    """Old matrix algorithm: strip the smallest i with column i of minv negative, once per
+    inversion of m; each strip shortens m by one, so no inversion is left."""
     word = []
-    while matrix_inversions(rs, m):
+    for _ in range(len(matrix_inversions(rs, m))):
         i = next(i for i in rs.nodes if all(row[i - 1] <= 0 for row in minv))
         word.append(i)
         m, minv = mat_mul(refl[i], m), mat_mul(minv, refl[i])
+    assert not matrix_inversions(rs, m)
     return tuple(word)
 
 
@@ -494,10 +512,8 @@ def test_weyl_group_is_matrix_closure(type_label, rank):
                     closure[img] = mat_mul(refl[i], closure[m])
                     nxt.append(img)
         frontier = nxt
-    ordered = sorted(
-        closure,
-        key=lambda m: (len(matrix_inversions(rs, m)), matrix_reduced_word(rs, m, closure[m], refl)),
-    )
+    words = {m: matrix_reduced_word(rs, m, minv, refl) for m, minv in closure.items()}
+    ordered = sorted(closure, key=lambda m: (len(words[m]), words[m]))
     group = rs.weyl_group()
     assert [w.m for w in group] == ordered
     assert [w.inverse().m for w in group] == [closure[m] for m in ordered]

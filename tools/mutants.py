@@ -12,9 +12,11 @@ Run from the repository root, with no arguments:
     python3 tools/mutants.py
 
 Each mutant takes about as long as tier-1 plus the default plan, longer when it
-fails most of tier-1.  A run that outlasts TIMEOUT_S, as a mutant that makes a
-loop endless would, is stopped and its column reads `timeout`.  The script uses
-only the standard library and is not part of CI.
+fails most of tier-1.  In the copy, a conftest.py fails any one tier-1 test that
+runs past TEST_TIMEOUT_S, so a mutant that makes a test's loop endless counts
+that test as one failure.  A whole run that outlasts TIMEOUT_S is stopped and its
+column reads `timeout`.  The script uses only the standard library and is not
+part of CI.
 """
 from __future__ import annotations
 
@@ -30,6 +32,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # seconds for one tier-1 or sweep run; an unmutated copy needs well under a minute
 TIMEOUT_S = 300
+# seconds for one tier-1 test in a copy; the slowest unmutated test needs about 2.5 s
+TEST_TIMEOUT_S = 20
+
+# written into the copy's tests/ only: SIGALRM turns a stuck test into one failure
+CONFTEST = """import signal
+
+import pytest
+
+
+def _expire(signum, frame):
+    raise TimeoutError("test ran past {limit} s")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm({limit})
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+"""
 
 # (label, file under src/qkseidel, exact snippet, replacement)
 MUTATIONS = (
@@ -86,6 +111,11 @@ def mutate(copy: Path, filename: str, old: str, new: str) -> None:
     path.write_text(text.replace(old, new))
 
 
+def write_test_timeout(tests: Path) -> None:
+    """Give each test collected under `tests` a limit of TEST_TIMEOUT_S seconds."""
+    (tests / "conftest.py").write_text(CONFTEST.format(limit=TEST_TIMEOUT_S))
+
+
 def run(copy: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
@@ -128,6 +158,7 @@ def main() -> int:
             for name in ("src", "tests"):
                 shutil.copytree(ROOT / name, copy / name, ignore=ignore)
             shutil.copy(ROOT / "pyproject.toml", copy)
+            write_test_timeout(copy / "tests")
             if filename is not None:
                 mutate(copy, filename, old, new)
             verdict, changed = measure(copy, expected)
