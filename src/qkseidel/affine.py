@@ -27,12 +27,13 @@ class AffineRoot(NamedTuple):
 class ExtAffineWeylElement:
     """Element u * t_mu of the extended affine Weyl group.
 
-    Interned per root system, so equal elements share length and Grassmannian
-    caches.  The Sigma part is implicit: it is trivial exactly when
+    _intern alone builds instances, one per (mu, u) and system, so equal elements
+    are the same object: they compare and hash as objects do, in C, and share length
+    and Grassmannian caches.  The Sigma part is implicit: it is trivial exactly when
     mu lies in the coroot lattice.
     """
 
-    __slots__ = ("rs", "u", "mu", "_length", "_grass", "_hash")
+    __slots__ = ("rs", "u", "mu", "_length", "_grass")
 
     def __init__(self, rs: RootSystem, u: WeylElement, mu: Coweight):
         self.rs = rs
@@ -40,20 +41,9 @@ class ExtAffineWeylElement:
         self.mu = mu
         self._length: Optional[int] = None
         self._grass: Optional[bool] = None
-        self._hash = hash((mu, u))
 
     def __repr__(self) -> str:
         return "%r*t%r" % (self.u, self.mu)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExtAffineWeylElement)
-            and self.mu == other.mu
-            and self.u == other.u
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
         """(u t_mu)(v t_nu) = (uv) t_{v^{-1}(mu) + nu}."""

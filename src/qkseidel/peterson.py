@@ -58,7 +58,6 @@ from .affine import (
     affine_nodes,
     affine_simple_reflection,
     affine_simple_root,
-    from_finite,
     grassmannian_keys,
     pi,
     translation,
@@ -188,7 +187,8 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     u t_mu ascends at i iff u^{-1}(alpha_i) < 0, one lookup, to (s_i u) t_mu with s_i u
     remembered by u; mu never changes, so each group runs through the words alone.
     Returns the terms, on the interned u t_mu, whose coefficients g stand for
-    frame(g); the frame; and per word the pairs (mu, [u, ...]) of its keys after it.
+    frame(g); the frame; and the pairs (mu, [u, ...]) of the keys after the first word
+    (the keys after the last word are those of the terms).
     Frames and roots come from the kept letter schedule, packed as the module docstring
     says (for ell(x), k depends on the words only).  A letter adds beta to the offset of
     each u that ascends and makes one pass over its g into s_i u: a new key starts from
@@ -207,10 +207,10 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
             tuple((i, _pack(root, k)) for i, root in run) for run in runs
         )
     n, npos, simple = rs.rank, rs.npos, rs.simple_indices
-    terms, keys = {}, [[] for _ in runs]
+    terms, support = {}, []
     for mu, group in groups.items():
         group = {u: ({_pack(e, k): c for e, c in f.terms.items()}, 0) for u, f in group.items()}
-        for run, after in zip(packed_runs, keys):
+        for nth, run in enumerate(packed_runs):
             for i, beta in run:
                 index = simple[i - 1]
                 for u, (g, o) in list(group.items()):
@@ -246,13 +246,13 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
                             del group[y]
                             continue
                     _check_budget(len(h))
-            if group:
-                after.append((mu, list(group)))
+            if nth == 0 and group:
+                support.append((mu, list(group)))
         for u, (g, o) in group.items():
             terms[_intern(rs, u, mu)] = LaurentPoly._trusted(
                 n, {_unpack(e + o, k, n): c for e, c in g.items()}
             )
-    return terms, frame, keys
+    return terms, frame, support
 
 
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
@@ -415,8 +415,10 @@ def _theorem_node(rs: RootSystem, i: int) -> tuple:
 def _collapse(terms: dict, v: WeylElement, sig_inv: ExtAffineWeylElement) -> PetersonElement:
     """mult_by_ell_sigma(pi_i^{-1}, star_w(v, z)), given the terms of _star_words(z, *words)
     for the words of _theorem_node: they end in the frame u^{-1} v, u the finite part of
-    pi_i^{-1}, whose relabelling twists by u, so one twist by v is left."""
-    return PetersonElement(
+    pi_i^{-1}, whose relabelling twists by u, so one twist by v is left.  The terms are
+    clean as _star_words leaves them: a twist keeps a nonzero coefficient nonzero, and
+    x -> sig_inv x is injective and keeps a key Grassmannian, as ell_sigma's product does."""
+    return PetersonElement._trusted(
         sig_inv.rs, {sig_inv * y: g.act_exponents(v.m) for y, g in terms.items()}
     )
 
@@ -439,17 +441,17 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     one = LaurentPoly.one(rs.rank)
     # v * ell_x for x = w t_{g_w} (grassmannian_key), the group {g_w: {w: 1}},
     # then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)
-    terms, _, (support, _) = _star_words(rs, {g_w: {w: one}}, *words)
+    terms, _, support = _star_words(rs, {g_w: {w: one}}, *words)
     check_support = bool(support) and all(grassmannian_keys(mu, us) for mu, us in support)
 
     collapsed = _collapse(terms, v, sig_inv)
-    target = sig_inv * from_finite(w).translated(g_w)
-    check_collapse = collapsed == ell(target)
+    target = sig_inv * _intern(rs, w, g_w)
+    check_collapse = collapsed.terms == {target: one}
 
     vw = v * w
     g_vw = gamma(rs, vw)
-    key_vw = from_finite(vw).translated(g_vw)  # grassmannian_key(rs, vw)
-    check_keys = target == key_vw
+    key_vw = _intern(rs, vw, g_vw)  # grassmannian_key(rs, vw)
+    check_keys = target is key_vw
 
     # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class,
     # and Q^q = ell_{t_lam} / sigma^den, as in q_class; pi_i^{-1} = v t_{-omega_i^vee}, so

@@ -14,8 +14,9 @@ the default one lives on the root system (rs._registry) and dies with it.  The
 parabolic product is computed twice, via the pushforward and via the direct
 formula, and the routes must agree.  verify_phi_compatibility reads left_action
 back into the Peterson module, where it must be the star action.
-The public QKElement constructor checks every term; left_action, pushforward
-and shift_q build valid terms from valid ones and skip it (QKElement._trusted).
+The public QKElement constructor checks every term; left_action, pushforward,
+shift_q and the closed forms of the products build valid terms from valid ones
+and skip it (QKElement._trusted).
 """
 from __future__ import annotations
 
@@ -243,6 +244,7 @@ def seidel_product(
     registry: VerificationRegistry | None = None,
 ) -> QKElement:
     """O^{v_i} . (v_i^L O^w) over G/B, certified before the closed form is used."""
+    check_element(rs, w)
     if registry is None:
         registry = rs._registry = rs._registry or VerificationRegistry()
     if (d := registry.exponent(i, w)) is None:
@@ -253,7 +255,14 @@ def seidel_product(
                 f"{report.checks}"
             )
         d = registry.record(w, report)
-    return QKElement.schubert(rs, seidel_element(rs, i) * w).shift_q(d)
+    return _closed_form(rs, d, seidel_element(rs, i) * w, frozenset())
+
+
+def _closed_form(rs: RootSystem, d: QExponent, w: WeylElement, base: frozenset[int]) -> QKElement:
+    """The one-term class Q^d O^w, for w of rs minimal for base: checks d as shift_q does."""
+    if len(d) != rs.rank or any(c < 0 for c in d):
+        raise ValueError(f"invalid exponent {d}")
+    return QKElement._trusted(rs, {(d, w): LaurentPoly.one(rs.rank)}, base)
 
 
 def _same_system(rs: RootSystem, p: ParabolicData) -> None:
@@ -294,7 +303,7 @@ def seidel_product_parabolic(
     d = minrep_beta(d, p)
     if any(c < 0 for c in d):
         raise VerificationError(f"parabolic exponent {d} left the positive cone")
-    direct = QKElement.schubert(rs, minrep_w(seidel_element(rs, i) * w, p), p.subset).shift_q(d)
+    direct = _closed_form(rs, d, minrep_w(seidel_element(rs, i) * w, p), p.subset)
     if via_push != direct:
         raise VerificationError(
             f"pushforward and direct routes disagree for node {i}, "

@@ -123,12 +123,11 @@ class WeylElement:
     determines w, and a product is one composition of index tuples.  The
     action matrix on the root lattice (columns: the images of the simple
     roots) and that of the inverse are derived views, computed on first use.
-    Instances are interned per root system; equality is permutation equality.
+    RootSystem._weyl alone builds instances, one per permutation and system, so
+    equal elements are the same object and compare and hash as objects do, in C.
     """
 
-    __slots__ = (
-        "rs", "perm", "_inverse", "_m", "_word", "_length", "_descents", "_left", "_hash"
-    )
+    __slots__ = ("rs", "perm", "_inverse", "_m", "_word", "_length", "_descents", "_left")
 
     def __init__(self, rs: "RootSystem", perm: tuple[int, ...]):
         self.rs = rs
@@ -139,17 +138,10 @@ class WeylElement:
         self._length: Optional[int] = None
         self._descents: Optional[tuple[int, ...]] = None
         self._left: Optional[list] = None  # left_reflect per node, None until asked
-        self._hash = hash(perm)
 
     def __repr__(self) -> str:
         word = self.reduced_word()
         return "W[%s]" % ("*".join("s%d" % i for i in word) or "e")
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeylElement) and self.perm == other.perm and self.rs is other.rs
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.rs._weyl(itemgetter(*other.perm)(self.perm))
@@ -473,10 +465,10 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Shared instance per (type, rank); rejects invalid combinations.
 
     The cache keeps every system it builds, and the caches held on it, for
-    the life of the process.  It must not be bounded: WeylElement,
-    PetersonElement, QKElement and GroupAlgebraElement compare their systems
-    with `rs is other.rs`, so a rebuilt system would make equal elements
-    unequal.
+    the life of the process.  It must not be bounded: Weyl and affine elements
+    compare by identity within one system, and PetersonElement, QKElement and
+    GroupAlgebraElement compare their systems with `rs is other.rs`, so a
+    rebuilt system would make equal elements unequal.
     """
     return RootSystem(type_label, rank)
 

@@ -22,6 +22,7 @@ from .affine import (
     affine_nodes,
     affine_simple_reflection,
     ext_identity,
+    pi,
     sigma_elements,
 )
 from .errors import VerificationError
@@ -46,7 +47,13 @@ from .rootsys import (
     longest_element,
     special_nodes,
 )
-from .seidel import one_line, verify_group_lemma, verify_key_lemma
+from .seidel import (
+    one_line,
+    quantum_exponent,
+    seidel_element,
+    verify_group_lemma,
+    verify_key_lemma,
+)
 
 THEOREM_SWEEP_TYPES = (("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("D", 4))
 NILHECKE_SWEEP_TYPES = (
@@ -54,6 +61,7 @@ NILHECKE_SWEEP_TYPES = (
 )
 PUSHFORWARD_SWEEP_TYPES = (("A", 3), ("C", 2), ("B", 3), ("D", 4))
 PHI_SWEEP_TYPES = (("A", 2), ("C", 2), ("A", 3))
+SEIDEL_LAW_SWEEP_TYPES = (("A", 4), ("D", 4))
 
 
 class SweepResult(NamedTuple):
@@ -291,6 +299,39 @@ def sweep_rotation(rs: RootSystem):
                     )
 
 
+@_sweep("seidel-law")
+def sweep_seidel_law(rs: RootSystem):
+    """The group law by which the closed forms Q^{d(i, w)} O^{v_i w} compose, over every
+    pair of special nodes and every w (Belkale, Compositio Math. 2004; Lam and
+    Shimozono, Acta Math. 2010).
+
+    With pi_j pi_i = pi_k, or the identity as k = 0 with v_0 = e and d(0, w) = 0:
+    v_j v_i = v_k, and d(j, v_i w) + d(i, w) = d(k, w) + d(j, v_i) for every w.  It reads
+    the public seidel_element and quantum_exponent, a route to the exponent that
+    verify_seidel_theorem does not take.
+    """
+    nodes = special_nodes(rs)
+    sigma = sigma_elements(rs)  # the identity, then pi_i per special node
+    zero = (0,) * rs.rank
+
+    def v(k):
+        return seidel_element(rs, k) if k else rs.identity_weyl()
+
+    def d(k, w):
+        return quantum_exponent(rs, k, w) if k else zero
+
+    for i in nodes:
+        v_i = v(i)
+        for j in nodes:
+            k = (0, *nodes)[sigma.index(pi(rs, j) * pi(rs, i))]
+            yield None if v(j) * v_i is v(k) else f"v_{j} v_{i} != v_{k}"
+            shift = d(j, v_i)
+            for w in rs.weyl_group():
+                lhs = tuple(map(sum, zip(d(j, v_i * w), d(i, w))))
+                rhs = tuple(map(sum, zip(d(k, w), shift)))
+                yield None if lhs == rhs else f"i={i} j={j} w={w.reduced_word()}: {lhs} != {rhs}"
+
+
 @_sweep("phi-compatibility")
 def sweep_phi(rs: RootSystem):
     """Star action vs left action on every Schubert class, every finite node."""
@@ -309,6 +350,7 @@ def default_plan() -> tuple[tuple[str, str, int], ...]:
     plan += [(sweep_pushforward.name, tl, rk) for tl, rk in PUSHFORWARD_SWEEP_TYPES]
     plan += [(sweep_phi.name, tl, rk) for tl, rk in PHI_SWEEP_TYPES]
     plan.append((sweep_rotation.name, "A", 4))
+    plan += [(sweep_seidel_law.name, tl, rk) for tl, rk in SEIDEL_LAW_SWEEP_TYPES]
     return tuple(plan)
 
 

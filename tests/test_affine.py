@@ -8,6 +8,7 @@ import pytest
 
 from qkseidel.affine import (
     AffineRoot,
+    _intern,
     affine_nodes,
     affine_reduced_word,
     affine_simple_reflection,
@@ -23,7 +24,7 @@ from qkseidel.affine import (
     theta_pairings,
     translation,
 )
-from qkseidel.rootsys import build_root_system, root_is_positive, weyl_from_word
+from qkseidel.rootsys import RootSystem, build_root_system, root_is_positive, weyl_from_word
 from qkseidel.seidel import grassmannian_key
 from qkseidel.sweeps import grassmannian_ball
 
@@ -471,3 +472,43 @@ def test_affine_simple_roots_positive():
     rs = build_root_system("C", 2)
     for i in affine_nodes(rs):
         assert affine_root_is_positive(affine_simple_root(rs, i))
+
+
+def test_every_element_reached_is_the_interned_one():
+    """On D4, every Weyl and affine element that products, inverses, left_reflect,
+    weyl_from_word, translated, affine products and sigma_elements return is the one
+    its system interned, so comparing by identity compares the elements."""
+    rs = RootSystem("D", 4)
+    rng = random.Random(73)
+    group = rs.weyl_group()
+    sample = rng.sample(group, 24)
+    weyl = list(group) + [w.inverse() for w in sample]
+    weyl += [w.left_reflect(i) for w in sample for i in rs.nodes]
+    weyl += [a * b for a, b in zip(sample, reversed(sample))]
+    weyl += [weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(15)]) for _ in range(12)]
+    coweights = [tuple(rng.randint(-2, 2) for _ in rs.nodes) for _ in sample]
+    affine = list(sigma_elements(rs))
+    affine += [from_finite(w).translated(mu) for w, mu in zip(sample, coweights)]
+    affine += [affine_simple_reflection(rs, i) for i in affine_nodes(rs)]
+    affine += [x * y for x, y in zip(affine, reversed(affine))]
+    affine += [x.inverse() for x in affine]
+    weyl += [x.u for x in affine]
+    for w in weyl:
+        assert rs._weyl_cache[w.perm] is w, w
+    for x in affine:
+        assert rs._ext_intern[(x.mu, x.u)] is x, x
+    assert len({w.perm for w in weyl}) == len(set(weyl))
+    assert len({(x.mu, x.u.perm) for x in affine}) == len(set(affine))
+
+
+def test_equal_affine_elements_of_two_systems_are_distinct():
+    """u t_mu with equal permutation and coweight in two separately built D4 systems are
+    two elements: unequal, and separate dict keys."""
+    first, second = RootSystem("D", 4), RootSystem("D", 4)
+    for word, mu in [((), (0, 0, 0, 0)), ((2, 1), (-1, 0, 0, -1)), ((1, 2, 3, 4, 2), (1, -2, 0, 1))]:
+        x = _intern(first, weyl_from_word(first, word), mu)
+        y = _intern(second, weyl_from_word(second, word), mu)
+        assert x.u.perm == y.u.perm and x.mu == y.mu and x != y, word
+        assert x is from_finite(weyl_from_word(first, word)).translated(mu)
+        table = {x: "first", y: "second"}
+        assert len(table) == 2 and table[y] == "second"

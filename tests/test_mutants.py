@@ -1,5 +1,5 @@
 """The mutation tool: its snippets still match the source they mutate, a stuck test
-counts as one failure, and a stuck run reads `timeout`."""
+counts as one failure, a stuck run reads `timeout`, and the table gates the exit status."""
 from __future__ import annotations
 
 import importlib.util
@@ -46,7 +46,8 @@ def test_a_run_past_the_timeout_reads_timeout(monkeypatch, capsys, stuck):
         return subprocess.CompletedProcess(args, 0, expected, "")
 
     monkeypatch.setattr(mutants.subprocess, "run", fake_run)
-    assert mutants.main() == 0
+    # a timeout in any row, like the `0 fail` or `0` beside it, fails the gate
+    assert mutants.main() == 1
     rows = capsys.readouterr().out.splitlines()[2:]
     cells = "| timeout | 0 |" if stuck == "pytest" else "| 0 fail | timeout |"
     assert len(rows) == len(mutants.MUTATIONS) + 1
@@ -68,3 +69,34 @@ def test_a_stuck_test_in_the_copy_is_one_failure(monkeypatch, tmp_path):
     )
     assert done.stdout.strip().splitlines()[-1].startswith("1 failed, 1 passed"), done.stdout
     assert "TimeoutError: test ran past 1 s" in done.stdout
+
+
+@pytest.mark.parametrize("row,cells,status", [
+    (None, None, 0),
+    (0, ("0 fail", 1), 1),
+    (0, ("0 fail, 2 errors", 0), 1),
+    (0, ("timeout", 0), 1),
+    (3, ("0 fail", 4), 1),
+    (3, ("16 fail", 0), 1),
+    (3, ("timeout", 4), 1),
+    (3, ("16 fail", "timeout"), 1),
+    (3, ("0 fail, 2 errors", 4), 0),
+])
+def test_the_table_gates_the_exit_status(monkeypatch, capsys, row, cells, status):
+    """main returns 1 when the control row is not `0 fail | 0`, or when a mutant row
+    reads `0 fail`, `0` changed lines or `timeout`, and names that row on stderr."""
+    mutants = load_mutants()
+    readings = [("0 fail", 0)] + [("16 fail", 4)] * len(mutants.MUTATIONS)
+    if row is not None:
+        readings[row] = cells
+    calls = iter(readings)
+    monkeypatch.setattr(mutants, "measure", lambda copy, expected: next(calls))
+    assert mutants.main() == status
+    out, err = capsys.readouterr()
+    assert next(calls, None) is None
+    assert len(out.splitlines()) == len(readings) + 2
+    if status:
+        labels = ["none (control)"] + [label for label, *_ in mutants.MUTATIONS]
+        assert err.endswith("gate fails on: " + labels[row] + "\n"), err
+    else:
+        assert "gate fails" not in err

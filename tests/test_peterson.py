@@ -765,7 +765,7 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
         assert y not in star_s(i, z).terms
         ((mu, group),) = _grouped(z.terms).items()
         assert set(group) == {x.u, y.u}
-        assert _star_words(rs, {mu: group}, (i,))[2] == [[(mu, [x.u])]]
+        assert _star_words(rs, {mu: group}, (i,))[2] == [(mu, [x.u])]
         si = weyl_from_word(rs, (i,))
         assert star_w(si, z) == star_w_by_letters(si, z)
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
@@ -789,8 +789,10 @@ def test_ascent_pairs_are_disjoint(type_label, rank):
         words = _theorem_node(rs, i)[2]
         for w in rs.weyl_group():
             assert verify_seidel_theorem(rs, i, w).passed
-            for after in _star_words(rs, {gamma(rs, w): {w: one}}, *words)[2]:
-                met |= {(mu, u) for mu, us in after for u in us}
+            terms, _, support = _star_words(rs, {gamma(rs, w): {w: one}}, *words)
+            # the keys after the first word, and after the last: the terms' keys
+            met |= {(mu, u) for mu, us in support for u in us}
+            met |= {(x.mu, x.u) for x in terms}
     pairs = 0
     for mu, u in met:
         x = from_finite(u).translated(mu)
@@ -839,15 +841,15 @@ def test_star_words_take_finite_letters_only():
         with pytest.raises(ValueError, match="outside the finite nodes"):
             _star_words(rs, groups, *words)
     assert rs._star_schedules == {}
-    assert _star_words(rs, groups, (1, 2))[2] == [[((0, 0, 0), [rs.identity_weyl()])]]
+    assert _star_words(rs, groups, (1, 2))[2] == [((0, 0, 0), [rs.identity_weyl()])]
 
 
-def test_theorem_interns_five_affine_elements_at_most():
+def test_theorem_interns_three_affine_elements_at_most():
     """One verify_seidel_theorem call on a fresh D5 system, past the node's constants,
-    interns at most five affine elements: from_finite(w), x = w t_{gamma_w},
-    from_finite(v w), the target pi_i^{-1} x = (v w) t_{gamma_{v w}} and its translate
-    by the Q part.  The star words intern only the terms they return, which collapse to
-    x, however many keys the support they check has (up to hundreds)."""
+    interns at most three affine elements: x = w t_{gamma_w}, the target pi_i^{-1} x =
+    (v w) t_{gamma_{v w}}, which key_vw finds interned, and its translate by the Q part.
+    The star words intern only the terms they return, which collapse to x, however many
+    keys the support they check has (up to hundreds)."""
     sample = random.Random(61).sample(RootSystem("D", 5).weyl_group(), 8)
     largest_support = 0
     for word in [(), (2, 4, 3, 5, 3, 1, 2)] + [w.reduced_word() for w in sample]:
@@ -857,9 +859,9 @@ def test_theorem_interns_five_affine_elements_at_most():
             _theorem_node(rs, i)
             before = len(rs._ext_intern)
             assert verify_seidel_theorem(rs, i, w).passed
-            assert len(rs._ext_intern) - before <= 5, (i, word)
+            assert len(rs._ext_intern) - before <= 3, (i, word)
             words = _theorem_node(rs, i)[2]
-            support = _star_words(rs, {gamma(rs, w): {w: LaurentPoly.one(5)}}, *words)[2][0]
+            support = _star_words(rs, {gamma(rs, w): {w: LaurentPoly.one(5)}}, *words)[2]
             largest_support = max(largest_support, sum(len(us) for _, us in support))
     assert largest_support > 50
 

@@ -274,8 +274,9 @@ def test_left_action_reflection_twist_matches_matrix_twist(type_label, rank):
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("D", 4)])
 def test_trusted_results_pass_the_public_constructor(type_label, rank):
-    """left_action, pushforward, shift_q and seidel_product skip the checks of
-    QKElement(); rebuilding each result through that constructor must give it back."""
+    """left_action, pushforward, shift_q, seidel_product and seidel_product_parabolic skip
+    the checks of QKElement(); rebuilding each result through that constructor must give
+    it back."""
     rs = build_root_system(type_label, rank)
     d = tuple(j % 3 for j in rs.nodes)
 
@@ -295,6 +296,8 @@ def test_trusted_results_pass_the_public_constructor(type_label, rank):
                 rebuilt(pushforward(left_action(i, QKElement.schubert(rs, w * top)), p))
             rebuilt(rebuilt(xi.shift_q(d)).shift_q(d))
             products.update((i, w) for i in special_nodes(rs))
+            for i in special_nodes(rs):
+                rebuilt(seidel_product_parabolic(rs, i, w, p))
     for i, w in products:
         rebuilt(seidel_product(rs, i, w))
 
@@ -337,8 +340,8 @@ def test_seidel_product_rejects_non_special():
     "system,other", [(("A", 3), ("D", 4)), (("C", 3), ("B", 3)), (("D", 4), ("A", 3)), (("B", 3), ("C", 3))]
 )
 def test_products_refuse_an_element_of_another_system(system, other):
-    """A registry miss goes through verify_seidel_theorem, which refuses a foreign w as
-    bad input; over the Borel base every w passes the minimality check first."""
+    """seidel_product refuses a foreign w as bad input before it reads the registry;
+    over the Borel base every w passes the minimality check first."""
     rs, foreign = build_root_system(*system), build_root_system(*other)
     borel = parabolic_data(rs, ())
     for w in (weyl_from_word(foreign, (1, 2)), longest_element(foreign)):
@@ -405,8 +408,13 @@ def test_registry_mechanics():
     seidel_product(rs, 1, s1, reg)
     assert reg.exponent(1, s1) == verify_seidel_theorem(rs, 1, s1).q_exponent
     assert reg.exponent(2, s1) is None
-    # WeylElement equality includes the root system, so another system's s1 is a miss
+    # Weyl elements compare by identity, so another system's s1 is a miss
     assert reg.exponent(1, weyl_from_word(build_root_system("C", 2), (1,))) is None
+    # a hit's exponent meets the checks of shift_q before it forms Q^d O^{v_i w}
+    for bad in [(-1, 0), (0, 0, 0)]:
+        reg._exponents[2, s1] = bad
+        with pytest.raises(ValueError, match="invalid exponent"):
+            seidel_product(rs, 2, s1, reg)
 
     failed = VerificationReport(
         type_label="A",

@@ -6,8 +6,11 @@ root set is the orbit of the simple roots under Cartan-matrix reflections.
 """
 from __future__ import annotations
 
+import ast
 import random
+import re
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
@@ -533,3 +536,52 @@ def test_left_reflect_is_the_product(type_label, rank):
         for i in rs.nodes:
             sw = w.left_reflect(i)
             assert sw is rs.simple_reflection(i) * w and sw.left_reflect(i) is w, (w, i)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qkseidel"
+
+
+def constructor_scopes(name: str) -> list[tuple[str, ...]]:
+    """(module, class, function) scope of every call `name(...)` under src/qkseidel."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            found.append(scope)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope += (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), (path.stem,))
+    return found
+
+
+@pytest.mark.parametrize("name,scope", [
+    ("WeylElement", ("rootsys", "RootSystem", "_weyl")),
+    ("ExtAffineWeylElement", ("affine", "_intern")),
+])
+def test_elements_are_built_in_one_place(name, scope):
+    """Weyl and affine elements compare and hash by identity, which is exact only while
+    each class is built in one place, its system's intern table: one call in all of
+    src/qkseidel, and no object.__new__ of either class."""
+    assert constructor_scopes(name) == [scope]
+    text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+    assert len(re.findall(rf"\b{name}\(", text)) == 1
+    assert not re.search(rf"__new__\({name}\b", text)
+
+
+def test_equal_permutations_of_two_systems_are_distinct_elements():
+    """Two separately built D4 systems intern their own elements: equal permutations
+    compare unequal across them and stay separate dict keys."""
+    first, second = RootSystem("D", 4), RootSystem("D", 4)
+    rng = random.Random(71)
+    words = [(), (1,), (2, 4, 3, 1)] + [[rng.choice(first.nodes) for _ in range(9)] for _ in range(5)]
+    for word in words:
+        x, y = weyl_from_word(first, word), weyl_from_word(second, word)
+        assert x.perm == y.perm and x != y and not x == y, word
+        assert x is weyl_from_word(first, word) and x == weyl_from_word(first, word)
+        table = {x: "first", y: "second"}
+        assert len(table) == 2 and table[x] == "first" and table[y] == "second"
+    assert first.weyl_group()[5] not in set(second.weyl_group())

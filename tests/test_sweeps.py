@@ -18,13 +18,14 @@ from qkseidel.sweeps import (
     sweep_inversion_product,
     sweep_pushforward,
     sweep_rotation,
+    sweep_seidel_law,
     sweep_theorem_random,
 )
 
 
 def test_default_plan_shape():
     plan = default_plan()
-    assert len(plan) == 53
+    assert len(plan) == 55
     assert len(set(plan)) == len(plan)
     for name, type_label, rank in plan:
         assert name in SWEEP_FUNCTIONS
@@ -113,6 +114,26 @@ def test_rotation_sweep_sees_a_wrong_projection(monkeypatch):
     assert all("subset=(" in f and "rule Q^" in f for f in res.failures)
     with pytest.raises(ValueError, match="type A only"):
         sweep_rotation("B", 3)
+
+
+# per type: 1 + |W| checks for each ordered pair of special nodes
+@pytest.mark.parametrize("type_label,rank,total", [
+    ("A", 3, 225), ("A", 4, 1936), ("B", 3, 49), ("C", 3, 49), ("D", 4, 1737),
+])
+def test_seidel_law_holds(type_label, rank, total):
+    res = sweep_seidel_law(type_label, rank)
+    assert res.passed and res.total == total, res.failures[:3]
+
+
+def test_seidel_law_sees_a_wrong_public_exponent(monkeypatch):
+    """No function of the package calls the public quantum_exponent, so only the law
+    sees it drop w.inverse(): omega_i^vee - w(omega_i^vee) breaks the law on D4."""
+    monkeypatch.setattr(
+        sweeps, "quantum_exponent", lambda rs, i, w: quantum_exponent(rs, i, w.inverse())
+    )
+    res = sweep_seidel_law("D", 4)
+    assert res.total == 1737 and len(res.failures) == 1248
+    assert all(f.startswith("i=") and " != " in f for f in res.failures)
 
 
 def inversion_product_by_roots(type_label: str, rank: int) -> SweepResult:

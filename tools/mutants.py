@@ -15,8 +15,12 @@ Each mutant takes about as long as tier-1 plus the default plan, longer when it
 fails most of tier-1.  In the copy, a conftest.py fails any one tier-1 test that
 runs past TEST_TIMEOUT_S, so a mutant that makes a test's loop endless counts
 that test as one failure.  A whole run that outlasts TIMEOUT_S is stopped and its
-column reads `timeout`.  The script uses only the standard library and is not
-part of CI.
+column reads `timeout`.  The script uses only the standard library.
+
+The table is a gate, run in CI: the exit status is 1 when the control row reads
+anything but `0 fail | 0`, or when a mutant row reads `0 fail`, `0` changed lines
+or `timeout` in either column, that is, when some fault goes unseen by tier-1 or
+by the plan, or its run cannot tell.
 """
 from __future__ import annotations
 
@@ -147,6 +151,16 @@ def measure(copy: Path, expected: list[str]) -> tuple[str, int | str]:
     return verdict, len(expected) - sum(b.size for b in blocks)
 
 
+def unseen(rows: list[tuple[str, str, int | str]]) -> list[str]:
+    """The labels of the rows that fail the gate; rows[0] is the control."""
+    (label, verdict, changed), *mutants = rows
+    bad = [] if (verdict, changed) == ("0 fail", 0) else [label]
+    return bad + [
+        label for label, verdict, changed in mutants
+        if verdict in ("0 fail", "timeout") or changed in (0, "timeout")
+    ]
+
+
 def main() -> int:
     expected = (ROOT / "tests" / "sweep_default.txt").read_text().splitlines()
     # test_mutants.py checks this tool's snippets, which a mutant removes by design
@@ -162,11 +176,14 @@ def main() -> int:
             if filename is not None:
                 mutate(copy, filename, old, new)
             verdict, changed = measure(copy, expected)
-        rows.append(f"| {label} | {verdict} | {changed} |")
-        print(rows[-1], file=sys.stderr, flush=True)
+        rows.append((label, verdict, changed))
+        print(f"| {label} | {verdict} | {changed} |", file=sys.stderr, flush=True)
     print("| mutation | tier-1 | default-plan lines changed |")
     print("|---|---|---|")
-    print("\n".join(rows))
+    print("\n".join(f"| {label} | {verdict} | {changed} |" for label, verdict, changed in rows))
+    if bad := unseen(rows):
+        print("mutants: the gate fails on: " + "; ".join(bad), file=sys.stderr)
+        return 1
     return 0
 
 
