@@ -7,6 +7,7 @@ pair; the extra affine node is 0 and its simple root is -theta + delta.
 """
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .rootsys import (
@@ -48,12 +49,12 @@ class ExtAffineWeylElement:
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
         """(u t_mu)(v t_nu) = (uv) t_{v^{-1}(mu) + nu}."""
         v = other.u
-        mu = tuple(a + b for a, b in zip(v.inverse().act_coweight(self.mu), other.mu))
+        mu = tuple(map(add, v.inverse().act_coweight(self.mu), other.mu))
         return _intern(self.rs, self.u * v, mu)
 
     def translated(self, lam: Coweight) -> "ExtAffineWeylElement":
         """x t_lam = u t_{mu + lam}: one intern, no product."""
-        return _intern(self.rs, self.u, tuple(a + b for a, b in zip(self.mu, lam)))
+        return _intern(self.rs, self.u, tuple(map(add, self.mu, lam)))
 
     def inverse(self) -> "ExtAffineWeylElement":
         """(u t_mu)^{-1} = u^{-1} t_{-u(mu)}."""
@@ -111,7 +112,7 @@ def grassmannian_keys(mu: Coweight, us: Iterable[WeylElement]) -> bool:
     """Whether every u t_mu, u in us, is Grassmannian: (u t_mu)(alpha_j) is u(alpha_j)
     at level -mu_j, so every mu_j <= 0, and u(alpha_j) > 0 wherever mu_j = 0."""
     zero = {j for j, m in enumerate(mu, 1) if m == 0}
-    return all(m <= 0 for m in mu) and all(zero.isdisjoint(u.descent_set()) for u in us)
+    return max(mu, default=0) <= 0 and all(map(zero.isdisjoint, map(WeylElement.descent_set, us)))
 
 
 def _intern(rs: RootSystem, u: WeylElement, mu: Coweight) -> ExtAffineWeylElement:

@@ -41,10 +41,10 @@ def get_term_budget() -> int:
 
 
 def accumulate(out: dict, key, value) -> None:
-    """Add value to out[key] in a sparse dict, dropping the key when the sum is zero."""
+    """Add a LaurentPoly to out[key] in a sparse dict, dropping the key when the sum is zero."""
     old = out.get(key)
     new = value if old is None else old + value
-    if new:
+    if new.terms:
         out[key] = new
     else:
         out.pop(key, None)
@@ -72,14 +72,14 @@ def _pack_width(bound: int) -> int:
 
 def _pack(exps: tuple[int, ...], k: int) -> int:
     """sum_j e_j 2^(kj), an exponent vector as one int; sums stay exact while |e_j| < 2^(k-1)."""
-    return sum(e << (k * j) for j, e in enumerate(exps))
+    return sum(map(operator.lshift, exps, range(0, k * len(exps), k)))
 
 
 def _unpack(p: int, k: int, nvars: int) -> tuple[int, ...]:
     """Inverse of _pack: adding 2^(k-1) to every digit makes them all nonnegative."""
     half = 1 << (k - 1)
     p += _pack((half,) * nvars, k)
-    return tuple(((p >> (k * j)) & (2 * half - 1)) - half for j in range(nvars))
+    return tuple([((p >> s) & (2 * half - 1)) - half for s in range(0, k * nvars, k)])
 
 
 class LaurentPoly:
@@ -120,7 +120,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: 1})
+        return cls._trusted(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentPoly":
@@ -137,11 +137,11 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, LaurentPoly):
+            return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, int):
             return self == LaurentPoly.constant(self.nvars, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:

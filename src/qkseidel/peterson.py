@@ -50,6 +50,7 @@ sigma_j and Q^beta, and to verify the Seidel product identity
 """
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from .affine import (
@@ -217,31 +218,26 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
                     if u.inverse().perm[index] < npos:
                         continue
                     group[u] = g, o + beta
-                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it: update in place
+                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it: update in
+                    # place; pop and put back a nonzero sum, one dict op when it cancels
                     y = u.left_reflect(i)
                     if (slot := group.get(y)) is None:
                         h = g.copy()
                         group[y] = h, o
                         for e, c in g.items():
                             e += beta
-                            if new := h.get(e, 0) - c:
+                            if new := h.pop(e, 0) - c:
                                 h[e] = new
-                            else:
-                                del h[e]
                     else:
                         h, o_y = slot
                         d = o - o_y
                         for e, c in g.items():
                             e += d
-                            if new := h.get(e, 0) + c:
+                            if new := h.pop(e, 0) + c:
                                 h[e] = new
-                            else:
-                                del h[e]
                             e += beta
-                            if new := h.get(e, 0) - c:
+                            if new := h.pop(e, 0) - c:
                                 h[e] = new
-                            else:
-                                del h[e]
                         if not h:
                             del group[y]
                             continue
@@ -285,8 +281,8 @@ def _cleared(a: dict, den_a: tuple, b: dict, den_b: tuple) -> tuple[dict, dict]:
     if den_a == den_b:
         return a, b
     return (
-        _translated(a, tuple(min(p, q) - q for p, q in zip(den_a, den_b))),
-        _translated(b, tuple(min(p, q) - p for p, q in zip(den_a, den_b))),
+        _translated(a, tuple([p - q if p < q else 0 for p, q in zip(den_a, den_b)])),
+        _translated(b, tuple([q - p if q < p else 0 for p, q in zip(den_a, den_b)])),
     )
 
 
@@ -317,7 +313,7 @@ class LocalizedClass:
     __slots__ = ("num", "den")
 
     def __init__(self, num: PetersonElement, den: tuple[int, ...]):
-        if len(den) != num.rs.rank or any(c < 0 for c in den):
+        if len(den) != num.rs.rank or min(den) < 0:
             raise ValueError(f"invalid denominator exponent {den}")
         self.num = num
         self.den = tuple(den)
@@ -366,15 +362,14 @@ def q_class(rs: RootSystem, beta: tuple[int, ...]) -> LocalizedClass:
     """Q^beta = prod_j sigma_j^{-<beta, alpha_j>}, beta in simple-coroot coords."""
     if len(beta) != rs.rank:
         raise ValueError(f"exponent {beta} has wrong arity")
-    num_lam, den = _q_parts(rs, beta)
+    num_lam, den = _q_parts(rs.coroots_to_coweight(beta))
     return LocalizedClass(ell(translation(rs, num_lam)), den)
 
 
-def _q_parts(rs: RootSystem, beta: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """Q^beta = ell_{t_lam} / sigma^den: lam the antidominant part of the pairings
-    <beta, alpha_j>, den their positive part."""
-    pairings = rs.coroots_to_coweight(beta)
-    return tuple(min(p, 0) for p in pairings), tuple(max(p, 0) for p in pairings)
+def _q_parts(pairings: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Q^beta = ell_{t_lam} / sigma^den, lam and den the parts <= 0 and >= 0 of <beta, alpha_j>."""
+    lam = tuple([p if p < 0 else 0 for p in pairings])
+    return lam, tuple([p if p > 0 else 0 for p in pairings])
 
 
 def seidel_class(rs: RootSystem, i: int) -> LocalizedClass:
@@ -395,7 +390,7 @@ class VerificationReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
+        return all([ok for _, ok in self.checks])
 
     def __bool__(self) -> bool:
         return self.passed
@@ -428,25 +423,24 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
 
     Four checks, and two hold by construction of the star words, so they catch a
     fault in the words only: grassmannian_support follows from Deodhar's rule, which
-    the words apply; sigma_collapse relabels star_{v^{-1}}(star_v(ell_x)) = ell_x,
-    because the finite part of pi_i^{-1} is v_i and the frame after both words is
-    trivial.  An instance's content is in key_identities, pi_i^{-1} w t_{gamma_w} =
+    the words apply; sigma_collapse reads star_{v^{-1}}(star_v(ell_x)) = ell_x, as the
+    finite part of pi_i^{-1} is v_i and the frame after both words is trivial.  An
+    instance's content is in key_identities, pi_i^{-1} w t_{gamma_w} =
     (v_i w) t_{gamma_{v_i w}}, whose translation parts are the key lemma
     gamma_{v_i w} = gamma_w - w^{-1}(omega_i^vee), and localized_product, the
     assembled localized classes agree.
     """
     g_w = gamma(rs, w)  # refuses an element of another system
     v, sig_inv, words = _theorem_node(rs, i)
-
     one = LaurentPoly.one(rs.rank)
-    # v * ell_x for x = w t_{g_w} (grassmannian_key), the group {g_w: {w: 1}},
-    # then mult_by_ell_sigma(pi_i^{-1}, .) in the same frame (_collapse)
+    x = _intern(rs, w, g_w)  # grassmannian_key(rs, w)
+    # v * ell_x, the group {g_w: {w: 1}}, then _collapse: ell_{pi_i^{-1} x} exactly when
+    # the words give back ell_x, as its relabelling is injective and its twist fixes 1
     terms, _, support = _star_words(rs, {g_w: {w: one}}, *words)
     check_support = bool(support) and all(grassmannian_keys(mu, us) for mu, us in support)
-
+    check_collapse = terms == {x: one}
     collapsed = _collapse(terms, v, sig_inv)
-    target = sig_inv * _intern(rs, w, g_w)
-    check_collapse = collapsed.terms == {target: one}
+    target = next(iter(collapsed.terms)) if check_collapse else sig_inv * x
 
     vw = v * w
     g_vw = gamma(rs, vw)
@@ -456,13 +450,14 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     # O^w = ell_x / sigma^{-g_w} and O^{vw} = ell_{key_vw} / sigma^{-g_vw}, as in o_class,
     # and Q^q = ell_{t_lam} / sigma^den, as in q_class; pi_i^{-1} = v t_{-omega_i^vee}, so
     # target = (v w) t_{g_w - w^{-1}(omega_i^vee)} by the product rule
-    q_exp = _quantum_exponent(rs, i, tuple(a - b for a, b in zip(g_w, target.mu)))
-    lam, den = _q_parts(rs, q_exp)
+    pulled = tuple(map(sub, g_w, target.mu))
+    q_exp = _quantum_exponent(rs, i, pulled)  # whose pairings are omega_i^vee - pulled
+    lam, den = _q_parts(tuple(map(sub, rs.fundamental_coweight(i), pulled)))
     # O^{v_i} = ell_{pi_i^{-1}} / sigma_i (seidel_class): its denominator is the unit vector at i
-    lhs = LocalizedClass(collapsed, tuple(a - b for a, b in zip(rs.fundamental_coweight(i), g_w)))
+    lhs = LocalizedClass(collapsed, tuple(map(sub, rs.fundamental_coweight(i), g_w)))
     rhs = LocalizedClass(
         mult_by_translation(PetersonElement._trusted(rs, {key_vw: one}), lam),
-        tuple(a - b for a, b in zip(den, g_vw)),
+        tuple(map(sub, den, g_vw)),
     )
     check_product = lhs == rhs
 

@@ -73,7 +73,7 @@ class ParabolicData:
         return "ParabolicData(rs=%r, subset=%r, minimal_reps=%r, subgroup_order=%r)" % self._key()
 
     def __contains__(self, w: WeylElement) -> bool:
-        return all(j not in self.subset for j in w.descent_set())
+        return self.subset.isdisjoint(w.descent_set())
 
 
 def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
@@ -81,9 +81,9 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
     if not nodes <= set(rs.nodes):
         raise ValueError(f"parabolic subset {sorted(nodes)} outside the index set")
     group = rs.weyl_group()
-    reps = tuple(w for w in group if all(j not in nodes for j in w.descent_set()))
+    reps = tuple(w for w in group if nodes.isdisjoint(w.descent_set()))
     # W_P by the mirror filter: all descents inside the subset span
-    sub = [u for u in group if set(u.reduced_word()) <= nodes]
+    sub = [u for u in group if nodes.issuperset(u.reduced_word())]
     # W = W^P x W_P: the products m u must hit every element of W exactly once
     table = {m * u: m for m in reps for u in sub}
     if len(reps) * len(sub) != len(group) or table.keys() != set(group):
@@ -130,9 +130,9 @@ class QKElement:
                 check_element(rs, w)
                 if f.is_zero():
                     continue
-                if len(d) != rs.rank or any(c < 0 for c in d):
+                if len(d) != rs.rank or min(d) < 0:
                     raise ValueError(f"invalid exponent {d}")
-                if any(j in self.base for j in w.descent_set()):
+                if not self.base.isdisjoint(w.descent_set()):
                     raise ValueError(
                         f"index {w.reduced_word()} is not minimal for base {sorted(self.base)}"
                     )
@@ -161,12 +161,12 @@ class QKElement:
 
     def shift_q(self, d: QExponent) -> "QKElement":
         """Multiply by the Q-monomial Q^d."""
-        if len(d) != self.rs.rank or any(c < 0 for c in d):
+        if len(d) != self.rs.rank or min(d) < 0:
             raise ValueError(f"invalid exponent {d}")
         # adding a checked d >= 0 keeps exponents valid and distinct
         return QKElement._trusted(
             self.rs,
-            {(tuple(a + b for a, b in zip(q, d)), w): f for (q, w), f in self.terms.items()},
+            {(tuple(map(operator.add, q, d)), w): f for (q, w), f in self.terms.items()},
             self.base,
         )
 
@@ -260,7 +260,7 @@ def seidel_product(
 
 def _closed_form(rs: RootSystem, d: QExponent, w: WeylElement, base: frozenset[int]) -> QKElement:
     """The one-term class Q^d O^w, for w of rs minimal for base: checks d as shift_q does."""
-    if len(d) != rs.rank or any(c < 0 for c in d):
+    if len(d) != rs.rank or min(d) < 0:
         raise ValueError(f"invalid exponent {d}")
     return QKElement._trusted(rs, {(d, w): LaurentPoly.one(rs.rank)}, base)
 
@@ -277,7 +277,7 @@ def pushforward(xi: QKElement, p: ParabolicData) -> QKElement:
     _same_system(xi.rs, p)
     out: dict[tuple[QExponent, WeylElement], LaurentPoly] = {}
     for (d, w), f in xi.terms.items():
-        accumulate(out, (minrep_beta(d, p), minrep_w(w, p)), f)
+        accumulate(out, (minrep_beta(d, p), p.minrep_table[w]), f)
     # minrep_beta keeps d >= 0 and its arity, minrep_w lands in W^P; accumulate drops zeros
     return QKElement._trusted(xi.rs, out, p.subset)
 
@@ -301,9 +301,9 @@ def seidel_product_parabolic(
     ((d, _),) = full.terms  # the closed form Q^d O^{v_i w}: one quantum exponent for both routes
     via_push = pushforward(full, p)
     d = minrep_beta(d, p)
-    if any(c < 0 for c in d):
+    if min(d) < 0:
         raise VerificationError(f"parabolic exponent {d} left the positive cone")
-    direct = _closed_form(rs, d, minrep_w(seidel_element(rs, i) * w, p), p.subset)
+    direct = _closed_form(rs, d, p.minrep_table[seidel_element(rs, i) * w], p.subset)
     if via_push != direct:
         raise VerificationError(
             f"pushforward and direct routes disagree for node {i}, "
@@ -337,12 +337,12 @@ def verify_standard_lemma(p: ParabolicData) -> bool:
 
 def verify_minrep_biconditional(p: ParabolicData) -> bool:
     """s_i minrep(w) lies in W^P exactly when it equals minrep(s_i w)."""
-    rs = p.rs
+    rs, table = p.rs, p.minrep_table
     for w in rs.weyl_group():
-        m = minrep_w(w, p)
+        m = table[w]
         for i in rs.nodes:
             sm = m.left_reflect(i)
-            if (sm in p) != (sm == minrep_w(w.left_reflect(i), p)):
+            if (sm in p) != (sm == table[w.left_reflect(i)]):
                 return False
     return True
 
@@ -359,8 +359,10 @@ def verify_pushforward_commutes(p: ParabolicData) -> bool:
     if not verify_minrep_biconditional(p):
         return False
     images: dict[tuple, QKElement] = {}
+    # each O^w as QKElement.schubert builds it, all with one coefficient, hashed once
+    one, zero, base = LaurentPoly.one(rs.rank), (0,) * rs.rank, frozenset()
     for w in rs.weyl_group():
-        xi = QKElement.schubert(rs, w)
+        xi = QKElement._trusted(rs, {(zero, w): one}, base)
         pushed = pushforward(xi, p)
         for i in rs.nodes:
             if (key := (i, *pushed.terms.items())) not in images:

@@ -517,7 +517,7 @@ def check_element(rs: RootSystem, w: WeylElement) -> None:
 
 
 def is_antidominant(cw: Coweight) -> bool:
-    return all(c <= 0 for c in cw)
+    return max(cw, default=0) <= 0
 
 
 def special_nodes(rs: RootSystem) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ checked eagerly at construction.
 """
 from __future__ import annotations
 
+from operator import sub
 from typing import NamedTuple
 
 from .affine import (
@@ -47,8 +48,8 @@ def seidel_element(rs: RootSystem, i: int) -> WeylElement:
 def gamma(rs: RootSystem, w: WeylElement) -> Coweight:
     """The antidominant coweight -sum of fundamental coweights over Des(w)."""
     check_element(rs, w)
-    des = set(w.descent_set())
-    return tuple(-1 if j in des else 0 for j in rs.nodes)
+    des = w.descent_set()
+    return tuple([-1 if j in des else 0 for j in rs.nodes])
 
 
 def grassmannian_key(rs: RootSystem, w: WeylElement) -> ExtAffineWeylElement:
@@ -68,11 +69,11 @@ def quantum_exponent(rs: RootSystem, i: int, w: WeylElement) -> tuple[int, ...]:
 
 def _quantum_exponent(rs: RootSystem, i: int, pulled: Coweight) -> tuple[int, ...]:
     """quantum_exponent, given the pulled-back coweight w^{-1}(omega_i^vee)."""
-    diff = tuple(a - b for a, b in zip(rs.fundamental_coweight(i), pulled))
+    diff = tuple(map(sub, rs.fundamental_coweight(i), pulled))
     coords = rs.coweight_to_coroots(diff)
     if coords is None:
         raise VerificationError("exponent %r escapes the coroot lattice" % (diff,))
-    if any(c < 0 for c in coords):
+    if min(coords) < 0:
         raise VerificationError("exponent %r has a negative coordinate" % (coords,))
     return coords
 

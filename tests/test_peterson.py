@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qkseidel import peterson
 from qkseidel.affine import (
     ExtAffineWeylElement,
     affine_nodes,
@@ -25,6 +26,7 @@ from qkseidel.peterson import (
     _collapse,
     _grouped,
     _letter_schedule,
+    _q_parts,
     _star_words,
     _theorem_node,
     ell,
@@ -421,7 +423,8 @@ def test_collapse_frame_is_trivial_on_every_special_node():
 
 
 def test_theorem_bookkeeping_makes_no_general_products(monkeypatch):
-    """Past the star words, verify_seidel_theorem multiplies only sig_inv * y and sig_inv * x."""
+    """Past the star words, verify_seidel_theorem multiplies only sig_inv * x, once: the
+    target is the one key of the collapse."""
     rs = build_root_system("D", 4)
     weyl = rs.weyl_group()
     for i in special_nodes(rs):
@@ -438,8 +441,59 @@ def test_theorem_bookkeeping_makes_no_general_products(monkeypatch):
         for w in (weyl[0], weyl[len(weyl) // 2], longest_element(rs)):
             calls.clear()
             assert verify_seidel_theorem(rs, i, w).passed
-            # one collapsed key, and the target
-            assert len(calls) == 2, (i, w.reduced_word(), calls)
+            # the one collapsed key, which is the target
+            assert len(calls) == 1, (i, w.reduced_word(), calls)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_theorem_q_parts_are_those_of_its_exponent(type_label, rank, monkeypatch):
+    """The theorem takes lam and den of Q^q from the pairings omega_i^vee - w^{-1}(omega_i^vee)
+    it holds, with no round trip through the coroot basis: they are the parts of the
+    pairings <q, alpha_j> of the reported exponent q, on every special node and every w."""
+    rs = build_root_system(type_label, rank)
+    seen = []
+
+    def recording(pairings):
+        seen.append(_q_parts(pairings))
+        return seen[-1]
+
+    monkeypatch.setattr(peterson, "_q_parts", recording)
+    for i in special_nodes(rs):
+        for w in rs.weyl_group():
+            seen.clear()
+            rep = verify_seidel_theorem(rs, i, w)
+            assert rep.passed and len(seen) == 1, (i, w.reduced_word())
+            pairings = rs.coroots_to_coweight(rep.q_exponent)
+            lam, den = seen[0]
+            assert lam == tuple(min(p, 0) for p in pairings), (i, w.reduced_word())
+            assert den == tuple(max(p, 0) for p in pairings), (i, w.reduced_word())
+            assert (lam, den) == _q_parts(pairings)
+
+
+def test_key_identities_do_not_read_the_star_words(monkeypatch):
+    """With the star words' coefficients doubled, sigma_collapse and localized_product
+    fail, while key_identities, a group identity, and the exponent stand: the target is
+    then pi_i^{-1} x by the product, not the collapse's key."""
+    rs = build_root_system("D", 4)
+    original = peterson._star_words
+
+    def doubled(rs, groups, *words):
+        terms, frame, support = original(rs, groups, *words)
+        return {y: g + g for y, g in terms.items()}, frame, support
+
+    for i in special_nodes(rs):
+        for w in (rs.weyl_group()[5], longest_element(rs)):
+            good = verify_seidel_theorem(rs, i, w)
+            monkeypatch.setattr(peterson, "_star_words", doubled)
+            bad = verify_seidel_theorem(rs, i, w)
+            monkeypatch.undo()
+            assert dict(bad.checks) == {
+                "grassmannian_support": True,
+                "sigma_collapse": False,
+                "key_identities": True,
+                "localized_product": False,
+            }
+            assert bad.q_exponent == good.q_exponent and good.passed
 
 
 def test_mult_by_ell_sigma_refuses_an_element_of_nonzero_length():
@@ -771,6 +825,46 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
         w0 = longest_element(rs)
         assert star_w(w0, z) == star_w_by_letters(w0, z)
+
+
+@pytest.mark.parametrize("survives", [True, False])
+@pytest.mark.parametrize("type_label,rank", [("B", 3), ("D", 4)])
+def test_star_words_update_a_present_key_in_place(type_label, rank, survives):
+    """z = f l_x + g l_y with y = s_i x and g = (e^{-alpha_i} - 1) f + h: the letter i adds
+    (1 - e^{alpha_i}) s_i(f) into y's s_i(g) = (e^{alpha_i} - 1) s_i(f) + s_i(h), so every
+    exponent cancels but those of s_i(h).  f has three terms and h two, one on an exponent
+    of (e^{-alpha_i} - 1) f, so coefficients collide in g and y survives with s_i(h); with
+    h = 0, y cancels completely and is dropped.  Against star_s letter by letter, on the
+    letter alone, on w_0 and on each ell_sigma product."""
+    rs = build_root_system(type_label, rank)
+    pool = grassmannian_up_to(rs, 3)
+    one = LaurentPoly.one(rank)
+    f = LaurentPoly(rank, {tuple(range(rank)): 3, (0,) * rank: -1, (1,) + (0,) * (rank - 1): 2})
+    w0 = longest_element(rs)
+    letters = 0
+    for i in rs.nodes:
+        s_i = affine_simple_reflection(rs, i)
+        pair = next(
+            ((x, y) for x in pool if x.left_ascent(i) and (y := s_i * x).is_grassmannian()),
+            None,
+        )
+        if pair is None:
+            continue
+        letters += 1
+        x, y = pair
+        g = (LaurentPoly.monomial(tuple(-a for a in rs.simple_root(i))) - one) * f
+        h = LaurentPoly(rank, {next(iter(g.terms)): 5, (2,) * rank: -1})
+        z = PetersonElement(rs, {x: f, y: g + h if survives else g})
+        assert len(z.terms[y].terms) == len(g.terms) + survives
+        si = weyl_from_word(rs, (i,))
+        out = star_w(si, z)
+        assert out == star_w_by_letters(si, z), i
+        assert out.terms.get(y) == (h.act_exponents(si.m) if survives else None), i
+        assert (y in _star_words(rs, _grouped(z.terms), (i,))[0]) == survives
+        assert star_w(w0, z) == star_w_by_letters(w0, z), i
+        for s in sigma_elements(rs):
+            assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z), i
+    assert letters >= 2
 
 
 @pytest.mark.parametrize(

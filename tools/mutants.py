@@ -71,8 +71,8 @@ MUTATIONS = (
     (
         "`affine` product pulls `mu` back by `v`, not `v^{-1}`",
         "affine.py",
-        "zip(v.inverse().act_coweight(self.mu), other.mu)",
-        "zip(v.act_coweight(self.mu), other.mu)",
+        "map(add, v.inverse().act_coweight(self.mu), other.mu)",
+        "map(add, v.act_coweight(self.mu), other.mu)",
     ),
     (
         "`qk.left_action` uses `e^{-alpha_i}` for `e^{alpha_i}`",
