@@ -27,11 +27,16 @@ exponent vector is one int of signed base-2^k digits (Kronecker substitution),
 so e^beta is one integer add per term, and each key carries a packed offset o:
 its coefficient (g, o) stands for e^o g.  An ascent x -> y = s_i x multiplies
 x's whole coefficient by e^beta, which is o += beta, and adds e^o (1 - e^beta) g
-into y's coefficient in place; s_i y = x is shorter, so y ascends nowhere and
-x alone reaches it.  Every exponent met is one at the start plus the roots of a
-set S of letters, and every offset the roots of a set T, so a stored exponent
-differs from one at the start by the signed roots of at most the L letters of
-S xor T.  Roots are bounded coordinatewise by the highest root theta, so stored
+into y's coefficient; s_i y = x is shorter, so y ascends nowhere and x alone
+reaches it.  A y that the ascent makes keeps that value factored, ((g, beta), o),
+with x's dict g held by reference and no term visited; its dict is built when it
+is read.  No stored dict is ever changed in place (an update writes into a copy),
+so a factored value is exactly the coefficient it names, and when x meets a
+factored y = ((g, b), o_y) at the opposite root -b and at offset o_y + b, the
+exact identity e^{o_y} (1 - e^b) g + e^{o_y + b} (1 - e^{-b}) g = 0 drops y
+without a term visited.  Every exponent met is one at the start plus the roots of a set S of letters, and every offset
+the roots of a set T, so a stored exponent differs from one at the start by the
+signed roots of at most the L letters of S xor T.  Roots are bounded coordinatewise by the highest root theta, so stored
 exponents and e + o alike have |e_j| <= max |e_j| at the start + L max(theta),
 and k is the least width with 2^(k-1) above that; terms are packed per call and
 unpacked after the words, and the schedule keeps its roots packed per width k.
@@ -64,7 +69,15 @@ from .affine import (
     translation,
 )
 from .errors import UnsupportedProductError
-from .laurent import LaurentPoly, _check_budget, _pack, _pack_width, _unpack, accumulate
+from .laurent import (
+    LaurentPoly,
+    _check_budget,
+    _pack,
+    _pack_width,
+    _unpack,
+    accumulate,
+    get_term_budget,
+)
 from .rootsys import RootSystem, WeylElement, is_antidominant
 from .seidel import _quantum_exponent, gamma, grassmannian_key, seidel_datum
 
@@ -181,6 +194,16 @@ def _grouped(terms: dict) -> dict:
     return groups
 
 
+def _binomial_multiple(g: dict, beta: int) -> dict:
+    """g - e^beta g on packed exponents, as a new dict: the value of a factored coefficient."""
+    h = g.copy()
+    for e, c in g.items():
+        e += beta
+        if new := h.pop(e, 0) - c:
+            h[e] = new
+    return h
+
+
 def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     """star_s by each word in turn (its last letter first), in one frame and one packing.
 
@@ -192,10 +215,29 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     (the keys after the last word are those of the terms).
     Frames and roots come from the kept letter schedule, packed as the module docstring
     says (for ell(x), k depends on the words only).  A letter adds beta to the offset of
-    each u that ascends and makes one pass over its g into s_i u: a new key starts from
-    a copy of g at u's offset, less e^beta g; a present one at offset o_y takes
-    e^{o - o_y} g minus e^{o - o_y + beta} g and is dropped if it cancels.  A letter
-    changes only those polynomials, and each meets the term budget after its update.
+    each u that ascends, building u's dict g first if u is factored, and passes g to
+    y = s_i u.  A new y is stored factored, ((g, beta), o) for e^o (g - e^beta g), and
+    _binomial_multiple builds it only when it is read: when y ascends, when an update
+    of y does not cancel, or when the words end.  A present y at offset o_y takes
+    e^{o - o_y} g minus e^{o - o_y + beta} g in one pass over g, written into a copy of
+    its dict or into its built value, and is dropped if it cancels.
+
+    A factored y = ((g_y, b), o_y) is dropped with no pass when g_y is g, b == -beta and
+    o == o_y + b, as then e^{o_y} (1 - e^b) g + e^o (1 - e^{-b}) g =
+    (1 - e^b) g (e^{o_y} - e^{o - b}) = 0.  The offset test never decides on its own
+    here, yet it stays, so that the drop reads the stored form alone and a fault in the
+    offset update shows in the results instead of being cancelled away.  No two keys hold
+    one dict, an update of u writes a new dict, a u dropped and made again is built into
+    a new one, and y keeps g alive; so g_y is g says that u made y, at this letter i and
+    with offset o_y + b after it, and has held g since.  Nor has u's offset moved since,
+    as u ascends at no letter in between.  At i, u would have met y; at j != i,
+    u^{-1}(alpha_j) < 0 and u^{-1}(alpha_i) < 0 give y^{-1}(alpha_j) = u^{-1}(alpha_j)
+    - <alpha_j, alpha_i^vee> u^{-1}(alpha_i) < 0, the pairing being <= 0, so y would
+    have ascended at j too and been built.  So g_y is g implies o == o_y + b.
+
+    A letter changes only those polynomials, and each meets the term budget, read once
+    per call, after its update; a new y is built for the check only when 2 len(g), the
+    most terms g - e^beta g can have, exceeds the budget.
     """
     runs, frame, packed = _letter_schedule(rs, words)
     start = max(
@@ -208,6 +250,7 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
             tuple((i, _pack(root, k)) for i, root in run) for run in runs
         )
     n, npos, simple = rs.rank, rs.npos, rs.simple_indices
+    budget = get_term_budget()
     terms, support = {}, []
     for mu, group in groups.items():
         group = {u: ({_pack(e, k): c for e, c in f.terms.items()}, 0) for u, f in group.items()}
@@ -217,34 +260,45 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
                 for u, (g, o) in list(group.items()):
                     if u.inverse().perm[index] < npos:
                         continue
+                    if g.__class__ is tuple:
+                        g = _binomial_multiple(*g)
                     group[u] = g, o + beta
-                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it: update in
-                    # place; pop and put back a nonzero sum, one dict op when it cancels
+                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it
                     y = u.left_reflect(i)
                     if (slot := group.get(y)) is None:
-                        h = g.copy()
-                        group[y] = h, o
-                        for e, c in g.items():
-                            e += beta
-                            if new := h.pop(e, 0) - c:
-                                h[e] = new
-                    else:
-                        h, o_y = slot
-                        d = o - o_y
-                        for e, c in g.items():
-                            e += d
-                            if new := h.pop(e, 0) + c:
-                                h[e] = new
-                            e += beta
-                            if new := h.pop(e, 0) - c:
-                                h[e] = new
-                        if not h:
+                        group[y] = (g, beta), o
+                        if 2 * len(g) > budget:
+                            _check_budget(len(_binomial_multiple(g, beta)))
+                        continue
+                    h, o_y = slot
+                    if h.__class__ is tuple:
+                        g_y, b = h
+                        if g_y is g and b == -beta and o == o_y + b:
                             del group[y]
                             continue
-                    _check_budget(len(h))
+                        h = _binomial_multiple(g_y, b)
+                    else:
+                        h = h.copy()
+                    # pop and put back a nonzero sum, one dict op when it cancels
+                    d = o - o_y
+                    for e, c in g.items():
+                        e += d
+                        if new := h.pop(e, 0) + c:
+                            h[e] = new
+                        e += beta
+                        if new := h.pop(e, 0) - c:
+                            h[e] = new
+                    if h:
+                        group[y] = h, o_y
+                        if len(h) > budget:
+                            _check_budget(len(h))
+                    else:
+                        del group[y]
             if nth == 0 and group:
                 support.append((mu, list(group)))
         for u, (g, o) in group.items():
+            if g.__class__ is tuple:
+                g = _binomial_multiple(*g)
             terms[_intern(rs, u, mu)] = LaurentPoly._trusted(
                 n, {_unpack(e + o, k, n): c for e, c in g.items()}
             )

@@ -986,6 +986,69 @@ def test_term_budget_stops_the_packed_star_words():
     assert verify_seidel_theorem(rs, 4, w).passed
 
 
+def star_words_by_letters(rs, z, word):
+    """star_s along any word of finite letters, its last letter first: the oracle for a
+    word star_w never takes, one that is not reduced."""
+    for i in reversed(word):
+        z = star_s(i, z)
+    return z
+
+
+@pytest.mark.parametrize("word,u,builds,keys", [
+    # letter 3 fixes alpha_1, so the second 1 has the opposite root and y = e cancels unbuilt
+    ((1, 3, 1), (1,), 0, [(1,)]),
+    # s_2 moves alpha_1: the second root is -alpha_2, not alpha_1, so y is built and updated
+    ((1, 2, 1), (1,), 1, [(1,), ()]),
+    # u = s_1 s_3 ascends at 3 between the 1s, so y = s_3 does too and is built first
+    ((1, 3, 1), (1, 3), 3, [(1, 3), (1,)]),
+])
+def test_star_words_cancel_a_factored_key_only_on_its_mirror_root(
+    monkeypatch, word, u, builds, keys
+):
+    """ell_{u t_mu} over A3 by the word 1 j 1: the first 1 stores y = (s_1 u) t_mu factored
+    from u's dict, and the second meets it.  The stored form cancels with no term visited
+    exactly when the second root is minus the first; otherwise y is built when it is read.
+    Against star_s letter by letter, with the builds counted."""
+    rs = build_root_system("A", 3)
+    x = from_finite(weyl_from_word(rs, u)).translated((-1, -1, -1))
+    z = PetersonElement(rs, {x: LaurentPoly(3, {(0, 0, 0): 2, (1, -1, 0): -1})})
+    built = []
+    binomial_multiple = peterson._binomial_multiple
+    monkeypatch.setattr(
+        peterson, "_binomial_multiple", lambda g, beta: built.append(g) or binomial_multiple(g, beta)
+    )
+    terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
+    assert len(built) == builds
+    assert [y.u.reduced_word() for y in terms] == keys
+    out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
+    assert out == star_words_by_letters(rs, z, word)
+
+
+@pytest.mark.parametrize("budget,raises", [(1, True), (2, False), (3, False)])
+def test_term_budget_reads_the_exact_size_of_a_factored_key(budget, raises):
+    """A new key is stored factored, e^o (g - e^beta g), which has at most 2 len(g) terms.
+    g = 1 + e^{-alpha_1} and the first letter 1 has beta = -alpha_1, so the new key's
+    coefficient 1 - e^{-2 alpha_1} has 2 terms against 2 len(g) = 4: a budget of 2 or 3
+    passes, and a budget of 1 raises at that ascent, inside the kernel."""
+    rs = build_root_system("A", 2)
+    x = from_finite(weyl_from_word(rs, (1,))).translated((-1, -1))
+    lowered = tuple(-a for a in rs.simple_root(1))
+    z = PetersonElement(rs, {x: LaurentPoly(2, {(0, 0): 1, lowered: 1})})
+    saved = set_term_budget(budget)
+    try:
+        if raises:
+            with pytest.raises(SizeLimitError, match=f"2 terms exceeds budget {budget}") as excinfo:
+                _star_words(rs, _grouped(z.terms), (1,))
+            assert [entry.name for entry in excinfo.traceback][-2:] == [
+                "_star_words", "_check_budget"
+            ]
+        else:
+            terms, _, _ = _star_words(rs, _grouped(z.terms), (1,))
+            assert sorted(len(g.terms) for g in terms.values()) == [2, 2]
+    finally:
+        set_term_budget(saved)
+
+
 def _schedule_by_letters(rs, words):
     """The letter schedule one letter at a time: after letters i_1, ..., i_t the frame is
     s_{i_t} ... s_{i_1}, and frame^{-1}(alpha_{i_t}) reflects alpha_{i_t} through

@@ -104,6 +104,12 @@ MUTATIONS = (
         "group[u] = g, o + beta",
         "group[u] = g, o - beta",
     ),
+    (
+        "`peterson._star_words` records the factored root as `-beta`",
+        "peterson.py",
+        "group[y] = (g, beta), o",
+        "group[y] = (g, -beta), o",
+    ),
 )
 
 
