@@ -85,10 +85,11 @@ def _unpack(p: int, k: int, nvars: int) -> tuple[int, ...]:
 class LaurentPoly:
     """Sparse Laurent polynomial with integer coefficients.
 
-    Instances are treated as immutable; all operations return new objects.
+    Instances are treated as immutable; all operations return new objects.  They are
+    equal by value and unhashable, as RationalFunction, PetersonElement and QKElement are.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], int] | None = None):
         self.nvars = nvars
@@ -102,7 +103,6 @@ class LaurentPoly:
                 clean[exps] = coeff
         _check_budget(len(clean))
         self.terms = clean
-        self._hash: int | None = None
 
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
@@ -111,7 +111,6 @@ class LaurentPoly:
         poly = object.__new__(cls)
         poly.nvars = nvars
         poly.terms = terms
-        poly._hash = None
         return poly
 
     @classmethod
@@ -143,10 +142,7 @@ class LaurentPoly:
             return self == LaurentPoly.constant(self.nvars, other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.nvars, frozenset(self.terms.items())))
-        return self._hash
+    __hash__ = None
 
     def _coerce(self, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):

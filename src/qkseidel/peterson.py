@@ -476,9 +476,10 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     """Replay the product identity O^{v_i} (v_i * O^w) = Q^{...} O^{v_i w}.
 
     Four checks, and two hold by construction of the star words, so they catch a
-    fault in the words only: grassmannian_support follows from Deodhar's rule, which
-    the words apply; sigma_collapse reads star_{v^{-1}}(star_v(ell_x)) = ell_x, as the
-    finite part of pi_i^{-1} is v_i and the frame after both words is trivial.  An
+    fault in the words or in their start only: grassmannian_support follows from
+    Deodhar's rule, which the words apply to the Grassmannian w t_{gamma_w};
+    sigma_collapse reads star_{v^{-1}}(star_v(ell_x)) = ell_x, as the finite part of
+    pi_i^{-1} is v_i and the frame after both words is trivial.  An
     instance's content is in key_identities, pi_i^{-1} w t_{gamma_w} =
     (v_i w) t_{gamma_{v_i w}}, whose translation parts are the key lemma
     gamma_{v_i w} = gamma_w - w^{-1}(omega_i^vee), and localized_product, the

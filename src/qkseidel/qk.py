@@ -12,8 +12,10 @@ form is used.  A VerificationRegistry keeps the quantum exponent each passed
 certificate checked, so a repeated product reads it back and computes nothing;
 the default one lives on the root system (rs._registry) and dies with it.  The
 parabolic product is computed twice, via the pushforward and via the direct
-formula, and the routes must agree.  verify_phi_compatibility reads left_action
-back into the Peterson module, where it must be the star action.
+formula, and the routes must agree.  verify_pushforward_commutes checks, in one pass
+over W x nodes, the closed form of pushforward(O^w), the two coset lemmas and the
+commutation with s_i^L; verify_phi_compatibility reads left_action back into the
+Peterson module, where it must be the star action.
 The public QKElement constructor checks every term; left_action, pushforward,
 shift_q and the closed forms of the products build valid terms from valid ones
 and skip it (QKElement._trusted).
@@ -294,7 +296,9 @@ def seidel_product_parabolic(
     The two routes must agree; a mismatch is a verification failure, not a
     silent preference for one of them.
     """
-    _same_system(rs, p)  # before `w not in p`, which reads descents only
+    # both before `w not in p`, which reads descents only
+    _same_system(rs, p)
+    check_element(rs, w)
     if w not in p:
         raise ValueError(f"index {w.reduced_word()} is not minimal for the base")
     full = seidel_product(rs, i, w, registry)
@@ -323,49 +327,35 @@ def verify_phi_compatibility(rs: RootSystem, i: int, w: WeylElement) -> bool:
     return LocalizedClass(star_s(i, o_w.num), o_w.den) == rhs
 
 
-def verify_standard_lemma(p: ParabolicData) -> bool:
-    """w in W^P with s_i w > w outside W^P forces s_i w = w s_j for some j in I_P."""
-    rs = p.rs
-    for w in p.minimal_reps:
-        for i in rs.nodes:
-            sw = w.left_reflect(i)
-            if sw.length() > w.length() and sw not in p:
-                if not any(sw == w * rs.simple_reflection(j) for j in p.subset):
-                    return False
-    return True
-
-
-def verify_minrep_biconditional(p: ParabolicData) -> bool:
-    """s_i minrep(w) lies in W^P exactly when it equals minrep(s_i w)."""
-    rs, table = p.rs, p.minrep_table
-    for w in rs.weyl_group():
-        m = table[w]
-        for i in rs.nodes:
-            sm = m.left_reflect(i)
-            if (sm in p) != (sm == table[w.left_reflect(i)]):
-                return False
-    return True
-
-
 def verify_pushforward_commutes(p: ParabolicData) -> bool:
-    """pushforward(s_i^L O^w) = s_i^L pushforward(O^w), plus the two coset lemmas.
+    """pushforward(s_i^L O^w) = s_i^L pushforward(O^w) and the coset lemmas, in one pass.
 
-    Each (i, w) computes its left side afresh; pushforward(O^w) is computed once
-    per w, and its s_i^L image once per (i, pushed class) in the whole call.
+    Per w in W: pushforward(O^w) is the closed form O^m, m = minrep(w) read from the
+    coset table.  Per (i, w), with sw = s_i w and sm = s_i m: sm lies in W^P exactly
+    when it is minrep(sw) (the biconditional); for w in W^P, an ascent sw outside W^P
+    is w s_j for some j in I_P (the standard lemma); and the commutation, whose right
+    side s_i^L O^m is formed once per (i, m) in the whole call.
     """
-    rs = p.rs
-    if not verify_standard_lemma(p):
-        return False
-    if not verify_minrep_biconditional(p):
-        return False
-    images: dict[tuple, QKElement] = {}
-    # each O^w as QKElement.schubert builds it, all with one coefficient, hashed once
+    rs, table = p.rs, p.minrep_table
+    images: dict[tuple[int, WeylElement], QKElement] = {}
+    # each O^w as QKElement.schubert builds it, all with one coefficient
     one, zero, base = LaurentPoly.one(rs.rank), (0,) * rs.rank, frozenset()
     for w in rs.weyl_group():
+        m = table[w]
         xi = QKElement._trusted(rs, {(zero, w): one}, base)
         pushed = pushforward(xi, p)
+        if pushed.terms != {(zero, m): one}:
+            return False
         for i in rs.nodes:
-            if (key := (i, *pushed.terms.items())) not in images:
+            sw, sm = w.left_reflect(i), m.left_reflect(i)
+            inside = sm in p
+            if inside != (sm is table[sw]):
+                return False
+            # for w in W^P, sm is sw
+            if m is w and not inside and sw.length() > w.length():
+                if not any(sw is w * rs.simple_reflection(j) for j in p.subset):
+                    return False
+            if (key := (i, m)) not in images:
                 images[key] = left_action(i, pushed)
             if pushforward(left_action(i, xi), p) != images[key]:
                 return False

@@ -214,7 +214,8 @@ def test_internal_results_are_normalized():
         diff = f - f
         assert diff.is_zero() and not diff.terms
         assert diff == LaurentPoly.zero(2)
-        assert hash(diff) == hash(LaurentPoly.zero(2))
+        with pytest.raises(TypeError):
+            hash(diff)
         g = random_poly(rng, 2)
         assert f - g == f + (-g)
         assert 0 not in (f - g).terms.values()

@@ -20,11 +20,12 @@ def load_mutants():
 
 
 def test_every_mutation_snippet_occurs_once():
-    """tools/mutants.py replaces one exact snippet per mutation; a change to src/ that
-    removes or duplicates one would stop the tool, so each must occur exactly once."""
+    """tools/mutants.py replaces one exact snippet per mutation, in both lists; a change
+    to src/ that removes or duplicates one would stop the tool, so each must occur
+    exactly once."""
     mutants = load_mutants()
-    assert mutants.MUTATIONS
-    for label, filename, old, new in mutants.MUTATIONS:
+    assert mutants.MUTATIONS and mutants.CHECKS_OFF
+    for label, filename, old, new in mutants.MUTATIONS + mutants.CHECKS_OFF:
         text = (ROOT / "src" / "qkseidel" / filename).read_text()
         assert text.count(old) == 1, (label, filename, text.count(old))
         assert new != old, label
@@ -50,7 +51,7 @@ def test_a_run_past_the_timeout_reads_timeout(monkeypatch, capsys, stuck):
     assert mutants.main() == 1
     rows = capsys.readouterr().out.splitlines()[2:]
     cells = "| timeout | 0 |" if stuck == "pytest" else "| 0 fail | timeout |"
-    assert len(rows) == len(mutants.MUTATIONS) + 1
+    assert len(rows) == len(mutants.MUTATIONS) + len(mutants.CHECKS_OFF) + 1
     assert all(row.endswith(cells) for row in rows), rows
 
 
@@ -81,12 +82,21 @@ def test_a_stuck_test_in_the_copy_is_one_failure(monkeypatch, tmp_path):
     (3, ("timeout", 4), 1),
     (3, ("16 fail", "timeout"), 1),
     (3, ("0 fail, 2 errors", 4), 0),
+    (-1, ("0 fail", 0), 1),
+    (-1, ("timeout", 0), 1),
+    (-1, ("2 fail", 3), 0),
 ])
 def test_the_table_gates_the_exit_status(monkeypatch, capsys, row, cells, status):
-    """main returns 1 when the control row is not `0 fail | 0`, or when a mutant row
-    reads `0 fail`, `0` changed lines or `timeout`, and names that row on stderr."""
+    """main returns 1 when the control row is not `0 fail | 0`, when a MUTATIONS row
+    reads `0 fail`, `0` changed lines or `timeout`, or when a CHECKS_OFF row (the last
+    ones) reads `0 fail` or `timeout` in its tier-1 column, and names that row on stderr;
+    a CHECKS_OFF row passes with `0` changed lines."""
     mutants = load_mutants()
-    readings = [("0 fail", 0)] + [("16 fail", 4)] * len(mutants.MUTATIONS)
+    readings = (
+        [("0 fail", 0)]
+        + [("16 fail", 4)] * len(mutants.MUTATIONS)
+        + [("16 fail", 0)] * len(mutants.CHECKS_OFF)
+    )
     if row is not None:
         readings[row] = cells
     calls = iter(readings)
@@ -96,7 +106,9 @@ def test_the_table_gates_the_exit_status(monkeypatch, capsys, row, cells, status
     assert next(calls, None) is None
     assert len(out.splitlines()) == len(readings) + 2
     if status:
-        labels = ["none (control)"] + [label for label, *_ in mutants.MUTATIONS]
+        labels = ["none (control)"] + [
+            label for label, *_ in mutants.MUTATIONS + mutants.CHECKS_OFF
+        ]
         assert err.endswith("gate fails on: " + labels[row] + "\n"), err
     else:
         assert "gate fails" not in err

@@ -496,6 +496,45 @@ def test_key_identities_do_not_read_the_star_words(monkeypatch):
             assert bad.q_exponent == good.q_exponent and good.passed
 
 
+def test_key_identities_see_a_wrong_gamma_of_the_product(monkeypatch):
+    """A gamma that reads the complementary descent set on v_i w alone moves key_vw off
+    the collapse's target: key_identities reads false, while the words' two checks, which
+    read gamma_w only, hold."""
+    rs = RootSystem("A", 3)  # cold: the wrong key is interned on this system alone
+    original = peterson.gamma
+    for i in special_nodes(rs):
+        for w in (rs.weyl_group()[5], longest_element(rs)):
+            vw = seidel_element(rs, i) * w
+
+            def wrong_on_vw(rs, u):
+                g = original(rs, u)
+                return tuple(-1 - c for c in g) if u is vw else g
+
+            monkeypatch.setattr(peterson, "gamma", wrong_on_vw)
+            checks = dict(verify_seidel_theorem(rs, i, w).checks)
+            monkeypatch.undo()
+            assert checks["key_identities"] is False, (i, w)
+            assert checks["grassmannian_support"] and checks["sigma_collapse"], (i, w)
+
+
+def test_grassmannian_support_sees_a_start_that_is_not_grassmannian(monkeypatch):
+    """The words keep a Grassmannian start Grassmannian by Deodhar's rule; a gamma_w of 0
+    for a w with descents starts them at w t_0, which is not, and grassmannian_support
+    reads false."""
+    rs = RootSystem("A", 3)  # cold: the wrong keys are interned on this system alone
+    original = peterson.gamma
+    for i in special_nodes(rs):
+        for w in (weyl_from_word(rs, (1,)), weyl_from_word(rs, (2, 1, 3)), longest_element(rs)):
+
+            def zero_on_w(rs, u):
+                return (0,) * rs.rank if u is w else original(rs, u)
+
+            monkeypatch.setattr(peterson, "gamma", zero_on_w)
+            checks = dict(verify_seidel_theorem(rs, i, w).checks)
+            monkeypatch.undo()
+            assert checks["grassmannian_support"] is False, (i, w)
+
+
 def test_mult_by_ell_sigma_refuses_an_element_of_nonzero_length():
     rs = build_root_system("C", 2)
     with pytest.raises(ValueError, match="has length 1, not 0"):

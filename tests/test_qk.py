@@ -22,12 +22,11 @@ from qkseidel.qk import (
     pushforward,
     seidel_product,
     seidel_product_parabolic,
-    verify_minrep_biconditional,
     verify_pushforward_commutes,
-    verify_standard_lemma,
 )
 from qkseidel.rootsys import (
     RootSystem,
+    WeylElement,
     build_root_system,
     longest_element,
     special_nodes,
@@ -176,8 +175,6 @@ def _schubert_left_action_by_products(rs, i, w, project):
 
 def _commutes_by_products(p):
     rs = p.rs
-    if not (_standard_lemma_by_products(p) and _biconditional_by_products(p)):
-        return False
     for w in rs.weyl_group():
         m = minrep_w(w, p)
         for i in rs.nodes:
@@ -187,16 +184,22 @@ def _commutes_by_products(p):
     return True
 
 
+def _by_products(p):
+    """The three product references combined, as the one verdict of the commutation check."""
+    return all(check(p) for check in (
+        _standard_lemma_by_products, _biconditional_by_products, _commutes_by_products
+    ))
+
+
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("D", 4)])
 def test_coset_verdicts_match_product_reference(type_label, rank):
-    """The standard-lemma, biconditional and commutation verdicts, which read s_i w from
-    left_reflect, equal a reference that multiplies, on every subset of a cold system."""
+    """The one verdict of the commutation check, which reads s_i w from left_reflect,
+    equals the standard-lemma, biconditional and commutation references combined, which
+    multiply, on every subset of a cold system."""
     rs = RootSystem(type_label, rank)
     for subset in all_subsets(rs):
         p = parabolic_data(rs, subset)
-        assert verify_standard_lemma(p) == _standard_lemma_by_products(p), subset
-        assert verify_minrep_biconditional(p) == _biconditional_by_products(p), subset
-        assert verify_pushforward_commutes(p) == _commutes_by_products(p), subset
+        assert verify_pushforward_commutes(p) == _by_products(p), subset
 
 
 # ----------------------------------------------------------------- left action
@@ -341,7 +344,9 @@ def test_seidel_product_rejects_non_special():
 )
 def test_products_refuse_an_element_of_another_system(system, other):
     """seidel_product refuses a foreign w as bad input before it reads the registry;
-    over the Borel base every w passes the minimality check first."""
+    over the Borel base every w passes the minimality check first.  The parabolic product
+    refuses it before the minimality check, which reads descents only: the foreign s_1
+    has its descent in the subset {1}, and is still refused as foreign."""
     rs, foreign = build_root_system(*system), build_root_system(*other)
     borel = parabolic_data(rs, ())
     for w in (weyl_from_word(foreign, (1, 2)), longest_element(foreign)):
@@ -350,6 +355,10 @@ def test_products_refuse_an_element_of_another_system(system, other):
                 seidel_product(rs, i, w)
             with pytest.raises(ValueError, match="is an element of"):
                 seidel_product_parabolic(rs, i, w, borel)
+    s1, p = weyl_from_word(foreign, (1,)), parabolic_data(rs, (1,))
+    for i in special_nodes(rs):
+        with pytest.raises(ValueError, match=re.escape(f"{s1!r} is an element of {foreign!r}")):
+            seidel_product_parabolic(rs, i, s1, p)
 
 
 @pytest.mark.parametrize("system,other", [(("A", 3), ("B", 3)), (("B", 3), ("C", 3)), (("D", 4), ("A", 3))])
@@ -536,9 +545,7 @@ def test_pushforward_commutes_with_left_action(type_label, rank):
     rs = build_root_system(type_label, rank)
     for sub in all_subsets(rs):
         p = parabolic_data(rs, sub)
-        assert verify_standard_lemma(p), sub
-        assert verify_minrep_biconditional(p), sub
-        assert verify_pushforward_commutes(p), sub
+        assert verify_pushforward_commutes(p) and _by_products(p), sub
 
 
 def test_pushforward_commutes_d4_sample():
@@ -583,6 +590,35 @@ def test_commutation_check_sees_each_perturbed_left_action(monkeypatch, side):
     assert verify_pushforward_commutes(p)
 
 
+@pytest.mark.parametrize("fault", ["closed form", "biconditional", "standard lemma"])
+def test_commutation_check_sees_a_fault_that_one_of_its_tests_alone_sees(monkeypatch, fault):
+    """Each fault reaches one of the tests in the commutation check's one pass, and the
+    check reads false:
+    - closed form: a pushforward that doubles every coefficient still commutes with the
+      linear s_i^L, so only pushforward(O^w) = O^{minrep(w)} sees it;
+    - biconditional: a membership test that takes every element for one of W^P leaves
+      the standard lemma nothing to test, and the commutation reads no membership;
+    - standard lemma: products composed in the opposite order; after a first pass every
+      s_i w is remembered, so the lemma's w s_j is the only product the pass forms."""
+    rs = build_root_system("A", 3)
+    p = parabolic_data(rs, (1, 3))
+    assert verify_pushforward_commutes(p)
+    if fault == "closed form":
+        original = qk.pushforward
+
+        def doubled(xi, p):
+            out = original(xi, p)
+            return QKElement._trusted(rs, {k: f + f for k, f in out.terms.items()}, out.base)
+
+        monkeypatch.setattr(qk, "pushforward", doubled)
+    elif fault == "biconditional":
+        monkeypatch.setattr(ParabolicData, "__contains__", lambda self, w: True)
+    else:
+        product = WeylElement.__mul__
+        monkeypatch.setattr(WeylElement, "__mul__", lambda self, other: product(other, self))
+    assert not verify_pushforward_commutes(p)
+
+
 # ---------------------------------------------------------- parabolic products
 
 
@@ -620,3 +656,27 @@ def test_d5_parabolic_instance():
     ((d, x),) = out.terms
     assert d == (0, 0, 0, 1, 0)
     assert x == minrep_w(seidel_element(rs, 4) * w, p4)
+
+
+def test_parabolic_product_sees_routes_that_disagree(monkeypatch):
+    """A pushforward that multiplies by Q_1 moves the pushforward route off the direct one."""
+    rs = build_root_system("A", 3)
+    p = parabolic_data(rs, (1, 3))
+    original = qk.pushforward
+    monkeypatch.setattr(qk, "pushforward", lambda xi, p: original(xi, p).shift_q((1, 0, 0)))
+    for i in special_nodes(rs):
+        for w in p.minimal_reps:
+            with pytest.raises(VerificationError, match="routes disagree"):
+                seidel_product_parabolic(rs, i, w, p)
+
+
+def test_parabolic_product_sees_an_exponent_off_the_positive_cone(monkeypatch):
+    """A projected exponent with a negative entry is refused as a failed verification,
+    before the closed form would refuse it as bad input."""
+    rs = build_root_system("A", 3)
+    p = parabolic_data(rs, (2,))
+    monkeypatch.setattr(qk, "minrep_beta", lambda beta, p: (-1, *beta[1:]))
+    for i in special_nodes(rs):
+        for w in p.minimal_reps:
+            with pytest.raises(VerificationError, match="left the positive cone"):
+                seidel_product_parabolic(rs, i, w, p)

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import gc
 import weakref
+from operator import add
 
 import pytest
 
 from qkseidel.affine import from_finite, pi, translation
+from qkseidel.errors import VerificationError
 from qkseidel.peterson import verify_seidel_theorem
 from qkseidel.qk import parabolic_data, seidel_product, seidel_product_parabolic
 from qkseidel.rootsys import (
@@ -17,6 +19,7 @@ from qkseidel.rootsys import (
     weyl_from_word,
 )
 from qkseidel.seidel import (
+    _quantum_exponent,
     gamma,
     grassmannian_key,
     one_line,
@@ -162,6 +165,19 @@ def test_quantum_exponent_nonnegative_everywhere():
             for w in rs.weyl_group():
                 coords = quantum_exponent(rs, i, w)  # raises on violation
                 assert all(c >= 0 for c in coords)
+
+
+def test_quantum_exponent_refuses_a_negative_coordinate():
+    """A pulled-back coweight omega_i^vee + alpha_j^vee leaves -alpha_j^vee, in the
+    coroot lattice with one negative coordinate, and the sign check raises."""
+    for type_label, rank in [("A", 3), ("D", 4)]:
+        rs = build_root_system(type_label, rank)
+        for i in special_nodes(rs):
+            for j in rs.nodes:
+                alpha_j = rs.coroots_to_coweight(tuple(int(k == j) for k in rs.nodes))
+                pulled = tuple(map(add, rs.fundamental_coweight(i), alpha_j))
+                with pytest.raises(VerificationError, match="negative coordinate"):
+                    _quantum_exponent(rs, i, pulled)
 
 
 def test_key_lemma_exhaustive_small():

@@ -6,6 +6,9 @@ default sweep plan, and the script prints one table row per mutation: the
 number of tier-1 tests that fail, and the number of lines of
 tests/sweep_default.txt that the mutant's sweep no longer prints (all of them
 when the sweep crashes).  The first row runs the copy unmutated, as a control.
+MUTATIONS are faults in what the program computes; CHECKS_OFF switch off one
+exact check each.  On correct code no check fires, so the plan prints the same
+lines with a check off, and only tier-1 can see its row.
 
 Run from the repository root, with no arguments:
 
@@ -18,9 +21,10 @@ that test as one failure.  A whole run that outlasts TIMEOUT_S is stopped and it
 column reads `timeout`.  The script uses only the standard library.
 
 The table is a gate, run in CI: the exit status is 1 when the control row reads
-anything but `0 fail | 0`, or when a mutant row reads `0 fail`, `0` changed lines
-or `timeout` in either column, that is, when some fault goes unseen by tier-1 or
-by the plan, or its run cannot tell.
+anything but `0 fail | 0`, when a MUTATIONS row reads `0 fail`, `0` changed lines
+or `timeout` in either column, or when a CHECKS_OFF row reads `0 fail` or
+`timeout` in its tier-1 column; that is, when some fault goes unseen by tier-1 or
+by the plan, or some check by tier-1, or a run cannot tell.
 """
 from __future__ import annotations
 
@@ -110,6 +114,70 @@ MUTATIONS = (
         "group[y] = (g, beta), o",
         "group[y] = (g, -beta), o",
     ),
+    (
+        "`laurent._pack_width` one bit narrower",
+        "laurent.py",
+        "return bound.bit_length() + 1",
+        "return bound.bit_length()",
+    ),
+    (
+        "`nilhecke.level_zero_action` returns `f` untwisted",
+        "nilhecke.py",
+        "return f.act_exponents(x.u.m)",
+        "return f",
+    ),
+)
+
+# the same fields; each switches one exact check off, and only tier-1 is gated
+CHECKS_OFF = (
+    (
+        "`seidel_product_parabolic` never compares its two routes",
+        "qk.py",
+        "if via_push != direct:",
+        "if False:",
+    ),
+    (
+        "`seidel_product_parabolic` skips the positive-cone check",
+        "qk.py",
+        "if min(d) < 0:",
+        "if False:",
+    ),
+    (
+        "`key_identities` always true",
+        "peterson.py",
+        "check_keys = target is key_vw",
+        "check_keys = True",
+    ),
+    (
+        "`grassmannian_support` always true",
+        "peterson.py",
+        "check_support = bool(support) and all(grassmannian_keys(mu, us) for mu, us in support)",
+        "check_support = True",
+    ),
+    (
+        "the sign check in `seidel._quantum_exponent` off",
+        "seidel.py",
+        "if min(coords) < 0:",
+        "if False:",
+    ),
+    (
+        "`verify_pushforward_commutes` skips the biconditional",
+        "qk.py",
+        "if inside != (sm is table[sw]):",
+        "if False:",
+    ),
+    (
+        "`verify_pushforward_commutes` skips the standard lemma",
+        "qk.py",
+        "if not any(sw is w * rs.simple_reflection(j) for j in p.subset):",
+        "if False:",
+    ),
+    (
+        "`verify_pushforward_commutes` skips the closed form of `pushforward(O^w)`",
+        "qk.py",
+        "if pushed.terms != {(zero, m): one}:",
+        "if False:",
+    ),
 )
 
 
@@ -158,12 +226,14 @@ def measure(copy: Path, expected: list[str]) -> tuple[str, int | str]:
 
 
 def unseen(rows: list[tuple[str, str, int | str]]) -> list[str]:
-    """The labels of the rows that fail the gate; rows[0] is the control."""
+    """The labels of the rows that fail the gate; rows[0] is the control, then one row
+    per MUTATIONS entry and one per CHECKS_OFF entry, in order."""
     (label, verdict, changed), *mutants = rows
     bad = [] if (verdict, changed) == ("0 fail", 0) else [label]
     return bad + [
-        label for label, verdict, changed in mutants
-        if verdict in ("0 fail", "timeout") or changed in (0, "timeout")
+        label for n, (label, verdict, changed) in enumerate(mutants)
+        if verdict in ("0 fail", "timeout")
+        or (n < len(MUTATIONS) and changed in (0, "timeout"))
     ]
 
 
@@ -172,7 +242,8 @@ def main() -> int:
     # test_mutants.py checks this tool's snippets, which a mutant removes by design
     ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", "test_mutants.py")
     rows = []
-    for label, filename, old, new in (("none (control)", None, None, None),) + MUTATIONS:
+    control = (("none (control)", None, None, None),)
+    for label, filename, old, new in control + MUTATIONS + CHECKS_OFF:
         with tempfile.TemporaryDirectory(prefix="qkseidel-mutant-") as tmp:
             copy = Path(tmp)
             for name in ("src", "tests"):
