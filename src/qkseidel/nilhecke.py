@@ -156,11 +156,14 @@ def _affine_pairing(rs: RootSystem, i: int, j: int) -> int:
 
 
 def verify_braid_relation(rs: RootSystem, i: int, j: int) -> bool:
-    """D_i D_j D_i ... = D_j D_i D_j ... with braid_order(i, j) factors."""
+    """D_i D_j D_i ... = D_j D_i D_j ... with braid_order(i, j) factors.
+
+    D_i and D_j are built once each and multiplied in from the right, so every
+    factor's scalars have unit numerators (see RationalFunction).
+    """
     m = braid_order(rs, i, j)
-    lhs = GroupAlgebraElement.one(rs)
-    rhs = GroupAlgebraElement.one(rs)
+    d = (demazure(rs, i), demazure(rs, j))
+    lhs = rhs = GroupAlgebraElement.one(rs)
     for k in range(m):
-        lhs = lhs * demazure(rs, i if k % 2 == 0 else j)
-        rhs = rhs * demazure(rs, j if k % 2 == 0 else i)
+        lhs, rhs = lhs * d[k % 2], rhs * d[1 - k % 2]
     return lhs == rhs

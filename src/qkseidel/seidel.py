@@ -153,39 +153,18 @@ def one_line(w: WeylElement) -> tuple[int, ...]:
     """
     rs = w.rs
     n = rs.rank
-    if rs.type_label == "A":
-        size = n + 1
-
-        def gen(i: int, img: list[int]) -> list[int]:
-            out = list(img)
-            out[i - 1], out[i] = out[i], out[i - 1]
-            return out
-
-    elif rs.type_label in ("B", "C", "D"):
-        size = n
-
-        def gen(i: int, img: list[int]) -> list[int]:
-            out = list(img)
-            if i < n:
-                out[i - 1], out[i] = out[i], out[i - 1]
-            elif rs.type_label in ("B", "C"):
-                out[n - 1] = -out[n - 1]
-            else:
-                out[n - 2], out[n - 1] = -out[n - 1], -out[n - 2]
-            return out
-
-    else:
+    if rs.type_label not in ("A", "B", "C", "D"):
         raise ValueError("one-line notation is defined for classical types only")
-
-    # Entry j is the signed image w(e_j); products compose right to left, so
-    # the word is folded from its last letter.  With this reading the string's
-    # descent positions are exactly the right descent set.
-    images = list(range(1, size + 1))
-    for letter in reversed(w.reduced_word()):
-        base = gen(letter, list(range(1, size + 1)))
-
-        def apply(x: int) -> int:
-            return base[x - 1] if x > 0 else -base[-x - 1]
-
-        images = [apply(x) for x in images]
-    return tuple(images)
+    # Entry j is the signed image w(e_j).  A letter on the right acts on positions,
+    # (w s_i)(e_j) = w(s_i(e_j)), so the word is read from its first letter, each
+    # letter swapping or negating at most two entries.  With this reading the
+    # string's descent positions are exactly the right descent set.
+    line = list(range(1, n + 2 if rs.type_label == "A" else n + 1))
+    for i in w.reduced_word():
+        if i < n or rs.type_label == "A":
+            line[i - 1], line[i] = line[i], line[i - 1]
+        elif rs.type_label == "D":
+            line[n - 2], line[n - 1] = -line[n - 1], -line[n - 2]
+        else:
+            line[n - 1] = -line[n - 1]
+    return tuple(line)

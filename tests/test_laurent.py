@@ -406,3 +406,82 @@ def test_twists_keep_the_reduced_form(type_label, rank):
             assert (image.num, image.den) == (checked.num, checked.den)
             neg, checked = -image, RationalFunction(-image.num, image.den)
             assert (neg.num, neg.den) == (checked.num, checked.den)
+
+
+def checked_product(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    """The oracle: the checked constructor on the product numerator over the merged factors."""
+    den = dict(f.den)
+    for v, m in g.den.items():
+        den[v] = den.get(v, 0) + m
+    return RationalFunction(f.num * g.num, den)
+
+
+def checked_sum(f: RationalFunction, g: RationalFunction, sign: int) -> RationalFunction:
+    """The oracle: both numerators lifted to the common factors by multiplying in the
+    missing binomials, then the checked constructor on f.num + sign * g.num."""
+    den = dict(f.den)
+    for v, m in g.den.items():
+        den[v] = max(m, den.get(v, 0))
+    lifted = []
+    for h in (f, g):
+        num = h.num
+        for v, m in den.items():
+            for _ in range(m - h.den.get(v, 0)):
+                num = num * binomial(v)
+        lifted.append(num)
+    return RationalFunction(lifted[0] + sign * lifted[1], den)
+
+
+def assert_canonical(fractions: list[RationalFunction]) -> None:
+    for f in fractions:
+        for g in fractions:
+            for got, checked in (
+                (f * g, checked_product(f, g)),
+                (f + g, checked_sum(f, g, 1)),
+                (f - g, checked_sum(f, g, -1)),
+            ):
+                assert (got.num.terms, got.den) == (checked.num.terms, checked.den), (f, g)
+
+
+def test_products_and_sums_keep_the_checked_form():
+    """Products and sums skip the divisions that cannot succeed, and build the same
+    numerator and factors as the checked constructor: over random fractions whose
+    numerators some factors divide, over unit numerators c e^beta, and over the
+    shared non-primitive factor 1 - e^{2a}, which divides (1 - e^a)(1 + e^a) but
+    neither of its factors."""
+    rng = random.Random(41)
+    fractions = []
+    for _ in range(24):
+        den: dict[tuple[int, ...], int] = {}
+        for _ in range(rng.randrange(4)):
+            v = rng.choice(FACTORS)
+            den[v] = den.get(v, 0) + 1
+        num = random_poly(rng, 2, rng.randint(1, 3))
+        for _ in range(rng.randrange(3)):
+            num = num * binomial(rng.choice(FACTORS))
+        fractions.append(RationalFunction(num, den))
+    for c in (1, -1, 2, -3):
+        e = (rng.randint(-2, 2), rng.randint(-2, 2))
+        den = {rng.choice(FACTORS): rng.randint(1, 2), rng.choice(FACTORS): 1}
+        fractions.append(RationalFunction(LaurentPoly.monomial(e, c), den))
+    one = LaurentPoly.one(2)
+    fractions += [
+        RationalFunction(one - x(2, 0), {(2, 0): 1}),
+        RationalFunction(one + x(2, 0), {(2, 0): 1}),
+    ]
+    assert (fractions[-2] * fractions[-1]).den == {(2, 0): 1}
+    assert_canonical(fractions)
+
+
+@pytest.mark.parametrize("type_label, rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3)])
+def test_nil_hecke_scalars_keep_the_checked_form(type_label, rank):
+    """The same, over the coefficients of D_i D_j for all affine nodes i and j."""
+    rs = build_root_system(type_label, rank)
+    nodes = range(rank + 1)
+    fractions = [
+        f
+        for i in nodes
+        for j in nodes
+        for f in (demazure(rs, i) * demazure(rs, j)).coeffs.values()
+    ]
+    assert_canonical(fractions)

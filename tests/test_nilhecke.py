@@ -10,6 +10,7 @@ from qkseidel.affine import (
     node_action,
     pi,
 )
+from qkseidel import nilhecke
 from qkseidel.laurent import LaurentPoly, RationalFunction
 from qkseidel.nilhecke import (
     GroupAlgebraElement,
@@ -91,6 +92,24 @@ def test_braid_relations():
         rs = build_root_system(type_label, rank)
         for i, j in itertools.combinations(affine_nodes(rs), 2):
             assert verify_braid_relation(rs, i, j), (type_label, i, j)
+
+
+def test_braid_relation_builds_each_operator_once(monkeypatch):
+    """verify_braid_relation(rs, i, j) calls demazure once for i and once for j,
+    whatever the braid order; G2's (1, 2), six factors a side, is among them."""
+    built = []
+
+    def counting(rs, i):
+        built.append(i)
+        return demazure(rs, i)
+
+    monkeypatch.setattr(nilhecke, "demazure", counting)
+    for type_label, rank in RELATION_TYPES:
+        rs = build_root_system(type_label, rank)
+        for i, j in itertools.permutations(affine_nodes(rs), 2):
+            built.clear()
+            assert nilhecke.verify_braid_relation(rs, i, j), (type_label, i, j)
+            assert sorted(built) == sorted((i, j)), (type_label, i, j, built)
 
 
 def test_scalars_are_not_central():

@@ -18,7 +18,10 @@ Each mutant takes about as long as tier-1 plus the default plan, longer when it
 fails most of tier-1.  In the copy, a conftest.py fails any one tier-1 test that
 runs past TEST_TIMEOUT_S, so a mutant that makes a test's loop endless counts
 that test as one failure.  A whole run that outlasts TIMEOUT_S is stopped and its
-column reads `timeout`.  The script uses only the standard library.
+column reads `timeout`.  Each run may map at most MEMORY_LIMIT bytes, so a mutant
+that lets a polynomial grow without bound (the term budget switched off) fails its
+test with MemoryError rather than taking the host's memory.  The script uses only
+the standard library, and `resource` makes it Unix-only.
 
 The table is a gate, run in CI: the exit status is 1 when the control row reads
 anything but `0 fail | 0`, when a MUTATIONS row reads `0 fail`, `0` changed lines
@@ -31,6 +34,7 @@ from __future__ import annotations
 import difflib
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -42,6 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 # seconds for one tier-1 test in a copy; the slowest unmutated test needs about 2.5 s
 TEST_TIMEOUT_S = 20
+# bytes of address space for one run; an unmutated tier-1 run passes under 1 GiB
+MEMORY_LIMIT = 2 << 30
 
 # written into the copy's tests/ only: SIGALRM turns a stuck test into one failure
 CONFTEST = """import signal
@@ -178,6 +184,36 @@ CHECKS_OFF = (
         "if pushed.terms != {(zero, m): one}:",
         "if False:",
     ),
+    (
+        "`verify_pushforward_commutes` skips the commutation comparison",
+        "qk.py",
+        "if pushforward(left_action(i, xi), p) != images[key]:",
+        "if False:",
+    ),
+    (
+        "`localized_product` always true",
+        "peterson.py",
+        "check_product = lhs == rhs",
+        "check_product = True",
+    ),
+    (
+        "`sigma_collapse` always true",
+        "peterson.py",
+        "check_collapse = terms == {x: one}",
+        "check_collapse = True",
+    ),
+    (
+        "`VerificationRegistry.record` keeps a failed report",
+        "qk.py",
+        'raise VerificationError("refusing to record a failed verification")',
+        "pass",
+    ),
+    (
+        "`laurent._check_budget` never raises",
+        "laurent.py",
+        "if n_terms > _TERM_BUDGET:",
+        "if False:",
+    ),
 )
 
 
@@ -194,11 +230,15 @@ def write_test_timeout(tests: Path) -> None:
     (tests / "conftest.py").write_text(CONFTEST.format(limit=TEST_TIMEOUT_S))
 
 
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def run(copy: Path, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, *args], cwd=copy, env=env, capture_output=True, text=True,
-        timeout=TIMEOUT_S,
+        timeout=TIMEOUT_S, preexec_fn=cap_memory,
     )
 
 
