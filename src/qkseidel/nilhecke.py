@@ -13,6 +13,18 @@ are the two-term elements
 with e^{alpha_0} = e^{-theta} at level zero.  They satisfy D_i^2 = D_i and
 the braid relations, so D_x is well defined for x with a reduced word.
 
+Write c = (1 - e^{alpha_j})^{-1}.  At level zero s_j(e^{alpha_j}) =
+e^{-alpha_j}, for j = 0 too, since s_0 twists by the reflection in theta and
+alpha_0 = -theta; so s_j(c) = 1 - c.  The terms of a D_j at [x] and at
+[x s_j] then share one sum of coefficients:
+
+    a D_j = sum over the pairs {x, x s_j} of
+            (f_x + f_{x s_j}) (x(1 - c) [x] + x(c) [x s_j]),
+
+for a = sum f_x [x], either element of a pair serving as x.  Braid checks
+multiply by D_j in this form: two scalar products and two twists per pair,
+where the general product spends two per term of a.
+
 Every coefficient denominator in this algebra is a product of binomials
 1 - e^beta over roots beta (Kostant-Kumar, T-equivariant K-theory of
 generalized flag varieties), so scalars are RationalFunctions with
@@ -123,14 +135,34 @@ class GroupAlgebraElement:
         return f"GroupAlgebraElement({self})"
 
 
+def _demazure_parts(rs: RootSystem, j: int) -> tuple[ExtAffineWeylElement, Scalar, Scalar]:
+    """(s_j, c, 1 - c) with c = (1 - e^{alpha_j})^{-1}, so D_j = c [s_j] + (1 - c) [e]."""
+    if j not in affine_nodes(rs):
+        raise ValueError(f"node {j} outside the affine index set")
+    c = RationalFunction(LaurentPoly.one(rs.rank), {affine_simple_root(rs, j).finite: 1})
+    return affine_simple_reflection(rs, j), c, RationalFunction.one(rs.rank) - c
+
+
 def demazure(rs: RootSystem, i: int) -> GroupAlgebraElement:
     """The divided difference operator D_i as a group algebra element."""
-    if i not in affine_nodes(rs):
-        raise ValueError(f"node {i} outside the affine index set")
-    one = RationalFunction.one(rs.rank)
-    c = RationalFunction(LaurentPoly.one(rs.rank), {affine_simple_root(rs, i).finite: 1})
-    si = affine_simple_reflection(rs, i)
-    return GroupAlgebraElement(rs, {si: c, ext_identity(rs): one - c})
+    si, c, rest = _demazure_parts(rs, i)
+    return GroupAlgebraElement(rs, {si: c, ext_identity(rs): rest})
+
+
+def _times_demazure(a: GroupAlgebraElement, parts: tuple) -> GroupAlgebraElement:
+    """a D_j by the pairs {x, x s_j} (module docstring); the constructor drops a pair
+    whose sum is zero."""
+    sj, c, rest = parts
+    coeffs = a.coeffs
+    out: dict[ExtAffineWeylElement, Scalar] = {}
+    for x, f in coeffs.items():
+        if x in out:  # the x s_j of a pair already formed
+            continue
+        xs = x * sj
+        g = f + coeffs[xs] if xs in coeffs else f
+        out[x] = g * level_zero_action(x, rest)
+        out[xs] = g * level_zero_action(x, c)
+    return GroupAlgebraElement(a.rs, out)
 
 
 def braid_order(rs: RootSystem, i: int, j: int) -> int:
@@ -159,11 +191,13 @@ def verify_braid_relation(rs: RootSystem, i: int, j: int) -> bool:
     """D_i D_j D_i ... = D_j D_i D_j ... with braid_order(i, j) factors.
 
     D_i and D_j are built once each and multiplied in from the right, so every
-    factor's scalars have unit numerators (see RationalFunction).
+    factor's scalars have unit numerators (see RationalFunction): each product
+    is by the pairs {x, x s_j}, whose factors x(c) and x(1 - c) have unit
+    numerators too.
     """
     m = braid_order(rs, i, j)
-    d = (demazure(rs, i), demazure(rs, j))
+    d = (_demazure_parts(rs, i), _demazure_parts(rs, j))
     lhs = rhs = GroupAlgebraElement.one(rs)
     for k in range(m):
-        lhs, rhs = lhs * d[k % 2], rhs * d[1 - k % 2]
+        lhs, rhs = _times_demazure(lhs, d[k % 2]), _times_demazure(rhs, d[1 - k % 2])
     return lhs == rhs

@@ -301,6 +301,14 @@ def test_rational_binomial_denominators():
         RationalFunction(one, {(0,): 1})
 
 
+def test_rational_refuses_a_negative_multiplicity():
+    """A factor with m < 0 would be a numerator; it is refused, not divided out again."""
+    one = LaurentPoly.one(1)
+    for num in (one - x(1, 0), one):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            RationalFunction(num, {(1,): -1})
+
+
 def test_rational_normalization_is_value_preserving():
     """1/(1 - e^{-v}) = -e^v/(1 - e^v): factors are stored with a positive first coordinate."""
     one = LaurentPoly.one(2)

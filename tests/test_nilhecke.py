@@ -4,6 +4,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from qkseidel.affine import (
     affine_nodes,
     affine_simple_reflection,
@@ -95,21 +97,67 @@ def test_braid_relations():
 
 
 def test_braid_relation_builds_each_operator_once(monkeypatch):
-    """verify_braid_relation(rs, i, j) calls demazure once for i and once for j,
-    whatever the braid order; G2's (1, 2), six factors a side, is among them."""
+    """verify_braid_relation(rs, i, j) builds the parts of D_i once and those of D_j
+    once, whatever the braid order; G2's (1, 2), six factors a side, is among them."""
     built = []
+    parts = nilhecke._demazure_parts
 
     def counting(rs, i):
         built.append(i)
-        return demazure(rs, i)
+        return parts(rs, i)
 
-    monkeypatch.setattr(nilhecke, "demazure", counting)
+    monkeypatch.setattr(nilhecke, "_demazure_parts", counting)
     for type_label, rank in RELATION_TYPES:
         rs = build_root_system(type_label, rank)
         for i, j in itertools.permutations(affine_nodes(rs), 2):
             built.clear()
             assert nilhecke.verify_braid_relation(rs, i, j), (type_label, i, j)
             assert sorted(built) == sorted((i, j)), (type_label, i, j, built)
+
+
+def test_braid_relation_sees_too_few_factors(monkeypatch):
+    """With one factor a side fewer than the braid order the two sides differ, so the
+    comparison can be seen to fail.  One more would not do: D_{w0} D_i = D_{w0}."""
+    order = nilhecke.braid_order
+    monkeypatch.setattr(nilhecke, "braid_order", lambda rs, i, j: order(rs, i, j) - 1)
+    for type_label, rank in RELATION_TYPES:
+        rs = build_root_system(type_label, rank)
+        for i, j in itertools.combinations(affine_nodes(rs), 2):
+            assert not nilhecke.verify_braid_relation(rs, i, j), (type_label, i, j)
+
+
+def assert_same_form(got: GroupAlgebraElement, want: GroupAlgebraElement, context):
+    """The same keys, and every coefficient with the same (num, den)."""
+    assert got.coeffs.keys() == want.coeffs.keys(), context
+    for x, f in want.coeffs.items():
+        g = got.coeffs[x]
+        assert (g.num.terms, g.den) == (f.num.terms, f.den), (context, x)
+
+
+@pytest.mark.parametrize(
+    "type_label, rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("C", 3), ("D", 4)]
+)
+def test_times_demazure_matches_the_general_product(type_label, rank):
+    """a D_j by pairs equals a * demazure(rs, j) in its exact form, for seeded a (a
+    signed monomial times 1 to 4 Demazure factors) at every affine node j; a pair
+    whose coefficients cancel adds nothing."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(7)
+    nodes = affine_nodes(rs)
+    for j in nodes:
+        parts = nilhecke._demazure_parts(rs, j)
+        d = demazure(rs, j)
+        for _ in range(3):
+            exps = tuple(rng.randint(-2, 2) for _ in range(rank))
+            a = LaurentPoly.monomial(exps, rng.choice((1, -1))) * GroupAlgebraElement.one(rs)
+            for _ in range(rng.randint(1, 4)):
+                a = a * demazure(rs, rng.choice(nodes))
+            assert_same_form(nilhecke._times_demazure(a, parts), a * d, (type_label, j))
+        x = affine_from_word(rs, [rng.choice(nodes) for _ in range(3)])
+        f = RationalFunction(LaurentPoly.monomial((1,) + (0,) * (rank - 1)))
+        cancel = GroupAlgebraElement(rs, {x: f, x * parts[0]: -f})
+        assert not nilhecke._times_demazure(cancel, parts).coeffs
+        assert not (cancel * d).coeffs
 
 
 def test_scalars_are_not_central():

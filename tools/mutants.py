@@ -132,6 +132,12 @@ MUTATIONS = (
         "return f.act_exponents(x.u.m)",
         "return f",
     ),
+    (
+        "`nilhecke._times_demazure` drops `f_{x s_j}` from a pair's sum",
+        "nilhecke.py",
+        "g = f + coeffs[xs] if xs in coeffs else f",
+        "g = f",
+    ),
 )
 
 # the same fields; each switches one exact check off, and only tier-1 is gated
@@ -213,6 +219,12 @@ CHECKS_OFF = (
         "laurent.py",
         "if n_terms > _TERM_BUDGET:",
         "if False:",
+    ),
+    (
+        "`verify_braid_relation` always true",
+        "nilhecke.py",
+        "return lhs == rhs",
+        "return True",
     ),
 )
 
