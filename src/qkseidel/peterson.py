@@ -28,18 +28,22 @@ so e^beta is one integer add per term, and each key carries a packed offset o:
 its coefficient (g, o) stands for e^o g.  An ascent x -> y = s_i x multiplies
 x's whole coefficient by e^beta, which is o += beta, and adds e^o (1 - e^beta) g
 into y's coefficient; s_i y = x is shorter, so y ascends nowhere and x alone
-reaches it.  A y that the ascent makes keeps that value factored, ((g, beta), o),
-with x's dict g held by reference and no term visited; its dict is built when it
-is read.  No stored dict is ever changed in place (an update writes into a copy),
-so a factored value is exactly the coefficient it names, and when x meets a
-factored y = ((g, b), o_y) at the opposite root -b and at offset o_y + b, the
-exact identity e^{o_y} (1 - e^b) g + e^{o_y + b} (1 - e^{-b}) g = 0 drops y
-without a term visited.  Every exponent met is one at the start plus the roots of a set S of letters, and every offset
-the roots of a set T, so a stored exponent differs from one at the start by the
-signed roots of at most the L letters of S xor T.  Roots are bounded coordinatewise by the highest root theta, so stored
-exponents and e + o alike have |e_j| <= max |e_j| at the start + L max(theta),
-and k is the least width with 2^(k-1) above that; terms are packed per call and
-unpacked after the words, and the schedule keeps its roots packed per width k.
+reaches it.  A y that the ascent makes keeps that value factored, a node for
+g - e^beta g that holds x's value g, a dict or a node, by reference, with no term
+visited; a node's dict is built once, when it is first read.  No stored value ever
+changes (an update writes into a copy), so an object names one value while it lives
+and any update is undone by objects and offsets alone: if x, holding g at offset o,
+took y from a slot P to (h, o_y) at root beta, adding e^o (1 - e^beta) g, then a key
+holding that g at offset o + beta that meets y, still holding h at o_y, at root -beta
+adds e^{o + beta} (1 - e^{-beta}) g = -e^o (1 - e^beta) g, so y's slot is P again (no y
+when P was absent), restored with no term visited.  Every exponent met is one at
+the start plus the roots of a set S of letters, and every offset the roots of a
+set T, so a stored exponent differs from one at the start by the signed roots of
+at most the L letters of S xor T.  Roots are bounded coordinatewise by the highest
+root theta, so stored exponents and e + o alike have |e_j| <= max |e_j| at the
+start + L max(theta), and k is the least width with 2^(k-1) above that; terms
+are packed per call and unpacked after the words, and the schedule keeps its roots
+packed per width k.
 
 Only two products exist in this module, both partial: multiplication by a
 translation class ell_{t_gamma} for antidominant gamma (keys shift on the
@@ -78,7 +82,7 @@ from .laurent import (
     accumulate,
     get_term_budget,
 )
-from .rootsys import RootSystem, WeylElement, is_antidominant
+from .rootsys import RootSystem, WeylElement, check_element, is_antidominant
 from .seidel import _quantum_exponent, gamma, grassmannian_key, seidel_datum
 
 
@@ -204,6 +208,22 @@ def _binomial_multiple(g: dict, beta: int) -> dict:
     return h
 
 
+def _built(g: dict | list) -> dict:
+    """The dict of a stored value g: g itself, or that of a node [f, b, n], which stands
+    for f - e^b f (at most n terms) over a dict or node f; a node is built on its first
+    read and keeps its dict, letting go of f."""
+    if g.__class__ is dict:
+        return g
+    f, b, _ = g
+    if b is not None:
+        f = _binomial_multiple(_built(f), b)
+        g[:] = f, None, len(f)
+    return f
+
+
+_ABSENT = None, 0  # the slot of a key not stored
+
+
 def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     """star_s by each word in turn (its last letter first), in one frame and one packing.
 
@@ -215,29 +235,28 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     (the keys after the last word are those of the terms).
     Frames and roots come from the kept letter schedule, packed as the module docstring
     says (for ell(x), k depends on the words only).  A letter adds beta to the offset of
-    each u that ascends, building u's dict g first if u is factored, and passes g to
-    y = s_i u.  A new y is stored factored, ((g, beta), o) for e^o (g - e^beta g), and
-    _binomial_multiple builds it only when it is read: when y ascends, when an update
-    of y does not cancel, or when the words end.  A present y at offset o_y takes
+    each u that ascends and passes u's value g, a dict or a node, to y = s_i u.  A new y
+    is the node [g, beta, n] at offset o, for e^o (g - e^beta g) with at most n terms
+    (2 len(g), or twice g's n); _built builds a node when an update reads it, as y's
+    value or its maker's, or when the words end.  A present y at offset o_y takes
     e^{o - o_y} g minus e^{o - o_y + beta} g in one pass over g, written into a copy of
-    its dict or into its built value, and is dropped if it cancels.
+    its dict, and is dropped if it cancels.
 
-    A factored y = ((g_y, b), o_y) is dropped with no pass when g_y is g, b == -beta and
-    o == o_y + b, as then e^{o_y} (1 - e^b) g + e^o (1 - e^{-b}) g =
-    (1 - e^b) g (e^{o_y} - e^{o - b}) = 0.  The offset test never decides on its own
-    here, yet it stays, so that the drop reads the stored form alone and a fault in the
-    offset update shows in the results instead of being cancelled away.  No two keys hold
-    one dict, an update of u writes a new dict, a u dropped and made again is built into
-    a new one, and y keeps g alive; so g_y is g says that u made y, at this letter i and
-    with offset o_y + b after it, and has held g since.  Nor has u's offset moved since,
-    as u ascends at no letter in between.  At i, u would have met y; at j != i,
-    u^{-1}(alpha_j) < 0 and u^{-1}(alpha_i) < 0 give y^{-1}(alpha_j) = u^{-1}(alpha_j)
-    - <alpha_j, alpha_i^vee> u^{-1}(alpha_i) < 0, the pairing being <= 0, so y would
-    have ascended at j too and been built.  So g_y is g implies o == o_y + b.
+    Each update of y records (slot after, g, o + beta, beta, P, the record before) as
+    y's last, P being the slot before (_ABSENT when y was not stored).  A maker holding
+    g at offset o + beta that meets y at -beta while y holds the slot after's value at
+    its offset undoes the update, as the module docstring says: y's slot is set back to
+    P with no term visited, and the record before becomes the last.  A new y that its
+    maker meets at the opposite root is the case P absent.  The test reads stored
+    objects and offsets only, never the letters or keys in between: an object is one
+    value while it lives (a node only fills in its dict), and a record keeps its
+    objects alive, so `is` never meets a new object at an old address.
 
     A letter changes only those polynomials, and each meets the term budget, read once
-    per call, after its update; a new y is built for the check only when 2 len(g), the
-    most terms g - e^beta g can have, exceeds the budget.
+    per call, after its update; a new y is built for the check only when its n exceeds
+    the budget.  A restored slot met the budget when it was stored (a start value when
+    its polynomial was made) and holds what the full update would give, so
+    SizeLimitError comes at the same letter.
     """
     runs, frame, packed = _letter_schedule(rs, words)
     start = max(
@@ -254,59 +273,63 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     terms, support = {}, []
     for mu, group in groups.items():
         group = {u: ({_pack(e, k): c for e, c in f.terms.items()}, 0) for u, f in group.items()}
+        undo = {}  # y -> the record of its last update
         for nth, run in enumerate(packed_runs):
             for i, beta in run:
-                index = simple[i - 1]
+                index, neg = simple[i - 1], -beta
                 for u, (g, o) in list(group.items()):
                     if u.inverse().perm[index] < npos:
                         continue
-                    if g.__class__ is tuple:
-                        g = _binomial_multiple(*g)
-                    group[u] = g, o + beta
+                    group[u] = g, (ob := o + beta)
                     # (s_i u) t_mu ascends nowhere at i and u alone reaches it
                     y = u.left_reflect(i)
-                    if (slot := group.get(y)) is None:
-                        group[y] = (g, beta), o
-                        if 2 * len(g) > budget:
-                            _check_budget(len(_binomial_multiple(g, beta)))
-                        continue
-                    h, o_y = slot
-                    if h.__class__ is tuple:
-                        g_y, b = h
-                        if g_y is g and b == -beta and o == o_y + b:
-                            del group[y]
-                            continue
-                        h = _binomial_multiple(g_y, b)
+                    h, o_y = slot = group.get(y, _ABSENT)
+                    if (
+                        (r := undo.get(y)) is not None
+                        and r[0][0] is h
+                        and r[0][1] == o_y
+                        and r[1] is g
+                        and r[2] == o
+                        and r[3] == neg
+                    ):
+                        new = r[4]
+                        undo[y] = r[5]
                     else:
-                        h = h.copy()
-                    # pop and put back a nonzero sum, one dict op when it cancels
-                    d = o - o_y
-                    for e, c in g.items():
-                        e += d
-                        if new := h.pop(e, 0) + c:
-                            h[e] = new
-                        e += beta
-                        if new := h.pop(e, 0) - c:
-                            h[e] = new
-                    if h:
-                        group[y] = h, o_y
-                        if len(h) > budget:
-                            _check_budget(len(h))
-                    else:
+                        if h is None:
+                            new = [g, beta, 2 * (len(g) if g.__class__ is dict else g[2])], o
+                            if new[0][2] > budget:
+                                _check_budget(len(_built(new[0])))
+                        else:
+                            h = _built(h).copy()
+                            # pop and put back a nonzero sum, one dict op when it cancels
+                            d = o - o_y
+                            for e, c in _built(g).items():
+                                e += d
+                                if s := h.pop(e, 0) + c:
+                                    h[e] = s
+                                e += beta
+                                if s := h.pop(e, 0) - c:
+                                    h[e] = s
+                            if len(h) > budget:
+                                _check_budget(len(h))
+                            new = (h, o_y) if h else _ABSENT
+                        undo[y] = new, g, ob, beta, slot, r
+                    if new is _ABSENT:
                         del group[y]
+                    else:
+                        group[y] = new
             if nth == 0 and group:
                 support.append((mu, list(group)))
         for u, (g, o) in group.items():
-            if g.__class__ is tuple:
-                g = _binomial_multiple(*g)
             terms[_intern(rs, u, mu)] = LaurentPoly._trusted(
-                n, {_unpack(e + o, k, n): c for e, c in g.items()}
+                n, {_unpack(e + o, k, n): c for e, c in _built(g).items()}
             )
     return terms, frame, support
 
 
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
     """Star action of a finite Weyl element: its reduced word in a frame that ends at w."""
+    check_element(z.rs, w)
     terms, frame, _ = _star_words(z.rs, _grouped(z.terms), w.reduced_word())
     return PetersonElement(z.rs, {x: g.act_exponents(frame.m) for x, g in terms.items()})
 
@@ -347,6 +370,7 @@ def mult_by_ell_sigma(sigma: ExtAffineWeylElement, z: PetersonElement) -> Peters
     star-act by u_sigma^{-1}, then relabel keys by sigma and twist the
     coefficients by u_sigma, which cancels the frame u_sigma^{-1} of the star action.
     """
+    check_element(z.rs, sigma)
     if sigma.ext_length():
         raise ValueError(f"{sigma!r} has length {sigma.ext_length()}, not 0")
     word = sigma.u.inverse().reduced_word()

@@ -511,7 +511,7 @@ def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> Weyl
 
 
 def check_element(rs: RootSystem, w: WeylElement) -> None:
-    """Refuse, as bad input, a Weyl element of another root system."""
+    """Refuse, as bad input, a finite or extended affine Weyl element of another system."""
     if w.rs is not rs:
         raise ValueError(f"{w!r} is an element of {w.rs!r}, not of {rs!r}")
 

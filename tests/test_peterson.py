@@ -42,6 +42,7 @@ from qkseidel.peterson import (
 from qkseidel.qk import verify_phi_compatibility
 from qkseidel.rootsys import (
     RootSystem,
+    WeylElement,
     build_root_system,
     longest_element,
     special_nodes,
@@ -730,6 +731,23 @@ def test_theorem_rejects_an_element_of_another_system(system, other):
                 verify_seidel_theorem(rs, i, w)
 
 
+@pytest.mark.parametrize(
+    "system,other", [(("A", 3), ("B", 3)), (("B", 3), ("C", 3)), (("D", 4), ("A", 3))]
+)
+def test_star_products_refuse_an_element_of_another_system(system, other):
+    """star_w and mult_by_ell_sigma refuse a finite or length-zero element of another
+    system before reading its word: letters 1..3 of B3 are letters of A3 too, so reading
+    the word would return a wrong class, and sigma's relabelling would index past A3."""
+    rs, foreign = build_root_system(*system), build_root_system(*other)
+    z = ell(grassmannian_key(rs, weyl_from_word(rs, (1, 2))))
+    for w in (weyl_from_word(foreign, (1, 2)), longest_element(foreign)):
+        with pytest.raises(ValueError, match="is an element of"):
+            star_w(w, z)
+    for sigma in sigma_elements(foreign):
+        with pytest.raises(ValueError, match="is an element of"):
+            mult_by_ell_sigma(sigma, z)
+
+
 def test_peterson_sum_refuses_mixed_systems():
     a3, b3 = build_root_system("A", 3), build_root_system("B", 3)
     with pytest.raises(ValueError, match="cannot add"):
@@ -1034,20 +1052,26 @@ def star_words_by_letters(rs, z, word):
 
 
 @pytest.mark.parametrize("word,u,builds,keys", [
-    # letter 3 fixes alpha_1, so the second 1 has the opposite root and y = e cancels unbuilt
+    # letter 3 fixes alpha_1, so the second 1 has the opposite root and undoes the first:
+    # y = e was new, so it is dropped unbuilt
     ((1, 3, 1), (1,), 0, [(1,)]),
     # s_2 moves alpha_1: the second root is -alpha_2, not alpha_1, so y is built and updated
     ((1, 2, 1), (1,), 1, [(1,), ()]),
-    # u = s_1 s_3 ascends at 3 between the 1s, so y = s_3 does too and is built first
+    # u = s_1 s_3 ascends at 3 between the 1s, making s_1 = [f, -alpha_3], and so does y = s_3
+    # = [f, -alpha_1], which passes its node on unbuilt to e = [y's node, -alpha_3].  The
+    # second 1 finds y moved, so u's update builds y's node (1); then s_1 meets e, whose
+    # record names y's node as maker, not s_1's: that update builds e's node, its inner
+    # node already built (2), and reads s_1's own node (3)
     ((1, 3, 1), (1, 3), 3, [(1, 3), (1,)]),
 ])
 def test_star_words_cancel_a_factored_key_only_on_its_mirror_root(
     monkeypatch, word, u, builds, keys
 ):
-    """ell_{u t_mu} over A3 by the word 1 j 1: the first 1 stores y = (s_1 u) t_mu factored
-    from u's dict, and the second meets it.  The stored form cancels with no term visited
-    exactly when the second root is minus the first; otherwise y is built when it is read.
-    Against star_s letter by letter, with the builds counted."""
+    """ell_{u t_mu} over A3 by the word 1 j 1, f = 2 - e^{(1, -1, 0)}: the first 1 stores
+    y = (s_1 u) t_mu as the node [f, -alpha_1] over u's dict, and the second meets it.  The
+    update is undone with no term visited exactly when the second root is minus the first
+    and y has not moved; otherwise a node is built when an update reads it.  Against
+    star_s letter by letter, with the builds (calls of _binomial_multiple) counted."""
     rs = build_root_system("A", 3)
     x = from_finite(weyl_from_word(rs, u)).translated((-1, -1, -1))
     z = PetersonElement(rs, {x: LaurentPoly(3, {(0, 0, 0): 2, (1, -1, 0): -1})})
@@ -1060,6 +1084,75 @@ def test_star_words_cancel_a_factored_key_only_on_its_mirror_root(
     assert len(built) == builds
     assert [y.u.reduced_word() for y in terms] == keys
     out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
+    assert out == star_words_by_letters(rs, z, word)
+
+
+def star_words_counted(monkeypatch, rs, z, word):
+    """_star_words on one word, as a PetersonElement, with its ascents and the updates it
+    does not undo counted.  Each ascent of u at i updates s_i u once (u.left_reflect(i) is
+    called once per ascent), and under a budget of -1 every update that is not undone, new
+    key or present, checks the budget once; a restored slot checks nothing."""
+    ascents, checks = [], []
+    left_reflect = WeylElement.left_reflect
+    with monkeypatch.context() as m:
+        m.setattr(WeylElement, "left_reflect", lambda u, i: ascents.append(i) or left_reflect(u, i))
+        m.setattr(peterson, "get_term_budget", lambda: -1)
+        m.setattr(peterson, "_check_budget", checks.append)
+        terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
+    out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
+    return out, len(ascents), len(checks)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+)
+def test_star_words_undo_mirror_letters(monkeypatch, type_label, rank):
+    """Words whose letters meet their mirror letters, i i, i j j i and a word followed by
+    its reverse, on every Grassmannian key of length <= 3 with three-term coefficients:
+    letter by letter they are star_s, so both halves cancel.  In i i the second letter's
+    roots are minus the first's and nothing ran between, so every update it makes is
+    undone: it checks the budget no more often than i alone.  The longer words undo some
+    of theirs and equal star_s letter by letter."""
+    rs = build_root_system(type_label, rank)
+    rng = random.Random(67)
+    pool = grassmannian_up_to(rs, 3)
+    z = PetersonElement(rs, {
+        x: LaurentPoly(rank, {
+            tuple(rng.randint(-2, 2) for _ in range(rank)): rng.choice((-2, -1, 1, 2))
+            for _ in range(3)
+        })
+        for x in pool
+    })
+    assert all(len(f.terms) > 1 for f in z.terms.values())
+    for i in rs.nodes:
+        out, ascents, checks = star_words_counted(monkeypatch, rs, z, (i, i))
+        assert out == star_words_by_letters(rs, z, (i, i)) == z, i
+        _, once, checks_once = star_words_counted(monkeypatch, rs, z, (i,))
+        assert ascents == 2 * once > 0 and checks == checks_once, i
+    words = [(i, j, j, i) for i in rs.nodes for j in rs.nodes if i != j]
+    words += [tuple(word) + tuple(reversed(word))
+              for word in ([rng.choice(rs.nodes) for _ in range(5)] for _ in range(3))]
+    for word in words:
+        out, ascents, checks = star_words_counted(monkeypatch, rs, z, word)
+        assert out == star_words_by_letters(rs, z, word) == z, word
+        assert checks < ascents, word
+
+
+def test_star_words_redo_an_update_whose_maker_moved(monkeypatch):
+    """ell_x over A3, x = s_1 s_2 s_3 s_2 t_mu with left descents 1 and 3, by the word
+    3 1 3 1 3, whose roots are -alpha_3, -alpha_1, alpha_3, alpha_1, -alpha_3.  The first 3
+    makes y = s_3 x; at the 1, y ascends with x, so the second 3 finds y moved and updates
+    it in full, which cancels y, and that update's record holds x's offset after it.  The
+    last 3 comes at the opposite root and finds y absent, as that record left it, but x
+    ascended at the second 1 in between, so its offset differs from the record's and y is
+    made anew, not restored.  No update is undone: seven ascents, seven updates, and the
+    words equal star_s letter by letter."""
+    rs = build_root_system("A", 3)
+    x = from_finite(weyl_from_word(rs, (1, 2, 3, 2))).translated((-1, -1, -1))
+    z = PetersonElement(rs, {x: LaurentPoly(3, {(1, 0, 1): 1, (0, 0, 0): -1})})
+    word = (3, 1, 3, 1, 3)
+    out, ascents, checks = star_words_counted(monkeypatch, rs, z, word)
+    assert ascents == checks == 7
     assert out == star_words_by_letters(rs, z, word)
 
 

@@ -111,14 +111,20 @@ MUTATIONS = (
     (
         "`peterson._star_words` moves the offset to `o - beta`",
         "peterson.py",
-        "group[u] = g, o + beta",
-        "group[u] = g, o - beta",
+        "group[u] = g, (ob := o + beta)",
+        "group[u] = g, (ob := o - beta)",
     ),
     (
         "`peterson._star_words` records the factored root as `-beta`",
         "peterson.py",
-        "group[y] = (g, beta), o",
-        "group[y] = (g, -beta), o",
+        "new = [g, beta, ",
+        "new = [g, -beta, ",
+    ),
+    (
+        "`peterson._star_words` restores a slot with `y` moved to `o_y + beta`",
+        "peterson.py",
+        "new = r[4]",
+        "new = r[4] if r[4] is _ABSENT else (r[4][0], r[4][1] + beta)",
     ),
     (
         "`laurent._pack_width` one bit narrower",
