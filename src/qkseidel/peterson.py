@@ -228,8 +228,10 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     """star_s by each word in turn (its last letter first), in one frame and one packing.
 
     groups holds Grassmannian terms by translation part, {mu: {u: f}} for f ell_{u t_mu}.
-    u t_mu ascends at i iff u^{-1}(alpha_i) < 0, one lookup, to (s_i u) t_mu with s_i u
-    remembered by u; mu never changes, so each group runs through the words alone.
+    u t_mu ascends at i iff u^{-1}(alpha_i) < 0, one lookup, to (s_i u) t_mu; mu never
+    changes, so each group runs through the words alone.  The loop reads u^{-1} and s_i u
+    from u's slots _inverse and _left[i], which weyl_group() fills for its tree edges, and
+    calls inverse() or left_reflect(i), which fill them, only when a slot is empty.
     Returns the terms, on the interned u t_mu, whose coefficients g stand for
     frame(g); the frame; and the pairs (mu, [u, ...]) of the keys after the first word
     (the keys after the last word are those of the terms).
@@ -278,11 +280,12 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
             for i, beta in run:
                 index, neg = simple[i - 1], -beta
                 for u, (g, o) in list(group.items()):
-                    if u.inverse().perm[index] < npos:
+                    if (u._inverse or u.inverse()).perm[index] < npos:
                         continue
                     group[u] = g, (ob := o + beta)
-                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it
-                    y = u.left_reflect(i)
+                    # (s_i u) t_mu ascends nowhere at i and u alone reaches it; an empty
+                    # memo or entry reads None, and left_reflect fills it
+                    y = u._left and u._left[i] or u.left_reflect(i)
                     h, o_y = slot = group.get(y, _ABSENT)
                     if (
                         (r := undo.get(y)) is not None

@@ -125,6 +125,10 @@ class WeylElement:
     roots) and that of the inverse are derived views, computed on first use.
     RootSystem._weyl alone builds instances, one per permutation and system, so
     equal elements are the same object and compare and hash as objects do, in C.
+    _inverse and _left[i] (s_i w) are links to other elements, None until known;
+    RootSystem.weyl_group() links every element to its inverse and each edge of its
+    enumeration tree both ways, and peterson._star_words reads both slots directly,
+    calling inverse() or left_reflect(i) only to fill an empty one.
     """
 
     __slots__ = ("rs", "perm", "_inverse", "_m", "_word", "_length", "_descents", "_left")
@@ -147,7 +151,9 @@ class WeylElement:
         return self.rs._weyl(itemgetter(*other.perm)(self.perm))
 
     def left_reflect(self, i: int) -> "WeylElement":
-        """s_i w, remembered per node."""
+        """s_i w, remembered per node; a node outside rs.nodes raises ValueError."""
+        if i not in self.rs.nodes:
+            raise ValueError(f"node {i!r} outside the index set {self.rs.nodes}")
         memo = self._left
         if memo is None:
             memo = self._left = [None] * (self.rs.rank + 1)
@@ -417,8 +423,11 @@ class RootSystem:
         s_i y with y^{-1}(alpha_i) > 0 and y^{-1}(s_i alpha_j) > 0 for all j < i.
         Built with i outer and the previous level inner, each level comes out
         in word order, and every element gets its word, length and inverse.
+        Each tree edge w = s_i y is kept both ways as left_reflect memos,
+        y._left[i] = w and w._left[i] = y: 2(|W| - 1) entries and no product.
         Elements interned before the enumeration (by products, left_reflect or
-        inverse()) are kept, not rebuilt; one without its inverse gets it here.
+        inverse()) are kept, not rebuilt; one without its inverse gets it here,
+        and one with a memo keeps its entries.
 
         Raises SizeLimitError before enumerating when |W| exceeds WEYL_GROUP_LIMIT.
         """
@@ -437,8 +446,11 @@ class RootSystem:
                 s = self.simple_reflection(i).perm
                 tests = (simple[i - 1],) + tuple(s[k] for k in simple[: i - 1])
                 letters.append((i, s, itemgetter(*s), itemgetter(*tests, tests[0])))
-            level = [self._identity]
-            self._identity._inverse = self._identity
+            slots, e = self.rank + 1, self._identity
+            e._inverse = e
+            if e._left is None:
+                e._left = [None] * slots
+            level = [e]
             group = list(level)
             while level:
                 nxt = []
@@ -450,6 +462,9 @@ class RootSystem:
                             if w._inverse is None:
                                 w_inv = weyl(times_s(y_inv))
                                 w._inverse, w_inv._inverse = w_inv, w
+                            if w._left is None:
+                                w._left = [None] * slots
+                            w._left[i], y._left[i] = y, w
                             w._word = (i,) + y._word
                             w._length = len(w._word)
                             nxt.append(w)

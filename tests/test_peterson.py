@@ -1089,18 +1089,23 @@ def test_star_words_cancel_a_factored_key_only_on_its_mirror_root(
 
 def star_words_counted(monkeypatch, rs, z, word):
     """_star_words on one word, as a PetersonElement, with its ascents and the updates it
-    does not undo counted.  Each ascent of u at i updates s_i u once (u.left_reflect(i) is
-    called once per ascent), and under a budget of -1 every update that is not undone, new
-    key or present, checks the budget once; a restored slot checks nothing."""
-    ascents, checks = [], []
-    left_reflect = WeylElement.left_reflect
+    does not undo counted.  The kernel's keys before each letter are those of star_s
+    letter by letter, so its ascents at i are the keys x of that oracle with star_s's
+    test, x.left_ascent(i) and s_i x Grassmannian.  Each ascent updates s_i x once, and
+    under a budget of -1 every update that is not undone, new key or present, checks the
+    budget once; a restored slot checks nothing."""
+    checks = []
     with monkeypatch.context() as m:
-        m.setattr(WeylElement, "left_reflect", lambda u, i: ascents.append(i) or left_reflect(u, i))
         m.setattr(peterson, "get_term_budget", lambda: -1)
         m.setattr(peterson, "_check_budget", checks.append)
         terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
     out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
-    return out, len(ascents), len(checks)
+    ascents = 0
+    for i in reversed(word):
+        si = affine_simple_reflection(rs, i)
+        ascents += sum(x.left_ascent(i) and (si * x).is_grassmannian() for x in z.terms)
+        z = star_s(i, z)
+    return out, ascents, len(checks)
 
 
 @pytest.mark.parametrize(
@@ -1154,6 +1159,48 @@ def test_star_words_redo_an_update_whose_maker_moved(monkeypatch):
     out, ascents, checks = star_words_counted(monkeypatch, rs, z, word)
     assert ascents == checks == 7
     assert out == star_words_by_letters(rs, z, word)
+
+
+@pytest.mark.parametrize("type_label,rank", [("D", 4), ("E", 6)])
+def test_star_words_fill_the_links_of_a_system_never_enumerated(type_label, rank):
+    """On a fresh system whose Weyl group is never enumerated, the start keys' finite parts
+    have no inverse linked and no left_reflect memo, so the kernel's direct reads find
+    them empty and it calls inverse() and left_reflect(i).  Word by word, it is star_s
+    letter by letter, and nothing enumerates W."""
+    rs = RootSystem(type_label, rank)
+    rng = random.Random(71)
+    us = [weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(2 * rank)]) for _ in range(4)]
+    z = PetersonElement(rs, {
+        grassmannian_key(rs, u): LaurentPoly(rank, {
+            tuple(rng.randint(-2, 2) for _ in range(rank)): rng.choice((-2, -1, 1, 2))
+            for _ in range(3)
+        })
+        for u in us
+    })
+    assert all(x.u._inverse is None and x.u._left is None for x in z.terms)
+    for word in [tuple(rng.choice(rs.nodes) for _ in range(8)) for _ in range(3)]:
+        terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
+        out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
+        assert out == star_words_by_letters(rs, z, word), word
+    assert any(x.u._left is not None for x in z.terms)
+    assert rs._weyl_group is None
+
+
+def test_theorem_sample_products_after_enumeration(monkeypatch):
+    """Right after weyl_group(), twelve D5 theorem instances, whose star words ascend
+    1,194 times, make exactly 482 WeylElement products: an ascent reads s_i u from a
+    tree edge the enumeration kept, and multiplies only where it kept none.  With no
+    edges kept, the same sample made 692 products.  A count, unlike a time, does not
+    move with the host."""
+    rs = RootSystem("D", 5)
+    group = rs.weyl_group()
+    rng = random.Random(2035)
+    sample = [(rng.choice(special_nodes(rs)), rng.choice(group)) for _ in range(12)]
+    products = []
+    mul = WeylElement.__mul__
+    monkeypatch.setattr(WeylElement, "__mul__", lambda u, v: products.append(v) or mul(u, v))
+    assert all(verify_seidel_theorem(rs, i, w).passed for i, w in sample)
+    assert len(products) == 482
 
 
 @pytest.mark.parametrize("budget,raises", [(1, True), (2, False), (3, False)])

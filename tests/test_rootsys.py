@@ -458,9 +458,18 @@ def test_weyl_group_keeps_elements_interned_before_it(type_label, rank):
         elif k % 3 == 1:
             w.left_reflect(rng.choice(rs.nodes))
     interned = set(rs._weyl_cache)
+    remembered = {w: list(w._left) for w in rs._weyl_cache.values() if w._left is not None}
+    assert remembered
     group = rs.weyl_group()
     oracle = bfs_sorted_weyl_group(RootSystem(type_label, rank))
     assert interned <= set(rs._weyl_cache) == {w.perm for w in group}
+    # the enumeration adds its tree edges to a memo and keeps every entry it held
+    for w, memo in remembered.items():
+        assert all(old is None or new is old for old, new in zip(memo, w._left)), w
+    assert all(
+        sw is None or sw is rs.simple_reflection(i) * w
+        for w in group for i, sw in enumerate(w._left) if i
+    )
     assert [w.perm for w in group] == [w.perm for w in oracle]
     assert [w._word for w in group] == [w.reduced_word() for w in oracle]
     assert [w.length() for w in group] == [w.length() for w in oracle]
@@ -536,6 +545,34 @@ def test_left_reflect_is_the_product(type_label, rank):
         for i in rs.nodes:
             sw = w.left_reflect(i)
             assert sw is rs.simple_reflection(i) * w and sw.left_reflect(i) is w, (w, i)
+
+
+@pytest.mark.parametrize(
+    "type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+)
+def test_weyl_group_records_its_tree_edges(type_label, rank):
+    """On a fresh system, weyl_group() leaves exactly its |W| - 1 tree edges w = s_i y in
+    the left_reflect memos, both ways, and each entry is the product s_i w; slot 0 of a
+    memo (no node) stays empty."""
+    rs = RootSystem(type_label, rank)
+    group = rs.weyl_group()
+    filled = [(w, i, sw) for w in group for i, sw in enumerate(w._left) if sw is not None]
+    assert len(filled) == 2 * (len(group) - 1)
+    assert all(i in rs.nodes and sw is rs.simple_reflection(i) * w for w, i, sw in filled)
+    assert all(sw._left[i] is w for w, i, sw in filled)
+
+
+def test_left_reflect_refuses_a_node_outside_the_index_set():
+    """On A2, left_reflect(-1) must not read the memo from its end, where s_2 e sits once
+    left_reflect(2) has run, and left_reflect(3) must not index past it: both raise
+    ValueError naming the node, and the memo keeps its one entry."""
+    rs = RootSystem("A", 2)
+    e = rs.identity_weyl()
+    assert e.left_reflect(2) is rs.simple_reflection(2)
+    for i in (-1, 0, 3):
+        with pytest.raises(ValueError, match=f"node {i} outside"):
+            e.left_reflect(i)
+    assert e._left == [None, None, rs.simple_reflection(2)]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkseidel"

@@ -79,6 +79,12 @@ MUTATIONS = (
         "itemgetter(*self.perm)(other.perm)",
     ),
     (
+        "`weyl_group` remembers `s_i w` as `w` on each tree edge",
+        "rootsys.py",
+        "w._left[i], y._left[i] = y, w",
+        "w._left[i], y._left[i] = w, w",
+    ),
+    (
         "`affine` product pulls `mu` back by `v`, not `v^{-1}`",
         "affine.py",
         "map(add, v.inverse().act_coweight(self.mu), other.mu)",
