@@ -49,8 +49,9 @@ class ExtAffineWeylElement:
     def __mul__(self, other: "ExtAffineWeylElement") -> "ExtAffineWeylElement":
         """(u t_mu)(v t_nu) = (uv) t_{v^{-1}(mu) + nu}."""
         v = other.u
+        uv = self.u * v  # refuses an element of another system
         mu = tuple(map(add, v.inverse().act_coweight(self.mu), other.mu))
-        return _intern(self.rs, self.u * v, mu)
+        return _intern(self.rs, uv, mu)
 
     def translated(self, lam: Coweight) -> "ExtAffineWeylElement":
         """x t_lam = u t_{mu + lam}: one intern, no product."""

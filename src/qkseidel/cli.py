@@ -21,7 +21,7 @@ from contextlib import nullcontext
 from .affine import node_action, sigma_decompose
 from .errors import SizeLimitError, UnsupportedProductError, VerificationError
 from .laurent import get_term_budget, set_term_budget
-from .qk import parabolic_data, q_text, seidel_product_parabolic, verify_pushforward_commutes
+from .qk import class_text, parabolic_data, seidel_product_parabolic, verify_pushforward_commutes
 from .rootsys import build_root_system, weyl_from_word
 from .seidel import gamma, grassmannian_key, one_line, verify_group_lemma, verify_key_lemma
 from .peterson import verify_seidel_theorem
@@ -60,12 +60,6 @@ def _report(
 
 def _word_text(word) -> str:
     return ",".join(map(str, word)) or "e"
-
-
-def _class_text(d, word) -> str:
-    q = q_text(d)
-    o = "O[" + ("*".join(f"s{j}" for j in word) or "e") + "]"
-    return f"{q}*{o}" if q else o
 
 
 def _q_latex(d) -> str:
@@ -125,7 +119,7 @@ def cmd_table(args, out) -> list[dict]:
         out.write("\\end{array}\n")
     elif args.format == "text":
         for r in rows:
-            res = _class_text(r["q_exponent"], r["product_word"])
+            res = class_text(r["q_exponent"], r["product_word"])
             state = "ok" if r["verified"] else "FAILED"
             out.write(f"w={_word_text(r['w_word']):<16} -> {res:<32} [{state}]\n")
     return rows
@@ -151,7 +145,7 @@ def cmd_verify(args, out) -> list[dict]:
             node=args.node, w_word=w.reduced_word(),
             q_exponent=rep.q_exponent, product_word=rep.product_word,
         )
-        res = _class_text(report["q_exponent"], report["product_word"])
+        res = class_text(report["q_exponent"], report["product_word"])
         line = f"node={args.node} w={_word_text(report['w_word'])}: {res}"
 
     if args.format == "latex":

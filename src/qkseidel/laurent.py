@@ -12,7 +12,7 @@ therefore keeps its denominator as a multiset of such binomials and never
 multiplies it out; no polynomial gcd is ever required.  The only division
 in the package is LaurentPoly.divide_exact(v), exact division by one
 binomial 1 - e^v, decided by summing coefficients along lines e + Zv; it
-serves RationalFunction and the Peterson divided difference alike.  Most
+serves RationalFunction (and the oracle star_D in tests/oracles.py).  Most
 attempts fail, and most of those fail on the first test: 1 - e^v vanishes
 at the trivial character, so a polynomial whose coefficients do not sum to
 zero is no multiple of it.  RationalFunction skips the attempts that
@@ -51,13 +51,9 @@ def accumulate(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
-def _add(h: dict, g: dict, sign: int) -> None:
-    """h += sign * g on sparse terms, in place."""
-    for e, c in g.items():
-        if new := h.get(e, 0) + sign * c:
-            h[e] = new
-        else:
-            del h[e]
+def _monomial_text(var: str, exps) -> str:
+    """prod_j var_j^{e_j} as text, e.g. A1*A2^-2: a zero exponent skipped, ^1 omitted."""
+    return "*".join(f"{var}{j}" if p == 1 else f"{var}{j}^{p}" for j, p in enumerate(exps, 1) if p)
 
 
 def _check_budget(n_terms: int) -> None:
@@ -115,10 +111,6 @@ class LaurentPoly:
         return poly
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPoly":
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
         return cls._trusted(nvars, {(0,) * nvars: 1})
 
@@ -160,7 +152,11 @@ class LaurentPoly:
         if rhs is None:
             return NotImplemented
         out = dict(self.terms)
-        _add(out, rhs.terms, sign)
+        for e, c in rhs.terms.items():
+            if new := out.get(e, 0) + sign * c:
+                out[e] = new
+            else:
+                del out[e]
         return LaurentPoly._trusted(self.nvars, out)
 
     def __add__(self, other) -> "LaurentPoly":
@@ -270,11 +266,7 @@ class LaurentPoly:
         parts = []
         for exps, coeff in sorted(self.terms.items(), reverse=True):
             if any(exps):
-                mono = "*".join(
-                    f"A{j + 1}" if p == 1 else f"A{j + 1}^{p}"
-                    for j, p in enumerate(exps)
-                    if p
-                )
+                mono = _monomial_text("A", exps)
                 if coeff == 1:
                     parts.append(mono)
                 elif coeff == -1:

@@ -81,9 +81,8 @@ class GroupAlgebraElement:
         self.coeffs = clean
 
     @classmethod
-    def basis(cls, x: ExtAffineWeylElement, coeff=1) -> "GroupAlgebraElement":
-        f = _as_scalar(x.rs, coeff)
-        return cls(x.rs, {x: f})
+    def basis(cls, x: ExtAffineWeylElement) -> "GroupAlgebraElement":
+        return cls(x.rs, {x: RationalFunction.one(x.rs.rank)})
 
     @classmethod
     def one(cls, rs: RootSystem) -> "GroupAlgebraElement":

@@ -21,9 +21,9 @@ frame(g), letter i sets frame <- s_i frame and multiplies by e^beta and
 and the frame is applied once at the end instead of a twist per letter
 (K-theoretic Billey formula: Billey, "Kostant polynomials and the cohomology
 ring for G/B", Duke 1999; Graham, "Equivariant K-theory and Schubert
-varieties", 2002).  Frames and roots depend on the words only: a word tuple's
-letter schedule is built once and kept on the system.  While words run, an
-exponent vector is one int of signed base-2^k digits (Kronecker substitution),
+varieties", 2002).  Frames and roots depend on the words only: a call builds its
+letter schedule, and the theorem keeps one per special node.  While words run,
+an exponent vector is one int of signed base-2^k digits (Kronecker substitution),
 so e^beta is one integer add per term, and each key carries a packed offset o:
 its coefficient (g, o) stands for e^o g.  An ascent x -> y = s_i x multiplies
 x's whole coefficient by e^beta, which is o += beta, and adds e^o (1 - e^beta) g
@@ -76,6 +76,7 @@ from .errors import UnsupportedProductError
 from .laurent import (
     LaurentPoly,
     _check_budget,
+    _monomial_text,
     _pack,
     _pack_width,
     _unpack,
@@ -129,9 +130,8 @@ class PetersonElement:
             raise ValueError(f"cannot add elements over {self.rs!r} and {other.rs!r}")
         out = dict(self.terms)
         for x, f in other.terms.items():
-            g = out.get(x)
-            out[x] = f if g is None else g + f
-        return PetersonElement(self.rs, out)
+            accumulate(out, x, f)
+        return PetersonElement._trusted(self.rs, out)
 
     def scale(self, f: LaurentPoly) -> "PetersonElement":
         return PetersonElement(self.rs, {x: f * g for x, g in self.terms.items()})
@@ -171,23 +171,21 @@ def star_s(i: int, z: PetersonElement) -> PetersonElement:
     return PetersonElement(rs, out)
 
 
-def _letter_schedule(rs: RootSystem, words: tuple) -> tuple:
+def _letter_schedule(rs: RootSystem, *words: tuple[int, ...]) -> tuple:
     """Per word, its letters last first as (i, beta), the last frame, and the runs with
     beta packed, per width k (filled by _star_words): letter i sets frame <- s_i frame,
-    then beta = frame^{-1}(alpha_i).  Kept on the system per words, whose letters must
-    be finite nodes: the ascent rule of _star_words holds only for those."""
-    if (schedule := rs._star_schedules.get(words)) is None:
-        if any(i not in rs.nodes for word in words for i in word):
-            raise ValueError(f"star words {words} have a letter outside the finite nodes")
-        frame, runs = rs.identity_weyl(), []
-        for word in words:
-            run = []
-            for i in reversed(word):
-                frame = rs.simple_reflection(i) * frame
-                run.append((i, frame.inverse().act_root(rs.simple_root(i))))
-            runs.append(tuple(run))
-        schedule = rs._star_schedules[words] = tuple(runs), frame, {}
-    return schedule
+    then beta = frame^{-1}(alpha_i).  The letters must be finite nodes: the ascent rule
+    of _star_words holds only for those."""
+    if any(i not in rs.nodes for word in words for i in word):
+        raise ValueError(f"star words {words} have a letter outside the finite nodes")
+    frame, runs = rs.identity_weyl(), []
+    for word in words:
+        run = []
+        for i in reversed(word):
+            frame = rs.simple_reflection(i) * frame
+            run.append((i, frame.inverse().act_root(rs.simple_root(i))))
+        runs.append(tuple(run))
+    return tuple(runs), frame, {}
 
 
 def _grouped(terms: dict) -> dict:
@@ -224,8 +222,8 @@ def _built(g: dict | list) -> dict:
 _ABSENT = None, 0  # the slot of a key not stored
 
 
-def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
-    """star_s by each word in turn (its last letter first), in one frame and one packing.
+def _star_words(rs: RootSystem, groups: dict, schedule: tuple) -> tuple:
+    """star_s by each word of a _letter_schedule in turn, in one frame and one packing.
 
     groups holds Grassmannian terms by translation part, {mu: {u: f}} for f ell_{u t_mu}.
     u t_mu ascends at i iff u^{-1}(alpha_i) < 0, one lookup, to (s_i u) t_mu; mu never
@@ -235,8 +233,8 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     Returns the terms, on the interned u t_mu, whose coefficients g stand for
     frame(g); the frame; and the pairs (mu, [u, ...]) of the keys after the first word
     (the keys after the last word are those of the terms).
-    Frames and roots come from the kept letter schedule, packed as the module docstring
-    says (for ell(x), k depends on the words only).  A letter adds beta to the offset of
+    Roots are packed as the module docstring says, and the schedule keeps them per
+    width k (for ell(x), k depends on the words only).  A letter adds beta to the offset of
     each u that ascends and passes u's value g, a dict or a node, to y = s_i u.  A new y
     is the node [g, beta, n] at offset o, for e^o (g - e^beta g) with at most n terms
     (2 len(g), or twice g's n); _built builds a node when an update reads it, as y's
@@ -260,7 +258,7 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
     its polynomial was made) and holds what the full update would give, so
     SizeLimitError comes at the same letter.
     """
-    runs, frame, packed = _letter_schedule(rs, words)
+    runs, frame, packed = schedule
     start = max(
         (abs(a) for group in groups.values() for f in group.values() for e in f.terms for a in e),
         default=0,
@@ -333,7 +331,8 @@ def _star_words(rs: RootSystem, groups: dict, *words: tuple[int, ...]) -> tuple:
 def star_w(w: WeylElement, z: PetersonElement) -> PetersonElement:
     """Star action of a finite Weyl element: its reduced word in a frame that ends at w."""
     check_element(z.rs, w)
-    terms, frame, _ = _star_words(z.rs, _grouped(z.terms), w.reduced_word())
+    schedule = _letter_schedule(z.rs, w.reduced_word())
+    terms, frame, _ = _star_words(z.rs, _grouped(z.terms), schedule)
     return PetersonElement(z.rs, {x: g.act_exponents(frame.m) for x, g in terms.items()})
 
 
@@ -376,8 +375,8 @@ def mult_by_ell_sigma(sigma: ExtAffineWeylElement, z: PetersonElement) -> Peters
     check_element(z.rs, sigma)
     if sigma.ext_length():
         raise ValueError(f"{sigma!r} has length {sigma.ext_length()}, not 0")
-    word = sigma.u.inverse().reduced_word()
-    terms, _, _ = _star_words(z.rs, _grouped(z.terms), word)
+    schedule = _letter_schedule(z.rs, sigma.u.inverse().reduced_word())
+    terms, _, _ = _star_words(z.rs, _grouped(z.terms), schedule)
     # x -> sigma x is injective, so no two terms meet
     return PetersonElement(z.rs, {sigma * x: g for x, g in terms.items()})
 
@@ -423,12 +422,7 @@ class LocalizedClass:
     def __str__(self) -> str:
         if not any(self.den):
             return str(self.num)
-        mono = "*".join(
-            f"s{j + 1}" if c == 1 else f"s{j + 1}^{c}"
-            for j, c in enumerate(self.den)
-            if c
-        )
-        return f"[{self.num}] / {mono}"
+        return f"[{self.num}] / {_monomial_text('s', self.den)}"
 
     def __repr__(self) -> str:
         return f"LocalizedClass({self})"
@@ -478,19 +472,19 @@ class VerificationReport(NamedTuple):
 
 
 def _theorem_node(rs: RootSystem, i: int) -> tuple:
-    """v[i], the element of pi_i^{-1} and the two star words of verify_seidel_theorem,
-    for a special node i.  Kept on the system per node."""
+    """v[i], the element of pi_i^{-1} and the letter schedule of the two star words of
+    verify_seidel_theorem, for a special node i.  Kept on the system per node."""
     if (constants := rs._theorem_nodes.get(i)) is None:
         datum = seidel_datum(rs, i)  # rejects a node that is not special
         v, sig_inv = datum.element, datum.sigma.inverse()
-        words = (v.reduced_word(), sig_inv.u.inverse().reduced_word())
-        constants = rs._theorem_nodes[i] = v, sig_inv, words
+        schedule = _letter_schedule(rs, v.reduced_word(), sig_inv.u.inverse().reduced_word())
+        constants = rs._theorem_nodes[i] = v, sig_inv, schedule
     return constants
 
 
 def _collapse(terms: dict, v: WeylElement, sig_inv: ExtAffineWeylElement) -> PetersonElement:
-    """mult_by_ell_sigma(pi_i^{-1}, star_w(v, z)), given the terms of _star_words(z, *words)
-    for the words of _theorem_node: they end in the frame u^{-1} v, u the finite part of
+    """mult_by_ell_sigma(pi_i^{-1}, star_w(v, z)), given the terms of _star_words on z
+    and the schedule of _theorem_node: they end in the frame u^{-1} v, u the finite part of
     pi_i^{-1}, whose relabelling twists by u, so one twist by v is left.  The terms are
     clean as _star_words leaves them: a twist keeps a nonzero coefficient nonzero, and
     x -> sig_inv x is injective and keeps a key Grassmannian, as ell_sigma's product does."""
@@ -513,12 +507,12 @@ def verify_seidel_theorem(rs: RootSystem, i: int, w: WeylElement) -> Verificatio
     assembled localized classes agree.
     """
     g_w = gamma(rs, w)  # refuses an element of another system
-    v, sig_inv, words = _theorem_node(rs, i)
+    v, sig_inv, schedule = _theorem_node(rs, i)
     one = LaurentPoly.one(rs.rank)
     x = _intern(rs, w, g_w)  # grassmannian_key(rs, w)
     # v * ell_x, the group {g_w: {w: 1}}, then _collapse: ell_{pi_i^{-1} x} exactly when
     # the words give back ell_x, as its relabelling is injective and its twist fixes 1
-    terms, _, support = _star_words(rs, {g_w: {w: one}}, *words)
+    terms, _, support = _star_words(rs, {g_w: {w: one}}, schedule)
     check_support = bool(support) and all(grassmannian_keys(mu, us) for mu, us in support)
     check_collapse = terms == {x: one}
     collapsed = _collapse(terms, v, sig_inv)

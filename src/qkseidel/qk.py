@@ -26,7 +26,7 @@ import functools
 import operator
 
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly, accumulate
+from .laurent import LaurentPoly, _monomial_text, accumulate
 from .peterson import LocalizedClass, o_class, star_s, verify_seidel_theorem
 from .rootsys import RootSystem, WeylElement, check_element
 from .seidel import seidel_element
@@ -35,44 +35,30 @@ QExponent = tuple[int, ...]
 
 
 class ParabolicData:
-    """A parabolic subset with its coset combinatorics precomputed.
+    """A parabolic subset with its coset combinatorics precomputed by parabolic_data.
 
-    Equality, hash and repr read (rs, subset, minimal_reps, subgroup_order) only:
-    minrep_table and mask are derived from them.
+    Every field is a function of (rs, subset), which the repr reads.
     """
 
-    __slots__ = ("rs", "subset", "minimal_reps", "subgroup_order", "minrep_table", "mask")
+    __slots__ = ("rs", "subset", "minimal_reps", "minrep_table", "mask")
 
     def __init__(
         self,
         rs: RootSystem,
         subset: frozenset[int],
         minimal_reps: tuple[WeylElement, ...],
-        subgroup_order: int,
         minrep_table: dict[WeylElement, WeylElement],
     ):
         self.rs = rs
         self.subset = subset
         self.minimal_reps = minimal_reps
-        self.subgroup_order = subgroup_order
         # w -> the minimal representative of w W_P
         self.minrep_table = minrep_table
         # per node, 0 inside the subset and 1 outside
         self.mask = tuple(int(j not in subset) for j in rs.nodes)
 
-    def _key(self) -> tuple:
-        return self.rs, self.subset, self.minimal_reps, self.subgroup_order
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParabolicData):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
-        return "ParabolicData(rs=%r, subset=%r, minimal_reps=%r, subgroup_order=%r)" % self._key()
+        return f"ParabolicData({self.rs!r}, subset={sorted(self.subset)})"
 
     def __contains__(self, w: WeylElement) -> bool:
         return self.subset.isdisjoint(w.descent_set())
@@ -93,7 +79,7 @@ def parabolic_data(rs: RootSystem, subset) -> ParabolicData:
             f"coset decomposition fails for subset {sorted(nodes)}: "
             f"{len(reps)} * {len(sub)} products hit {len(table)} of {len(group)} elements"
         )
-    return ParabolicData(rs, nodes, reps, len(sub), table)
+    return ParabolicData(rs, nodes, reps, table)
 
 
 def minrep_w(w: WeylElement, p: ParabolicData) -> WeylElement:
@@ -108,9 +94,15 @@ def minrep_beta(beta: QExponent, p: ParabolicData) -> QExponent:
     return tuple(map(operator.mul, beta, p.mask))
 
 
-def q_text(d: QExponent) -> str:
-    """The Q-monomial Q^d as text, e.g. Q1*Q3^2; empty for d = 0."""
-    return "*".join(f"Q{j + 1}" + (f"^{c}" if c > 1 else "") for j, c in enumerate(d) if c)
+def class_text(d: QExponent, word: tuple[int, ...]) -> str:
+    """The class Q^d O^w as text, w given by a word, e.g. Q1*Q3^2*O[s1*s2] or O[e]."""
+    o = "O[" + ("*".join(f"s{j}" for j in word) or "e") + "]"
+    return f"{_monomial_text('Q', d)}*{o}" if any(d) else o
+
+
+def _check_exponent(rs: RootSystem, d: QExponent) -> None:
+    if len(d) != rs.rank or min(d) < 0:
+        raise ValueError(f"invalid exponent {d}")
 
 
 class QKElement:
@@ -132,8 +124,7 @@ class QKElement:
                 check_element(rs, w)
                 if f.is_zero():
                     continue
-                if len(d) != rs.rank or min(d) < 0:
-                    raise ValueError(f"invalid exponent {d}")
+                _check_exponent(rs, d)
                 if not self.base.isdisjoint(w.descent_set()):
                     raise ValueError(
                         f"index {w.reduced_word()} is not minimal for base {sorted(self.base)}"
@@ -163,8 +154,7 @@ class QKElement:
 
     def shift_q(self, d: QExponent) -> "QKElement":
         """Multiply by the Q-monomial Q^d."""
-        if len(d) != self.rs.rank or min(d) < 0:
-            raise ValueError(f"invalid exponent {d}")
+        _check_exponent(self.rs, d)
         # adding a checked d >= 0 keeps exponents valid and distinct
         return QKElement._trusted(
             self.rs,
@@ -182,15 +172,8 @@ class QKElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        bits = []
-        for (d, w), f in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1].length(), kv[0][1].m)
-        ):
-            word = "*".join(f"s{j}" for j in w.reduced_word()) or "e"
-            mono = q_text(d)
-            head = f"{mono}*" if mono else ""
-            bits.append(f"({f})*{head}O[{word}]")
-        return " + ".join(bits)
+        terms = sorted(self.terms.items(), key=lambda t: (t[0][0], t[0][1].length(), t[0][1].m))
+        return " + ".join(f"({f})*{class_text(d, w.reduced_word())}" for (d, w), f in terms)
 
     def __repr__(self) -> str:
         return f"QKElement({self})"
@@ -262,8 +245,7 @@ def seidel_product(
 
 def _closed_form(rs: RootSystem, d: QExponent, w: WeylElement, base: frozenset[int]) -> QKElement:
     """The one-term class Q^d O^w, for w of rs minimal for base: checks d as shift_q does."""
-    if len(d) != rs.rank or min(d) < 0:
-        raise ValueError(f"invalid exponent {d}")
+    _check_exponent(rs, d)
     return QKElement._trusted(rs, {(d, w): LaurentPoly.one(rs.rank)}, base)
 
 

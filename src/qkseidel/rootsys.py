@@ -148,6 +148,8 @@ class WeylElement:
         return "W[%s]" % ("*".join("s%d" % i for i in word) or "e")
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
+        if other.rs is not self.rs:
+            raise ValueError(f"{other!r} is an element of {other.rs!r}, not of {self.rs!r}")
         return self.rs._weyl(itemgetter(*other.perm)(self.perm))
 
     def left_reflect(self, i: int) -> "WeylElement":
@@ -296,7 +298,6 @@ class RootSystem:
         # Caches of the affine, peterson, seidel and qk layers.  They live as long as the
         # system, which for a system from build_root_system is the whole process.
         self._ext_intern: dict = {}
-        self._star_schedules: dict = {}
         self._theorem_nodes: dict = {}
         self._sigma_group: Optional[tuple] = None
         self._datum_cache: dict = {}
@@ -393,6 +394,8 @@ class RootSystem:
         """The reflection s_beta(gamma) = gamma - <beta^vee, gamma> beta in a root.  Cached."""
         w = self._reflections.get(beta)
         if w is None:
+            if beta not in self.root_index:
+                raise ValueError(f"{beta} is not a root of {self!r}")
             covec = self.coroots_to_coweight(self.coroot(beta))
             w = self._weyl(tuple(
                 self.root_index[tuple(g - self.pairing(covec, gamma) * b

@@ -201,10 +201,10 @@ def sweep_inversion_sets(rs: RootSystem):
 
 
 @_sweep("grassmannian-dichotomy")
-def sweep_grassmannian_dichotomy(rs: RootSystem, max_length: int = 8):
-    """For Grassmannian x = w t_beta and finite i:
+def sweep_grassmannian_dichotomy(rs: RootSystem):
+    """For Grassmannian x = w t_beta of length <= 8 and finite i:
     (s_i x > x and s_i x Grassmannian) iff s_i w < w."""
-    for x in grassmannian_ball(rs, max_length):
+    for x in grassmannian_ball(rs, 8):
         for i in rs.nodes:
             y = affine_simple_reflection(rs, i) * x
             left = y.ext_length() > x.ext_length() and y.is_grassmannian()

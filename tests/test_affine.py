@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -24,7 +25,13 @@ from qkseidel.affine import (
     theta_pairings,
     translation,
 )
-from qkseidel.rootsys import RootSystem, build_root_system, root_is_positive, weyl_from_word
+from qkseidel.rootsys import (
+    RootSystem,
+    build_root_system,
+    longest_element,
+    root_is_positive,
+    weyl_from_word,
+)
 from qkseidel.seidel import grassmannian_key
 from qkseidel.sweeps import grassmannian_ball
 
@@ -512,3 +519,20 @@ def test_equal_affine_elements_of_two_systems_are_distinct():
         assert x is from_finite(weyl_from_word(first, word)).translated(mu)
         table = {x: "first", y: "second"}
         assert len(table) == 2 and table[y] == "second"
+
+
+@pytest.mark.parametrize(
+    "system,other",
+    [(("B", 2), ("C", 2)), (("A", 2), ("A", 1)), (("A", 1), ("A", 2))],
+    ids=["B2xC2", "A2xA1", "A1xA2"],
+)
+def test_affine_products_across_root_systems_are_refused(system, other):
+    """The product of u t_mu and an element of another system is refused by its finite
+    parts' product, before anything is interned."""
+    rs, foreign = RootSystem(*system), RootSystem(*other)
+    x = _intern(rs, longest_element(rs), (-1,) * rs.rank)
+    y = _intern(foreign, longest_element(foreign), (-1,) * foreign.rank)
+    interned = dict(rs._ext_intern), dict(rs._weyl_cache)
+    with pytest.raises(ValueError, match=re.escape(f"of {foreign!r}, not of {rs!r}")):
+        x * y
+    assert (dict(rs._ext_intern), dict(rs._weyl_cache)) == interned

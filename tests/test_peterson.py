@@ -192,7 +192,7 @@ def geometric_divided_difference(rs, i: int, f: LaurentPoly) -> LaurentPoly:
     from qkseidel.affine import affine_simple_root, theta_pairings
 
     alpha = affine_simple_root(rs, i).finite
-    out = LaurentPoly.zero(rs.rank)
+    out = LaurentPoly(rs.rank)
     for beta, c in f.terms.items():
         if i == 0:
             p = -sum(b * t for b, t in zip(beta, theta_pairings(rs)))
@@ -391,11 +391,11 @@ def test_collapse_is_sigma_product_of_star_w(type_label, rank):
     rng = random.Random(53)
     alpha = LaurentPoly.monomial(rs.simple_root(1))
     for i in special_nodes(rs):
-        v, sig_inv, words = _theorem_node(rs, i)
+        v, sig_inv, schedule = _theorem_node(rs, i)
         wrong_twist_seen = False
         for w in rng.sample(rs.weyl_group(), 10):
             z = ell(grassmannian_key(rs, w)).scale(alpha)
-            terms, _, _ = _star_words(rs, _grouped(z.terms), *words)
+            terms, _, _ = _star_words(rs, _grouped(z.terms), schedule)
             expected = mult_by_ell_sigma(pi(rs, i).inverse(), star_w(v, z))
             assert _collapse(terms, v, sig_inv) == expected, (i, w.reduced_word())
             wrong = PetersonElement(
@@ -417,8 +417,7 @@ def test_collapse_frame_is_trivial_on_every_special_node():
     for type_label, rank in types:
         rs = RootSystem(type_label, rank)
         for i in special_nodes(rs):
-            v, sig_inv, words = _theorem_node(rs, i)
-            _, frame, _ = _letter_schedule(rs, words)
+            v, sig_inv, (_, frame, _) = _theorem_node(rs, i)
             assert sig_inv.u == v, (type_label, rank, i)
             assert frame.is_identity, (type_label, rank, i)
 
@@ -478,8 +477,8 @@ def test_key_identities_do_not_read_the_star_words(monkeypatch):
     rs = build_root_system("D", 4)
     original = peterson._star_words
 
-    def doubled(rs, groups, *words):
-        terms, frame, support = original(rs, groups, *words)
+    def doubled(rs, groups, schedule):
+        terms, frame, support = original(rs, groups, schedule)
         return {y: g + g for y, g in terms.items()}, frame, support
 
     for i in special_nodes(rs):
@@ -876,7 +875,7 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
         assert y not in star_s(i, z).terms
         ((mu, group),) = _grouped(z.terms).items()
         assert set(group) == {x.u, y.u}
-        assert _star_words(rs, {mu: group}, (i,))[2] == [(mu, [x.u])]
+        assert _star_words(rs, {mu: group}, _letter_schedule(rs, (i,)))[2] == [(mu, [x.u])]
         si = weyl_from_word(rs, (i,))
         assert star_w(si, z) == star_w_by_letters(si, z)
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
@@ -917,7 +916,7 @@ def test_star_words_update_a_present_key_in_place(type_label, rank, survives):
         out = star_w(si, z)
         assert out == star_w_by_letters(si, z), i
         assert out.terms.get(y) == (h.act_exponents(si.m) if survives else None), i
-        assert (y in _star_words(rs, _grouped(z.terms), (i,))[0]) == survives
+        assert (y in _star_words(rs, _grouped(z.terms), _letter_schedule(rs, (i,)))[0]) == survives
         assert star_w(w0, z) == star_w_by_letters(w0, z), i
         for s in sigma_elements(rs):
             assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z), i
@@ -937,10 +936,10 @@ def test_ascent_pairs_are_disjoint(type_label, rank):
     met = {(x.mu, x.u) for x in grassmannian_ball(rs, 8)}
     one = LaurentPoly.one(rank)
     for i in special_nodes(rs):
-        words = _theorem_node(rs, i)[2]
+        schedule = _theorem_node(rs, i)[2]
         for w in rs.weyl_group():
             assert verify_seidel_theorem(rs, i, w).passed
-            terms, _, support = _star_words(rs, {gamma(rs, w): {w: one}}, *words)
+            terms, _, support = _star_words(rs, {gamma(rs, w): {w: one}}, schedule)
             # the keys after the first word, and after the last: the terms' keys
             met |= {(mu, u) for mu, us in support for u in us}
             met |= {(x.mu, x.u) for x in terms}
@@ -983,16 +982,42 @@ def test_star_words_run_each_translation_group(type_label, rank):
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
 
 
+def kept_on(rs):
+    """The attributes of a system, with the size of each dict, set or list among them."""
+    return {
+        name: len(value) if isinstance(value, (dict, set, list)) else None
+        for name, value in vars(rs).items()
+    }
+
+
 def test_star_words_take_finite_letters_only():
     """The ascent rule holds for finite letters only: a word with node 0, or with a node
-    outside the diagram, is refused before any schedule is kept."""
+    outside the diagram, is refused before its schedule is built, and nothing is kept."""
     rs = RootSystem("A", 3)
     groups = _grouped(ell(ext_identity(rs)).terms)
+    before = kept_on(rs)
     for words in [((1, 0, 2),), ((1, 2), (0,)), ((4,),)]:
         with pytest.raises(ValueError, match="outside the finite nodes"):
-            _star_words(rs, groups, *words)
-    assert rs._star_schedules == {}
-    assert _star_words(rs, groups, (1, 2))[2] == [((0, 0, 0), [rs.identity_weyl()])]
+            _star_words(rs, groups, _letter_schedule(rs, *words))
+    assert kept_on(rs) == before
+    schedule = _letter_schedule(rs, (1, 2))
+    assert _star_words(rs, groups, schedule)[2] == [((0, 0, 0), [rs.identity_weyl()])]
+
+
+def test_star_w_keeps_nothing_on_the_system():
+    """star_w over every element of W(B3) keeps nothing per word on the system: past the
+    affine keys it interns, every attribute and the size of every container stay as
+    they were, and no theorem node's schedule is made."""
+    rs = RootSystem("B", 3)
+    group = rs.weyl_group()
+    z = ell(grassmannian_key(rs, longest_element(rs)))  # w_0 t_mu ascends at every node
+    before = kept_on(rs)
+    for w in group:
+        star_w(w, z)
+    after = kept_on(rs)
+    assert after.pop("_ext_intern") > before.pop("_ext_intern")
+    assert after == before
+    assert rs._theorem_nodes == {}
 
 
 def test_theorem_interns_three_affine_elements_at_most():
@@ -1011,8 +1036,8 @@ def test_theorem_interns_three_affine_elements_at_most():
             before = len(rs._ext_intern)
             assert verify_seidel_theorem(rs, i, w).passed
             assert len(rs._ext_intern) - before <= 3, (i, word)
-            words = _theorem_node(rs, i)[2]
-            support = _star_words(rs, {gamma(rs, w): {w: LaurentPoly.one(5)}}, *words)[2]
+            schedule = _theorem_node(rs, i)[2]
+            support = _star_words(rs, {gamma(rs, w): {w: LaurentPoly.one(5)}}, schedule)[2]
             largest_support = max(largest_support, sum(len(us) for _, us in support))
     assert largest_support > 50
 
@@ -1080,7 +1105,7 @@ def test_star_words_cancel_a_factored_key_only_on_its_mirror_root(
     monkeypatch.setattr(
         peterson, "_binomial_multiple", lambda g, beta: built.append(g) or binomial_multiple(g, beta)
     )
-    terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
+    terms, frame, _ = _star_words(rs, _grouped(z.terms), _letter_schedule(rs, word))
     assert len(built) == builds
     assert [y.u.reduced_word() for y in terms] == keys
     out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
@@ -1098,7 +1123,7 @@ def star_words_counted(monkeypatch, rs, z, word):
     with monkeypatch.context() as m:
         m.setattr(peterson, "get_term_budget", lambda: -1)
         m.setattr(peterson, "_check_budget", checks.append)
-        terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
+        terms, frame, _ = _star_words(rs, _grouped(z.terms), _letter_schedule(rs, word))
     out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
     ascents = 0
     for i in reversed(word):
@@ -1179,7 +1204,7 @@ def test_star_words_fill_the_links_of_a_system_never_enumerated(type_label, rank
     })
     assert all(x.u._inverse is None and x.u._left is None for x in z.terms)
     for word in [tuple(rng.choice(rs.nodes) for _ in range(8)) for _ in range(3)]:
-        terms, frame, _ = _star_words(rs, _grouped(z.terms), word)
+        terms, frame, _ = _star_words(rs, _grouped(z.terms), _letter_schedule(rs, word))
         out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
         assert out == star_words_by_letters(rs, z, word), word
     assert any(x.u._left is not None for x in z.terms)
@@ -1217,12 +1242,12 @@ def test_term_budget_reads_the_exact_size_of_a_factored_key(budget, raises):
     try:
         if raises:
             with pytest.raises(SizeLimitError, match=f"2 terms exceeds budget {budget}") as excinfo:
-                _star_words(rs, _grouped(z.terms), (1,))
+                _star_words(rs, _grouped(z.terms), _letter_schedule(rs, (1,)))
             assert [entry.name for entry in excinfo.traceback][-2:] == [
                 "_star_words", "_check_budget"
             ]
         else:
-            terms, _, _ = _star_words(rs, _grouped(z.terms), (1,))
+            terms, _, _ = _star_words(rs, _grouped(z.terms), _letter_schedule(rs, (1,)))
             assert sorted(len(g.terms) for g in terms.values()) == [2, 2]
     finally:
         set_term_budget(saved)
@@ -1248,28 +1273,28 @@ def _schedule_by_letters(rs, words):
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
 def test_kept_letter_schedules_against_letter_by_letter_frames(type_label, rank):
-    """Every word tuple of verify_seidel_theorem, mult_by_ell_sigma and star_w is kept
-    with the frames and roots its letters give one at a time, and with those roots
-    packed at the one width k that ell(x) inputs give the word tuple.  The theorem's
+    """The schedule each theorem node keeps, and those of the words of mult_by_ell_sigma
+    and star_w, hold the frames and roots their letters give one at a time, and those
+    roots packed at the one width k that ell(x) inputs give the words.  The theorem's
     words end in the frame u^{-1} v_i, u the finite part of pi_i^{-1}."""
     rs = RootSystem(type_label, rank)
     w = weyl_from_word(rs, rs.nodes)
-    expected = set()
+    schedules = {}
     for i in special_nodes(rs):
         assert verify_seidel_theorem(rs, i, w).passed
         u = pi(rs, i).inverse().u
         v = seidel_element(rs, i)
         words = (v.reduced_word(), u.inverse().reduced_word())
-        expected.add(words)
+        schedules[words] = _theorem_node(rs, i)[2]
         # the words end in the frame u^{-1} v, so verify_seidel_theorem twists once, by v
         assert u * _schedule_by_letters(rs, words)[1] == v
-    for s in sigma_elements(rs):
-        mult_by_ell_sigma(s, ell(ext_identity(rs)))
-        expected.add((s.u.inverse().reduced_word(),))
-    star_w(w, ell(ext_identity(rs)))
-    expected.add((w.reduced_word(),))
-    assert expected <= set(rs._star_schedules)
-    for words, (runs, frame, packed) in rs._star_schedules.items():
+    groups = _grouped(ell(ext_identity(rs)).terms)
+    for words in [(s.u.inverse().reduced_word(),) for s in sigma_elements(rs)] + [
+        (w.reduced_word(),)
+    ]:
+        schedules[words] = _letter_schedule(rs, *words)
+        _star_words(rs, groups, schedules[words])
+    for words, (runs, frame, packed) in schedules.items():
         assert (runs, frame) == _schedule_by_letters(rs, words), words
         ((k, packed_runs),) = packed.items()
         assert packed_runs == tuple(

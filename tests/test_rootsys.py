@@ -575,6 +575,32 @@ def test_left_reflect_refuses_a_node_outside_the_index_set():
     assert e._left == [None, None, rs.simple_reflection(2)]
 
 
+CROSS_SYSTEMS = [(("B", 2), ("C", 2)), (("A", 2), ("A", 1)), (("A", 1), ("A", 2))]
+
+
+@pytest.mark.parametrize("system,other", CROSS_SYSTEMS, ids=["B2xC2", "A2xA1", "A1xA2"])
+def test_products_across_root_systems_are_refused(system, other):
+    """A product with an element of another system is bad input, refused by name before
+    anything is interned: B2 x C2 (eight roots each) once gave an element of B2, A2 x A1
+    interned a 2-entry permutation into A2, and A1 x A2 raised a bare IndexError."""
+    rs, foreign = RootSystem(*system), RootSystem(*other)
+    u, v = longest_element(rs), longest_element(foreign)
+    cache = dict(rs._weyl_cache)
+    with pytest.raises(ValueError, match=re.escape(f"{v!r} is an element of {foreign!r}")):
+        u * v
+    assert rs._weyl_cache == cache
+
+
+def test_reflection_refuses_a_non_root():
+    """On A2, (1, 1, 1), (2, 0) and (0, 0) are no roots: reflection raises ValueError
+    naming the vector, not a bare KeyError, and caches nothing."""
+    rs = RootSystem("A", 2)
+    for beta in [(1, 1, 1), (2, 0), (0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"{beta} is not a root of {rs!r}")):
+            rs.reflection(beta)
+    assert set(rs._reflections) == {(1, 0), (0, 1)}
+
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qkseidel"
 
 
