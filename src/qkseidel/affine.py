@@ -143,15 +143,10 @@ def theta_pairings(rs: RootSystem) -> Coweight:
     return rs.coroots_to_coweight(rs.highest_root_coroot)
 
 
-def s_theta(rs: RootSystem) -> WeylElement:
-    """Reflection in the highest root."""
-    return rs.reflection(rs.highest_root)
-
-
 def affine_simple_reflection(rs: RootSystem, i: int) -> ExtAffineWeylElement:
     """s_i for finite i; s_0 = s_theta t_{-theta^vee}."""
     if i == 0:
-        return _intern(rs, s_theta(rs), tuple(-c for c in theta_pairings(rs)))
+        return _intern(rs, rs.reflection(rs.highest_root), tuple(-c for c in theta_pairings(rs)))
     return from_finite(rs.simple_reflection(i))
 
 

@@ -302,8 +302,11 @@ def main(argv=None) -> int:
         if args.format == "json":
             out.write(canonical_json(reports))
         if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(out.getvalue())
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(out.getvalue())
+            except OSError as exc:
+                raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         return 0 if all(r["verified"] for r in reports) else 1
     except SizeLimitError as exc:
         print(f"size limit exceeded: {exc}", file=sys.stderr)

@@ -56,6 +56,16 @@ def _monomial_text(var: str, exps) -> str:
     return "*".join(f"{var}{j}" if p == 1 else f"{var}{j}^{p}" for j, p in enumerate(exps, 1) if p)
 
 
+def _sum_text(parts) -> str:
+    """A sparse sum as text, (c1)*key1 + (c2)*key2 + ... or 0, from (coeff, key text) pairs."""
+    return " + ".join(f"({c})*{key}" for c, key in parts) or "0"
+
+
+def _repr(self) -> str:
+    """The one repr of the value classes: the class name around the text form."""
+    return f"{type(self).__name__}({self})"
+
+
 def _check_budget(n_terms: int) -> None:
     if n_terms > _TERM_BUDGET:
         raise SizeLimitError(
@@ -115,10 +125,6 @@ class LaurentPoly:
         return cls._trusted(nvars, {(0,) * nvars: 1})
 
     @classmethod
-    def constant(cls, nvars: int, c: int) -> "LaurentPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def monomial(cls, exps: tuple[int, ...], coeff: int = 1) -> "LaurentPoly":
         return cls(len(exps), {tuple(exps): coeff})
 
@@ -132,7 +138,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return self.nvars == other.nvars and self.terms == other.terms
         if isinstance(other, int):
-            return self == LaurentPoly.constant(self.nvars, other)
+            return self == LaurentPoly.monomial((0,) * self.nvars, other)
         return NotImplemented
 
     __hash__ = None
@@ -143,7 +149,7 @@ class LaurentPoly:
                 raise ValueError("mixed variable counts")
             return other
         if isinstance(other, int):
-            return LaurentPoly.constant(self.nvars, other)
+            return LaurentPoly.monomial((0,) * self.nvars, other)
         return None
 
     def _plus(self, other, sign: int) -> "LaurentPoly":
@@ -261,25 +267,18 @@ class LaurentPoly:
         return [[list(e), c] for e, c in sorted(self.terms.items())]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for exps, coeff in sorted(self.terms.items(), reverse=True):
-            if any(exps):
-                mono = _monomial_text("A", exps)
-                if coeff == 1:
-                    parts.append(mono)
-                elif coeff == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{coeff}*{mono}")
-            else:
+            mono = _monomial_text("A", exps)
+            if not mono:
                 parts.append(str(coeff))
-        out = " + ".join(parts)
-        return out.replace("+ -", "- ")
+            elif abs(coeff) == 1:
+                parts.append(mono if coeff == 1 else f"-{mono}")
+            else:
+                parts.append(f"{coeff}*{mono}")
+        return (" + ".join(parts) or "0").replace("+ -", "- ")
 
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self})"
+    __repr__ = _repr
 
 
 Factors = dict[tuple[int, ...], int]
@@ -437,5 +436,4 @@ class RationalFunction:
         )
         return f"({self.num}) / {factors}"
 
-    def __repr__(self) -> str:
-        return f"RationalFunction({self})"
+    __repr__ = _repr

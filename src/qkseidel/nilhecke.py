@@ -40,7 +40,7 @@ from .affine import (
     ext_identity,
     theta_pairings,
 )
-from .laurent import LaurentPoly, RationalFunction
+from .laurent import LaurentPoly, RationalFunction, _repr, _sum_text
 from .rootsys import RootSystem
 
 Scalar = RationalFunction
@@ -58,7 +58,7 @@ def _as_scalar(rs: RootSystem, value) -> Scalar | None:
     if isinstance(value, LaurentPoly):
         return RationalFunction(value)
     if isinstance(value, int):
-        return RationalFunction(LaurentPoly.constant(rs.rank, value))
+        return RationalFunction(LaurentPoly.monomial((0,) * rs.rank, value))
     return None
 
 
@@ -123,15 +123,10 @@ class GroupAlgebraElement:
         )
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for x in sorted(self.coeffs, key=lambda e: (e.ext_length(), repr(e))):
-            parts.append(f"({self.coeffs[x]})*[{x!r}]")
-        return " + ".join(parts)
+        keys = sorted(self.coeffs, key=lambda e: (e.ext_length(), repr(e)))
+        return _sum_text((self.coeffs[x], f"[{x!r}]") for x in keys)
 
-    def __repr__(self) -> str:
-        return f"GroupAlgebraElement({self})"
+    __repr__ = _repr
 
 
 def _demazure_parts(rs: RootSystem, j: int) -> tuple[ExtAffineWeylElement, Scalar, Scalar]:

@@ -79,6 +79,8 @@ from .laurent import (
     _monomial_text,
     _pack,
     _pack_width,
+    _repr,
+    _sum_text,
     _unpack,
     accumulate,
     get_term_budget,
@@ -137,13 +139,10 @@ class PetersonElement:
         return PetersonElement(self.rs, {x: f * g for x, g in self.terms.items()})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda x: (x.ext_length(), repr(x)))
-        return " + ".join(f"({self.terms[x]})*l[{x!r}]" for x in keys)
+        return _sum_text((self.terms[x], f"l[{x!r}]") for x in keys)
 
-    def __repr__(self) -> str:
-        return f"PetersonElement({self})"
+    __repr__ = _repr
 
 
 def ell(x: ExtAffineWeylElement) -> PetersonElement:
@@ -424,8 +423,7 @@ class LocalizedClass:
             return str(self.num)
         return f"[{self.num}] / {_monomial_text('s', self.den)}"
 
-    def __repr__(self) -> str:
-        return f"LocalizedClass({self})"
+    __repr__ = _repr
 
 
 def o_class(rs: RootSystem, w: WeylElement) -> LocalizedClass:

@@ -26,7 +26,7 @@ import functools
 import operator
 
 from .errors import UnsupportedProductError, VerificationError
-from .laurent import LaurentPoly, _monomial_text, accumulate
+from .laurent import LaurentPoly, _monomial_text, _repr, _sum_text, accumulate
 from .peterson import LocalizedClass, o_class, star_s, verify_seidel_theorem
 from .rootsys import RootSystem, WeylElement, check_element
 from .seidel import seidel_element
@@ -170,13 +170,10 @@ class QKElement:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         terms = sorted(self.terms.items(), key=lambda t: (t[0][0], t[0][1].length(), t[0][1].m))
-        return " + ".join(f"({f})*{class_text(d, w.reduced_word())}" for (d, w), f in terms)
+        return _sum_text((f, class_text(d, w.reduced_word())) for (d, w), f in terms)
 
-    def __repr__(self) -> str:
-        return f"QKElement({self})"
+    __repr__ = _repr
 
 
 def left_action(i: int, xi: QKElement) -> QKElement:

@@ -1,15 +1,18 @@
 """Constructions that only the tests use, kept here as oracles for the package.
 
-star_D is the nil-Hecke companion of the star action, sigma_monomial and
-mult_by_sigma_monomial write the sigma classes as translation classes,
-affine_from_word multiplies out a word in the affine simple reflections, and
-cartan_inverse_by_fractions inverts a Cartan matrix over the rationals.
+star_D is the nil-Hecke companion of the star action, star_words_by_letters
+applies star_s one letter at a time, sigma_monomial and mult_by_sigma_monomial
+write the sigma classes as translation classes, affine_from_word multiplies out
+a word in the affine simple reflections, cartan_inverse_by_fractions inverts a
+Cartan matrix over the rationals, and quantum_bruhat_weights walks the quantum
+Bruhat graph.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from operator import add
+from typing import Iterable, Sequence
 
 from qkseidel.affine import (
     ExtAffineWeylElement,
@@ -20,8 +23,8 @@ from qkseidel.affine import (
     translation,
 )
 from qkseidel.laurent import LaurentPoly, accumulate
-from qkseidel.peterson import PetersonElement, ell, mult_by_translation
-from qkseidel.rootsys import RootSystem
+from qkseidel.peterson import PetersonElement, ell, mult_by_translation, star_s
+from qkseidel.rootsys import RootSystem, WeylElement
 
 
 def star_D(i: int, z: PetersonElement) -> PetersonElement:
@@ -49,6 +52,14 @@ def star_D(i: int, z: PetersonElement) -> PetersonElement:
         else:
             accumulate(out, x, f + delta)
     return PetersonElement(rs, out)
+
+
+def star_words_by_letters(z: PetersonElement, word: Sequence[int]) -> PetersonElement:
+    """star_s along a word of finite letters, its last letter first: the oracle of star_w on
+    a reduced word, and of the star-word kernel on any word, reduced or not."""
+    for i in reversed(word):
+        z = star_s(i, z)
+    return z
 
 
 def sigma_monomial(rs: RootSystem, m: tuple[int, ...]) -> PetersonElement:
@@ -91,3 +102,44 @@ def cartan_inverse_by_fractions(cartan: tuple[tuple[int, ...], ...]) -> tuple[in
     inv = [row[n:] for row in aug]
     den = math.lcm(*(x.denominator for row in inv for x in row))
     return den, tuple(tuple(int(inv[j][k] * den) for j in range(n)) for k in range(n))
+
+
+def quantum_bruhat_weights(rs: RootSystem, start: WeylElement) -> dict[WeylElement, tuple]:
+    """The weight of a shortest path from start to each w in the quantum Bruhat graph.
+
+    The graph (Brenti, Fomin and Postnikov, IMRN 1999) has vertex set W and, for each
+    positive root alpha, an edge w -> w s_alpha of weight 0 when l(w s_alpha) = l(w) + 1
+    and of weight alpha^vee when l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee).  Postnikov
+    ("Quantum Bruhat graph and Schubert polynomials", Proc. AMS 133, 2005) shows that all
+    shortest paths from u to v have one weight, and that the least q-degree in the quantum
+    product sigma_u * sigma_v is the weight of a shortest path from u to w_0 v.  A Seidel
+    product sigma_{v_i} * sigma_w has one term, so its exponent is the weight of the path
+    from v_i to w_0 w.  On A1, sigma_s * sigma_s = q: the one path from s to w_0 s = e is
+    the edge s -> s s_alpha, with l(e) = 0 = 1 + 1 - 2 ht(alpha^vee), of weight alpha^vee.
+
+    A breadth-first search from start; a vertex reached again at its own distance asserts
+    that the second path has the first one's weight.  Weights are in simple-coroot
+    coordinates.  It reads the root data, reflections, products and lengths of rs, and
+    nothing of the coweights, the affine layer or the Peterson module.
+    """
+    edges = [(rs.reflection(alpha), rs.coroot(alpha)) for alpha in rs.positive_roots]
+    dist, weight = {start: 0}, {start: (0,) * rs.rank}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s, coroot in edges:
+                y = w * s
+                if y.length() == w.length() + 1:
+                    wt = weight[w]
+                elif y.length() == w.length() + 1 - 2 * sum(coroot):
+                    wt = tuple(map(add, weight[w], coroot))
+                else:
+                    continue
+                if y not in dist:
+                    dist[y], weight[y] = dist[w] + 1, wt
+                    nxt.append(y)
+                elif dist[y] == dist[w] + 1:
+                    assert weight[y] == wt, (start.reduced_word(), y.reduced_word(), weight[y], wt)
+        frontier = nxt
+    return weight

@@ -19,7 +19,6 @@ from qkseidel.affine import (
     grassmannian_keys,
     node_action,
     pi,
-    s_theta,
     sigma_decompose,
     sigma_elements,
     theta_pairings,
@@ -76,7 +75,8 @@ def test_s0_involution_and_action():
         img = s0.act(a0)
         assert img == AffineRoot(rs.highest_root, -1)  # s_0(alpha_0) = -alpha_0
         assert s0.ext_length() == 1
-        assert s_theta(rs).act_root(rs.highest_root) == tuple(-c for c in rs.highest_root)
+        s_theta = rs.reflection(rs.highest_root)
+        assert s_theta.act_root(rs.highest_root) == tuple(-c for c in rs.highest_root)
 
 
 def test_translation_group_law():

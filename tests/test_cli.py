@@ -304,6 +304,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert canonical_json(json.loads(target.read_text())) == target.read_text()
 
 
+def test_unwritable_out_path_is_invalid_input(tmp_path, capsys):
+    """An --out path under a missing directory exits 2 with one error line, not 1 (a failed
+    verification) with a traceback, and creates no file."""
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "table", "--type", "A", "--rank", "2", "--node", "2",
+                         "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def fail_theorem_at(monkeypatch, word):
     """The theorem reports its first check false for the element of this reduced word."""
     real = cli.verify_seidel_theorem

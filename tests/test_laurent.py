@@ -40,7 +40,7 @@ def test_basic_constructors():
     assert len(p.terms) == 2
     assert LaurentPoly(2).is_zero()
     assert LaurentPoly.one(2) == LaurentPoly(2, {(0, 0): 1})
-    assert LaurentPoly.constant(2, 7) == 7
+    assert LaurentPoly.monomial((0, 0), 7) == 7
     with pytest.raises(ValueError):
         LaurentPoly(2, {(1,): 1})
 

@@ -51,7 +51,13 @@ from qkseidel.rootsys import (
 from qkseidel.seidel import gamma, grassmannian_key, seidel_element
 from qkseidel.sweeps import NILHECKE_SWEEP_TYPES, grassmannian_ball
 
-from oracles import affine_from_word, mult_by_sigma_monomial, sigma_monomial, star_D
+from oracles import (
+    affine_from_word,
+    mult_by_sigma_monomial,
+    sigma_monomial,
+    star_D,
+    star_words_by_letters,
+)
 
 
 def grassmannian_up_to(rs, max_length: int):
@@ -76,7 +82,8 @@ def random_peterson(rs, rng, pool, max_terms: int = 4) -> PetersonElement:
         exps = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
         coeff = rng.randint(-3, 3)
         if coeff:
-            terms[x] = LaurentPoly.monomial(exps, coeff) + LaurentPoly.constant(rs.rank, rng.randint(0, 2))
+            constant = LaurentPoly.monomial((0,) * rs.rank, rng.randint(0, 2))
+            terms[x] = LaurentPoly.monomial(exps, coeff) + constant
     return PetersonElement(rs, terms)
 
 
@@ -141,13 +148,6 @@ def test_star_w_word_independence():
     assert via_121 == via_212 == star_w(w, z)
 
 
-def star_w_by_letters(w, z):
-    """The letter-by-letter oracle: star_s along the reversed reduced word of w."""
-    for i in reversed(w.reduced_word()):
-        z = star_s(i, z)
-    return z
-
-
 @pytest.mark.parametrize(
     "type_label,rank", [("A", 2), ("C", 2), ("G", 2), ("B", 3), ("D", 4)]
 )
@@ -160,7 +160,7 @@ def test_star_w_frame_against_letter_oracle(type_label, rank):
     for w in [longest_element(rs)] + rng.sample(group, k=min(8, len(group))):
         z = random_peterson(rs, rng, pool)
         assert len(z.terms) > 1
-        assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
+        assert star_w(w, z) == star_words_by_letters(z, w.reduced_word()), w.reduced_word()
 
 
 def test_star_D_defining_relation_and_examples():
@@ -752,7 +752,7 @@ def test_peterson_sum_refuses_mixed_systems():
     with pytest.raises(ValueError, match="cannot add"):
         ell(ext_identity(a3)) + ell(ext_identity(b3))
     assert ell(ext_identity(a3)) + ell(ext_identity(a3)) == ell(ext_identity(a3)).scale(
-        LaurentPoly.constant(3, 2)
+        LaurentPoly.monomial((0, 0, 0), 2)
     )
 
 
@@ -810,13 +810,13 @@ def test_packed_star_w_against_letter_oracle_on_wide_fields(type_label, rank, le
             })
             for x in pool
         })
-        assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
+        assert star_w(w, z) == star_words_by_letters(z, w.reduced_word()), w.reduced_word()
 
 
 def mult_by_ell_sigma_by_letters(s, z):
     """star_s along the word of u^{-1}, then a twist by u and a relabel by sigma."""
     u = s.u
-    y = star_w_by_letters(u.inverse(), z)
+    y = star_words_by_letters(z, u.inverse().reduced_word())
     return PetersonElement(z.rs, {s * x: f.act_exponents(u.m) for x, f in y.terms.items()})
 
 
@@ -847,7 +847,7 @@ def test_star_words_against_letters_at_the_packing_bound(type_label, rank):
     words = [rs.nodes, [rng.choice(rs.nodes) for _ in range(8)]]
     for w in [longest_element(rs)] + [weyl_from_word(rs, word) for word in words]:
         z = filled_peterson(rs, rng, pool, w.length())
-        assert star_w(w, z) == star_w_by_letters(w, z), w.reduced_word()
+        assert star_w(w, z) == star_words_by_letters(z, w.reduced_word()), w.reduced_word()
     for s in sigma_elements(rs):
         z = filled_peterson(rs, rng, pool, s.u.length())
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
@@ -860,7 +860,7 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
     so y's coefficient cancels and y is dropped."""
     rs = build_root_system(type_label, rank)
     pool = grassmannian_up_to(rs, 3)
-    f = LaurentPoly.monomial(tuple(range(rank)), 3) + LaurentPoly.constant(rank, -1)
+    f = LaurentPoly.monomial(tuple(range(rank)), 3) + LaurentPoly.monomial((0,) * rank, -1)
     for s in sigma_elements(rs):
         word = s.u.inverse().reduced_word()
         if not word:
@@ -877,10 +877,10 @@ def test_star_words_drop_a_key_that_cancels(type_label, rank):
         assert set(group) == {x.u, y.u}
         assert _star_words(rs, {mu: group}, _letter_schedule(rs, (i,)))[2] == [(mu, [x.u])]
         si = weyl_from_word(rs, (i,))
-        assert star_w(si, z) == star_w_by_letters(si, z)
+        assert star_w(si, z) == star_words_by_letters(z, si.reduced_word())
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
         w0 = longest_element(rs)
-        assert star_w(w0, z) == star_w_by_letters(w0, z)
+        assert star_w(w0, z) == star_words_by_letters(z, w0.reduced_word())
 
 
 @pytest.mark.parametrize("survives", [True, False])
@@ -914,10 +914,10 @@ def test_star_words_update_a_present_key_in_place(type_label, rank, survives):
         assert len(z.terms[y].terms) == len(g.terms) + survives
         si = weyl_from_word(rs, (i,))
         out = star_w(si, z)
-        assert out == star_w_by_letters(si, z), i
+        assert out == star_words_by_letters(z, si.reduced_word()), i
         assert out.terms.get(y) == (h.act_exponents(si.m) if survives else None), i
         assert (y in _star_words(rs, _grouped(z.terms), _letter_schedule(rs, (i,)))[0]) == survives
-        assert star_w(w0, z) == star_w_by_letters(w0, z), i
+        assert star_w(w0, z) == star_words_by_letters(z, w0.reduced_word()), i
         for s in sigma_elements(rs):
             assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z), i
     assert letters >= 2
@@ -977,7 +977,7 @@ def test_star_words_run_each_translation_group(type_label, rank):
     groups = _grouped(z.terms)
     assert len(groups) >= 3 and sum(w in group for group in groups.values()) == 2
     for v in (longest_element(rs), w, weyl_from_word(rs, [rng.choice(rs.nodes) for _ in range(6)])):
-        assert star_w(v, z) == star_w_by_letters(v, z), v.reduced_word()
+        assert star_w(v, z) == star_words_by_letters(z, v.reduced_word()), v.reduced_word()
     for s in sigma_elements(rs):
         assert mult_by_ell_sigma(s, z) == mult_by_ell_sigma_by_letters(s, z)
 
@@ -1068,14 +1068,6 @@ def test_term_budget_stops_the_packed_star_words():
     assert verify_seidel_theorem(rs, 4, w).passed
 
 
-def star_words_by_letters(rs, z, word):
-    """star_s along any word of finite letters, its last letter first: the oracle for a
-    word star_w never takes, one that is not reduced."""
-    for i in reversed(word):
-        z = star_s(i, z)
-    return z
-
-
 @pytest.mark.parametrize("word,u,builds,keys", [
     # letter 3 fixes alpha_1, so the second 1 has the opposite root and undoes the first:
     # y = e was new, so it is dropped unbuilt
@@ -1109,7 +1101,7 @@ def test_star_words_cancel_a_factored_key_only_on_its_mirror_root(
     assert len(built) == builds
     assert [y.u.reduced_word() for y in terms] == keys
     out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
-    assert out == star_words_by_letters(rs, z, word)
+    assert out == star_words_by_letters(z, word)
 
 
 def star_words_counted(monkeypatch, rs, z, word):
@@ -1156,7 +1148,7 @@ def test_star_words_undo_mirror_letters(monkeypatch, type_label, rank):
     assert all(len(f.terms) > 1 for f in z.terms.values())
     for i in rs.nodes:
         out, ascents, checks = star_words_counted(monkeypatch, rs, z, (i, i))
-        assert out == star_words_by_letters(rs, z, (i, i)) == z, i
+        assert out == star_words_by_letters(z, (i, i)) == z, i
         _, once, checks_once = star_words_counted(monkeypatch, rs, z, (i,))
         assert ascents == 2 * once > 0 and checks == checks_once, i
     words = [(i, j, j, i) for i in rs.nodes for j in rs.nodes if i != j]
@@ -1164,7 +1156,7 @@ def test_star_words_undo_mirror_letters(monkeypatch, type_label, rank):
               for word in ([rng.choice(rs.nodes) for _ in range(5)] for _ in range(3))]
     for word in words:
         out, ascents, checks = star_words_counted(monkeypatch, rs, z, word)
-        assert out == star_words_by_letters(rs, z, word) == z, word
+        assert out == star_words_by_letters(z, word) == z, word
         assert checks < ascents, word
 
 
@@ -1183,7 +1175,7 @@ def test_star_words_redo_an_update_whose_maker_moved(monkeypatch):
     word = (3, 1, 3, 1, 3)
     out, ascents, checks = star_words_counted(monkeypatch, rs, z, word)
     assert ascents == checks == 7
-    assert out == star_words_by_letters(rs, z, word)
+    assert out == star_words_by_letters(z, word)
 
 
 @pytest.mark.parametrize("type_label,rank", [("D", 4), ("E", 6)])
@@ -1206,7 +1198,7 @@ def test_star_words_fill_the_links_of_a_system_never_enumerated(type_label, rank
     for word in [tuple(rng.choice(rs.nodes) for _ in range(8)) for _ in range(3)]:
         terms, frame, _ = _star_words(rs, _grouped(z.terms), _letter_schedule(rs, word))
         out = PetersonElement(rs, {y: g.act_exponents(frame.m) for y, g in terms.items()})
-        assert out == star_words_by_letters(rs, z, word), word
+        assert out == star_words_by_letters(z, word), word
     assert any(x.u._left is not None for x in z.terms)
     assert rs._weyl_group is None
 

@@ -7,6 +7,7 @@ from operator import add
 
 import pytest
 
+from oracles import quantum_bruhat_weights
 from qkseidel.affine import from_finite, pi, translation
 from qkseidel.errors import VerificationError
 from qkseidel.peterson import verify_seidel_theorem
@@ -156,6 +157,37 @@ def test_quantum_exponent_examples():
     v4w = seidel_element(rs5, 4) * w
     assert v4w.descent_set() == (1, 3)
     assert w.inverse().act_coweight((0, 0, 0, 1, 0)) == (1, -1, 1, 0, -1)
+
+
+def test_quantum_bruhat_graph_by_hand():
+    """A1: sigma_s * sigma_s = q, one quantum edge s -> e.  A2, node 2: v_2 = s1 s2 and
+    w = s2 s1 give w_0 w = s2, three steps from v_2 by either s1 s2 -> s1 -> e -> s2 or
+    s1 s2 -> w_0 -> e -> s2, both of weight alpha_1^vee + alpha_2^vee."""
+    a1 = build_root_system("A", 1)
+    s = a1.simple_reflection(1)
+    assert quantum_bruhat_weights(a1, s) == {s: (0,), a1.identity_weyl(): (1,)}
+    a2 = build_root_system("A", 2)
+    weights = quantum_bruhat_weights(a2, seidel_element(a2, 2))
+    assert weights[a2.simple_reflection(2)] == (1, 1) == quantum_exponent(
+        a2, 2, weyl_from_word(a2, [2, 1])
+    )
+
+
+@pytest.mark.parametrize("type_label,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+    ("D", 4), ("D", 5),
+])
+def test_quantum_exponent_is_the_quantum_bruhat_graph_weight(type_label, rank):
+    """quantum_exponent(rs, i, w) is the weight of a shortest path from v_i to w_0 w, for
+    every special node and every w; the search asserts Postnikov's uniqueness of the
+    weight as it goes.  It shares with the package the root data, the Weyl group and v_i."""
+    rs = build_root_system(type_label, rank)
+    w0 = longest_element(rs)
+    for i in special_nodes(rs):
+        weights = quantum_bruhat_weights(rs, seidel_element(rs, i))
+        assert len(weights) == len(rs.weyl_group())
+        for w in rs.weyl_group():
+            assert weights[w0 * w] == quantum_exponent(rs, i, w), (i, w.reduced_word())
 
 
 def test_quantum_exponent_nonnegative_everywhere():

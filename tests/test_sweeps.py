@@ -62,8 +62,8 @@ def test_every_sweep_reports_its_own_name(name):
 
 
 def test_theorem_random_sampling():
-    res = sweep_theorem_random("A", 3, count=40, seed=7)
-    assert res.passed and res.total == 40
+    res = sweep_theorem_random("A", 3)
+    assert res.passed and res.total == 200
     assert res.failures == ()
 
 

@@ -115,6 +115,12 @@ MUTATIONS = (
         "return _quantum_exponent(rs, i, w.act_coweight(",
     ),
     (
+        "`coweight_to_coroots` reads the Cartan inverse transposed",
+        "rootsys.py",
+        "for col in self._cartan_inv_cols]",
+        "for col in zip(*self._cartan_inv_cols)]",
+    ),
+    (
         "`peterson._star_words` moves the offset to `o - beta`",
         "peterson.py",
         "group[u] = g, (ob := o + beta)",
